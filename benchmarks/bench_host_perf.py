@@ -20,8 +20,8 @@ them to ``BENCH_HOSTPERF.json`` so the perf trajectory has data:
    ``python -m repro report`` emits, so the perf trajectory records
    where the simulated time goes, not just how much of it there is;
 5. **kernel tiers** — wall-clock of one hot kernel launch through the
-   interpreter vs. the generated-source tier (and the numba tier when
-   numba is importable), with the tiers' outputs checked bit-identical.
+   interpreter vs. the generated-source tier, with the tiers' outputs
+   checked bit-identical.
    The source tier must clear 5x over the interpreter at the full size.
 
 Run standalone (the CI ``perf-smoke`` job uses ``--n 32768``)::
@@ -214,17 +214,15 @@ def measure_insight() -> dict:
 def measure_kernel_tiers(n: int) -> dict:
     """One hot launch per tier; wall-clock each and compare outputs.
 
-    The dispatcher is driven directly (policy thresholds at 1) so each
-    leg runs entirely in one tier: a warm launch first to pay compiles
-    and promotion, then the timed launch.  The numba leg only appears
-    when numba is importable and its self-test passes.
+    The dispatcher is driven directly (promotion threshold at 1) so
+    each leg runs entirely in one tier: a warm launch first to pay
+    compiles and promotion, then the timed launch.
     """
     import numpy as np
 
     from repro.api import Japonica
     from repro.ir.interpreter import ArrayStorage
-    from repro.ir.native import KernelCache, KernelDispatcher, TierPolicy
-    from repro.ir.native import numba_backend
+    from repro.ir.native import KernelCache, KernelDispatcher
 
     program = Japonica().compile(VECADD_SRC)
     fn = program.unit.methods["run"].loops[0].fn
@@ -234,9 +232,9 @@ def measure_kernel_tiers(n: int) -> dict:
     env = {"n": n}
     indices = list(range(n))
 
-    def timed(native: bool, policy: TierPolicy) -> tuple[float, object]:
+    def timed(native: bool) -> tuple[float, object]:
         disp = KernelDispatcher(
-            cache=KernelCache(), policy=policy, native=native
+            cache=KernelCache(), src_threshold=1, native=native
         )
 
         def launch():
@@ -252,25 +250,14 @@ def measure_kernel_tiers(n: int) -> dict:
         launch()  # warm: compile + cross the promotion threshold
         return launch()
 
-    interp_s, c_interp = timed(False, TierPolicy())
-    src_s, c_src = timed(True, TierPolicy(src_threshold=1))
-    out = {
+    interp_s, c_interp = timed(False)
+    src_s, c_src = timed(True)
+    return {
         "interp_s": interp_s,
         "src_s": src_s,
         "src_speedup": interp_s / src_s,
         "identical": c_interp.tobytes() == c_src.tobytes(),
-        "numba": None,
     }
-    if numba_backend.available():
-        numba_s, c_numba = timed(
-            True, TierPolicy(src_threshold=1, numba_threshold=1)
-        )
-        out["numba"] = {
-            "numba_s": numba_s,
-            "numba_speedup": interp_s / numba_s,
-            "identical": c_interp.tobytes() == c_numba.tobytes(),
-        }
-    return out
 
 
 def check_against(report: dict, baseline_path: str, tolerance: float) -> int:
@@ -357,13 +344,6 @@ def main(argv=None) -> int:
     print(f"  src      {kernel_tiers['src_s']:8.3f}s  "
           f"({kernel_tiers['src_speedup']:.1f}x, "
           f"identical={kernel_tiers['identical']})")
-    if kernel_tiers["numba"] is not None:
-        nb = kernel_tiers["numba"]
-        print(f"  numba    {nb['numba_s']:8.3f}s  "
-              f"({nb['numba_speedup']:.1f}x, "
-              f"identical={nb['identical']})")
-    else:
-        print("  numba    (not importable; tier skipped)")
 
     print("trace insight: critical path and bottleneck lane per workload ...")
     insight = measure_insight()
@@ -397,10 +377,7 @@ def main(argv=None) -> int:
         print(f"FAIL: profiling speedup {profiling['speedup']:.1f}x "
               f"< required {min_speedup:g}x", file=sys.stderr)
         return 1
-    if not kernel_tiers["identical"] or (
-        kernel_tiers["numba"] is not None
-        and not kernel_tiers["numba"]["identical"]
-    ):
+    if not kernel_tiers["identical"]:
         print("FAIL: kernel tiers disagree on results", file=sys.stderr)
         return 1
     min_kernel = args.min_kernel_speedup

@@ -33,10 +33,10 @@ _SUPPORTED_GLOBALS = {"range", "len", "math", "abs", "min", "max", "int", "float
 
 #: ``math.<name>`` -> intrinsic (floor/ceil handled separately: Python
 #: returns an int where Java returns a double, so they lift as a cast).
-#: Only bitwise-safe intrinsics lift: the vectorized kernel tier
-#: evaluates through numpy ufuncs, and numpy's exp/log/tan/pow are not
-#: bit-identical to the ``math`` module's libm calls, which would break
-#: the differential oracle.  Those fall back as ``inexact-intrinsic``.
+#: exp/log/tan/pow are not lifted yet and fall back as
+#: ``inexact-intrinsic``.  Every kernel engine evaluates them bitwise
+#: alike (the java_ops table maps their scalar form over vector lanes),
+#: so lifting them is only a matter of widening the frontend.
 _MATH_INTRINSICS = {
     "sqrt": "Math.sqrt",
     "sin": "Math.sin",

@@ -53,6 +53,35 @@ C_TOTAL = 7
 N_COUNTERS = 8
 
 
+def category(instr) -> Optional[int]:
+    """The counter one instruction increments besides ``C_TOTAL``.
+
+    The single definition of the work metering every kernel engine
+    reports: the interpreter, the generated-source tier and the
+    vectorized engines.
+    """
+    op = instr.op
+    if op is Opcode.BIN:
+        if instr.binop in SPECIAL_OPS:
+            return C_SPECIAL
+        return C_FLOAT if instr.a.type.is_floating else C_INT
+    if op is Opcode.UN:
+        return C_FLOAT if instr.dst.type.is_floating else C_INT
+    if op is Opcode.CAST:
+        return C_INT
+    if op is Opcode.LOAD:
+        return C_LOAD
+    if op is Opcode.STORE:
+        return C_STORE
+    if op is Opcode.CALL:
+        return C_INTRINSIC
+    if op in (Opcode.BR, Opcode.CBR):
+        return C_BRANCH
+    if op in (Opcode.CONST, Opcode.MOV, Opcode.RET):
+        return None
+    raise JaponicaError(f"unknown opcode {op}")
+
+
 @dataclass
 class Counts:
     """Dynamic work executed by one or more kernel iterations."""
@@ -359,35 +388,29 @@ class CompiledKernel:
                 regs[d] = regs[a]
                 counters[C_TOTAL] += 1
             return run
+        cat = category(instr)
         if op is Opcode.BIN:
             d, a, b = instr.dst.id, instr.a.id, instr.b.id
-            binop = instr.binop
-            jt = instr.a.type
-            cat = self._op_category(binop, jt)
-            fn = java_ops.binop
-            def run(regs, d=d, a=a, b=b, binop=binop, jt=jt, cat=cat, fn=fn):
-                regs[d] = fn(binop, regs[a], regs[b], jt)
+            fn = java_ops.bin_rule(instr.binop, instr.a.type).scalar
+            def run(regs, d=d, a=a, b=b, cat=cat, fn=fn):
+                regs[d] = fn(regs[a], regs[b])
                 counters[cat] += 1
                 counters[C_TOTAL] += 1
             return run
         if op is Opcode.UN:
             d, a = instr.dst.id, instr.a.id
-            unop = instr.binop
-            jt = instr.dst.type
-            cat = C_FLOAT if jt.is_floating else C_INT
-            fn = java_ops.unop
-            def run(regs, d=d, a=a, unop=unop, jt=jt, cat=cat, fn=fn):
-                regs[d] = fn(unop, regs[a], jt)
+            fn = java_ops.un_rule(instr.binop, instr.dst.type).scalar
+            def run(regs, d=d, a=a, cat=cat, fn=fn):
+                regs[d] = fn(regs[a])
                 counters[cat] += 1
                 counters[C_TOTAL] += 1
             return run
         if op is Opcode.CAST:
             d, a = instr.dst.id, instr.a.id
-            src_t, dst_t = instr.a.type, instr.dst.type
-            fn = java_ops.cast
-            def run(regs, d=d, a=a, src_t=src_t, dst_t=dst_t, fn=fn):
-                regs[d] = fn(regs[a], src_t, dst_t)
-                counters[C_INT] += 1
+            fn = java_ops.CAST_RULES[instr.a.type, instr.dst.type].scalar
+            def run(regs, d=d, a=a, cat=cat, fn=fn):
+                regs[d] = fn(regs[a])
+                counters[cat] += 1
                 counters[C_TOTAL] += 1
             return run
         if op is Opcode.LOAD:
@@ -412,13 +435,14 @@ class CompiledKernel:
             return run
         if op is Opcode.CALL:
             d = instr.dst.id
-            name = instr.intrinsic
             arg_ids = tuple(r.id for r in instr.args)
-            jt = instr.dst.type
-            fn = java_ops.intrinsic
-            def run(regs, d=d, name=name, arg_ids=arg_ids, jt=jt, fn=fn):
-                regs[d] = fn(name, [regs[i] for i in arg_ids], jt)
-                counters[C_INTRINSIC] += 1
+            fn, _array, convert = java_ops.call_rule(
+                instr.intrinsic, instr.dst.type
+            )
+            conv = convert.scalar
+            def run(regs, d=d, arg_ids=arg_ids, cat=cat, fn=fn, conv=conv):
+                regs[d] = conv(fn(*[regs[i] for i in arg_ids]))
+                counters[cat] += 1
                 counters[C_TOTAL] += 1
             return run
         raise JaponicaError(f"non-terminator expected, got {op}")
@@ -448,14 +472,6 @@ class CompiledKernel:
                 return -1
             return run
         raise JaponicaError(f"terminator expected, got {op}")
-
-    @staticmethod
-    def _op_category(binop: str, jt: JType) -> int:
-        if binop in SPECIAL_OPS:
-            return C_SPECIAL
-        if jt.is_floating:
-            return C_FLOAT
-        return C_INT
 
     # -- execution -------------------------------------------------------
 

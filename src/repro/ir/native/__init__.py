@@ -3,20 +3,16 @@
 The scalar closure-per-instruction interpreter in
 :mod:`repro.ir.interpreter` is the semantic reference for every kernel
 execution, but it pays Python dispatch per IR instruction.  This package
-adds two faster tiers that preserve its observable behaviour exactly:
+adds a faster tier that preserves its observable behaviour exactly:
 
 ``src``
     :mod:`repro.ir.native.codegen` compiles an :class:`IRFunction` into
     type-specialized Python source — registers become locals, branches
-    become a block-dispatch loop, Java numeric semantics are inlined or
-    pre-bound from :mod:`repro.ir.java_ops`, and work counters are folded
-    statically per basic block.  The source is ``compile()``+``exec()``'d
-    once per (fingerprint, flavor) and is stateless/reentrant.
-``numba``
-    :mod:`repro.ir.native.numba_backend` additionally lowers the direct
-    flavor through ``numba.njit`` when numba is importable; it is skipped
-    silently (and permanently, per process) when numba is absent or the
-    compile fails.
+    become a block-dispatch loop, Java numeric semantics are the inline
+    expressions of the :mod:`repro.ir.java_ops` table, and work counters
+    are folded statically per basic block.  The source is
+    ``compile()``+``exec()``'d once per (fingerprint, flavor) and is
+    stateless/reentrant.
 
 :class:`repro.ir.native.dispatch.KernelDispatcher` fronts the tiers:
 kernels start on the interpreter, are promoted by a hotness counter, and
@@ -29,9 +25,7 @@ from .dispatch import (
     KernelCache,
     KernelDispatcher,
     TIER_INTERP,
-    TIER_NUMBA,
     TIER_SRC,
-    TierPolicy,
 )
 
 __all__ = [
@@ -41,8 +35,6 @@ __all__ = [
     "KernelDispatcher",
     "NativeKernel",
     "TIER_INTERP",
-    "TIER_NUMBA",
     "TIER_SRC",
-    "TierPolicy",
     "generate_source",
 ]

@@ -6,9 +6,10 @@ memory-backend flavor:
 * registers become Python locals (``r{id}``),
 * the CFG becomes a block-dispatch loop (``_blk`` integer + ``if/elif``
   chain; CBR lowers to a conditional expression),
-* Java numeric semantics are inlined (two's-complement wrap as a masked
-  expression) or pre-bound from :mod:`repro.ir.java_ops` (division,
-  remainder, float32 rounding, intrinsics),
+* Java numeric semantics are the inline ``expr`` forms of the
+  :mod:`repro.ir.java_ops` table (the interpreter runs the same text
+  compiled as its ``scalar`` forms); the helpers they call and the
+  intrinsics are pre-bound as globals,
 * loads/stores inline the bounds check against hoisted shapes and fall
   back to :meth:`ArrayStorage.flat` on failure so every error message is
   byte-identical to the interpreter's,
@@ -41,56 +42,22 @@ Flavors mirror the interpreter's memory backends:
 from __future__ import annotations
 
 import linecache
-import math
 
 from ...errors import JaponicaError
 from .. import java_ops
-from ..instructions import IRFunction, JType, Opcode, SPECIAL_OPS
+from ..instructions import IRFunction, Opcode
 from ..interpreter import (
     AccessRecord,
-    C_BRANCH,
-    C_FLOAT,
-    C_INT,
-    C_INTRINSIC,
-    C_LOAD,
-    C_SPECIAL,
-    C_STORE,
     C_TOTAL,
     FuelExhausted,
     LaneSpecState,
     N_COUNTERS,
+    category,
 )
 
 DEFAULT_FUEL = 200_000_000
 
 FLAVORS = ("direct", "buffered", "tracing")
-
-_CMP_OPS = ("<", "<=", ">", ">=", "==", "!=")
-
-
-def _divi(a, b):
-    return java_ops.wrap_int(java_ops.java_div_int(a, b))
-
-
-def _divl(a, b):
-    return java_ops.wrap_long(java_ops.java_div_int(a, b))
-
-
-def _remi(a, b):
-    return java_ops.wrap_int(java_ops.java_rem_int(a, b))
-
-
-def _reml(a, b):
-    return java_ops.wrap_long(java_ops.java_rem_int(a, b))
-
-
-def _cast_f2i(v):
-    return java_ops.cast(v, JType.DOUBLE, JType.INT)
-
-
-def _cast_f2l(v):
-    return java_ops.cast(v, JType.DOUBLE, JType.LONG)
-
 
 #: Names injected into every generated function's globals.
 _BASE_GLOBALS = {
@@ -99,18 +66,7 @@ _BASE_GLOBALS = {
     "_AR": AccessRecord,
     "_LSS": LaneSpecState,
     "_NAN": float("nan"),
-    "_fdiv": java_ops._fdiv,
-    "_fmod": java_ops._frem,
-    "_rf": java_ops._round_float,
-    "_divi": _divi,
-    "_divl": _divl,
-    "_remi": _remi,
-    "_reml": _reml,
-    "_c_fi": _cast_f2i,
-    "_c_fl": _cast_f2l,
-    "_binop": java_ops.binop,
-    "_unop": java_ops.unop,
-    "_JT": {t.value: t for t in JType},
+    **java_ops.SRC_GLOBALS,
 }
 
 
@@ -125,128 +81,6 @@ class _Emitter:
 
     def source(self) -> str:
         return "\n".join(self.lines) + "\n"
-
-
-def _wrap_expr(core: str, jt: JType) -> str:
-    """Two's-complement wrap of ``core`` as a branch-free expression.
-
-    ``((x & MASK) ^ SIGN) - SIGN`` is equivalent to
-    :func:`java_ops.wrap_int`/``wrap_long`` for every integer ``x``.
-    """
-    if jt is JType.INT:
-        return f"((({core}) & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000"
-    return (
-        f"((({core}) & 0xFFFFFFFFFFFFFFFF) ^ 0x8000000000000000)"
-        f" - 0x8000000000000000"
-    )
-
-
-def _bin_expr(op: str, a: str, b: str, jt: JType) -> str:
-    """Expression for ``BIN`` matching :func:`java_ops.binop` exactly."""
-    if op in _CMP_OPS:
-        return f"{a} {op} {b}"
-    if jt is JType.BOOL:
-        if op == "&":
-            return f"bool({a}) and bool({b})"
-        if op == "|":
-            return f"bool({a}) or bool({b})"
-        if op == "^":
-            return f"bool({a}) != bool({b})"
-        # undefined on boolean: defer to java_ops for the exact error
-        return f"_binop({op!r}, {a}, {b}, _JT[{jt.value!r}])"
-    if jt.is_floating:
-        if op == "+":
-            core = f"{a} + {b}"
-        elif op == "-":
-            core = f"{a} - {b}"
-        elif op == "*":
-            core = f"{a} * {b}"
-        elif op == "/":
-            core = f"_fdiv({a}, {b})"
-        elif op == "%":
-            core = f"_fmod({a}, {b})"
-        else:
-            return f"_binop({op!r}, {a}, {b}, _JT[{jt.value!r}])"
-        return f"_rf({core})" if jt is JType.FLOAT else core
-    # integral int/long
-    shift_mask = 31 if jt is JType.INT else 63
-    umask = "0xFFFFFFFF" if jt is JType.INT else "0xFFFFFFFFFFFFFFFF"
-    if op == "/":
-        return f"_divi({a}, {b})" if jt is JType.INT else f"_divl({a}, {b})"
-    if op == "%":
-        return f"_remi({a}, {b})" if jt is JType.INT else f"_reml({a}, {b})"
-    if op == "<<":
-        core = f"{a} << ({b} & {shift_mask})"
-    elif op == ">>":
-        core = f"{a} >> ({b} & {shift_mask})"
-    elif op == ">>>":
-        core = f"({a} & {umask}) >> ({b} & {shift_mask})"
-    elif op in ("+", "-", "*", "&", "|", "^"):
-        core = f"{a} {op} {b}"
-    else:
-        return f"_binop({op!r}, {a}, {b}, _JT[{jt.value!r}])"
-    return _wrap_expr(core, jt)
-
-
-def _un_expr(op: str, a: str, jt: JType) -> str:
-    """Expression for ``UN`` matching :func:`java_ops.unop` exactly."""
-    if op == "!":
-        return f"not {a}"
-    if op == "-" and jt.is_floating:
-        return f"-{a}"
-    if op in ("-", "~") and jt in (JType.INT, JType.LONG):
-        return _wrap_expr(f"{op}{a}", jt)
-    return f"_unop({op!r}, {a}, _JT[{jt.value!r}])"
-
-
-def _cast_expr(a: str, src: JType, dst: JType) -> str:
-    """Expression for ``CAST`` matching :func:`java_ops.cast` exactly."""
-    if dst is JType.BOOL:
-        return f"bool({a})"
-    if dst is JType.DOUBLE:
-        return f"float({a})"
-    if dst is JType.FLOAT:
-        return f"_rf(float({a}))"
-    if src.is_floating:
-        return f"_c_fi({a})" if dst is JType.INT else f"_c_fl({a})"
-    return _wrap_expr(f"int({a})", dst)
-
-
-def _intr_expr(var: str, args: str, dst: JType) -> str:
-    """Expression for ``CALL`` matching :func:`java_ops.intrinsic`."""
-    core = f"{var}({args})"
-    if dst is JType.FLOAT:
-        return f"_rf(float({core}))"
-    if dst is JType.DOUBLE:
-        return f"float({core})"
-    # non-floating result conversion (_wrap treats BOOL like LONG)
-    return _wrap_expr(f"int({core})", JType.INT if dst is JType.INT else JType.LONG)
-
-
-def _instr_category(instr) -> tuple[int, ...]:
-    """Counter indices (besides C_TOTAL) one instruction increments."""
-    op = instr.op
-    if op in (Opcode.CONST, Opcode.MOV):
-        return ()
-    if op is Opcode.BIN:
-        if instr.binop in SPECIAL_OPS:
-            return (C_SPECIAL,)
-        return (C_FLOAT,) if instr.a.type.is_floating else (C_INT,)
-    if op is Opcode.UN:
-        return (C_FLOAT,) if instr.dst.type.is_floating else (C_INT,)
-    if op is Opcode.CAST:
-        return (C_INT,)
-    if op is Opcode.LOAD:
-        return (C_LOAD,)
-    if op is Opcode.STORE:
-        return (C_STORE,)
-    if op is Opcode.CALL:
-        return (C_INTRINSIC,)
-    if op in (Opcode.BR, Opcode.CBR):
-        return (C_BRANCH,)
-    if op is Opcode.RET:
-        return ()
-    raise JaponicaError(f"unknown opcode {op}")
 
 
 class _KernelPlan:
@@ -395,7 +229,8 @@ def generate(
         body_indent = 5
         fold = [0] * N_COUNTERS
         for instr in blk.instrs:
-            for cat in _instr_category(instr):
+            cat = category(instr)
+            if cat is not None:
                 fold[cat] += 1
             fold[C_TOTAL] += 1
         for instr in blk.instrs[:-1]:
@@ -477,6 +312,22 @@ def _emit_flat(
         e.emit(indent + 1, f"{out_var} = _flat({instr.array!r}, (_x, _y))")
 
 
+def _value_expr(instr, plan: _KernelPlan) -> str:
+    """The java_ops table's inline expression for a value instruction."""
+    op = instr.op
+    if op is Opcode.CALL:
+        args = ", ".join(f"r{r.id}" for r in instr.args)
+        convert = java_ops.call_rule(instr.intrinsic, instr.dst.type)[2]
+        return convert.emit(f"{plan.intr_var[instr.intrinsic]}({args})")
+    a = f"r{instr.a.id}"
+    if op is Opcode.BIN:
+        rule = java_ops.bin_rule(instr.binop, instr.a.type)
+        return rule.emit(a, f"r{instr.b.id}")
+    if op is Opcode.UN:
+        return java_ops.un_rule(instr.binop, instr.dst.type).emit(a)
+    return java_ops.CAST_RULES[instr.a.type, instr.dst.type].emit(a)
+
+
 def _emit_instr(
     e: _Emitter,
     indent: int,
@@ -493,26 +344,8 @@ def _emit_instr(
     if op is Opcode.MOV:
         e.emit(indent, f"r{instr.dst.id} = r{instr.a.id}")
         return
-    if op is Opcode.BIN:
-        expr = _bin_expr(
-            instr.binop, f"r{instr.a.id}", f"r{instr.b.id}", instr.a.type
-        )
-        e.emit(indent, f"r{instr.dst.id} = {expr}")
-        return
-    if op is Opcode.UN:
-        expr = _un_expr(instr.binop, f"r{instr.a.id}", instr.dst.type)
-        e.emit(indent, f"r{instr.dst.id} = {expr}")
-        return
-    if op is Opcode.CAST:
-        expr = _cast_expr(f"r{instr.a.id}", instr.a.type, instr.dst.type)
-        e.emit(indent, f"r{instr.dst.id} = {expr}")
-        return
-    if op is Opcode.CALL:
-        args = ", ".join(f"r{r.id}" for r in instr.args)
-        expr = _intr_expr(
-            plan.intr_var[instr.intrinsic], args, instr.dst.type
-        )
-        e.emit(indent, f"r{instr.dst.id} = {expr}")
+    if op in (Opcode.BIN, Opcode.UN, Opcode.CAST, Opcode.CALL):
+        e.emit(indent, f"r{instr.dst.id} = {_value_expr(instr, plan)}")
         return
     av = plan.array_var[instr.array]
     if op is Opcode.LOAD:

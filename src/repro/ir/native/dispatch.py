@@ -5,26 +5,24 @@ state; the compiled artifacts themselves live in a process-wide
 ``KernelCache`` shared by every device and executor, so an N-device
 pool compiles each kernel once:
 
-* stateless tiers (generated-source ``NativeKernel``, numba, the
+* stateless tiers (generated-source ``NativeKernel``, the
   vectorized/specvec kernels) are cached globally under a lock, keyed
   ``(ir_fingerprint, tier/flavor)``;
 * the stateful scalar interpreter (``CompiledKernel`` closures capture
   their counters and backend) is cached per *thread*, which still
   deduplicates the per-device copies of the old per-instance caches.
 
-Tier ladder per kernel: ``interp`` → ``src`` → ``numba``.  Promotion is
-by a cumulative iteration count (one large launch promotes immediately);
-the numba tier applies to the direct flavor only and is skipped silently
-when numba is not importable or its compile fails.  ``crosscheck`` mode
-replays every native execution through the interpreter oracle and
-compares results bitwise — the oracle's effects always win.
+Tier ladder per kernel: ``interp`` → ``src``.  Promotion is by a
+cumulative iteration count (one large launch promotes immediately).
+``crosscheck`` mode replays every native execution through the
+interpreter oracle and compares results bitwise — the oracle's effects
+always win.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -48,7 +46,6 @@ from .codegen import DEFAULT_FUEL, NativeKernel
 
 TIER_INTERP = "interp"
 TIER_SRC = "src"
-TIER_NUMBA = "numba"
 
 _BACKENDS = {
     "direct": DirectBackend,
@@ -57,22 +54,10 @@ _BACKENDS = {
 }
 
 
-@dataclass
-class TierPolicy:
-    """Promotion thresholds, in cumulative iterations per kernel."""
-
-    #: iterations before a kernel is promoted to generated source
-    src_threshold: int = 256
-    #: iterations before the numba tier is attempted (direct flavor only)
-    numba_threshold: int = 65536
-    enable_src: bool = True
-    enable_numba: bool = True
-
-
 class KernelCache:
     """Process-wide cache of compiled kernel artifacts.
 
-    Stateless artifacts (src/numba/vectorized kernels) are shared across
+    Stateless artifacts (src/vectorized kernels) are shared across
     threads; interpreter kernels are stateful and cached thread-locally.
     ``compiles`` counts real compilations per tier (test observability).
     """
@@ -80,11 +65,10 @@ class KernelCache:
     def __init__(self):
         self._lock = threading.Lock()
         self._src: dict[tuple[str, str], NativeKernel] = {}
-        self._numba: dict[str, object] = {}
         self._vector: dict[str, VectorizedKernel] = {}
         self._specvec: dict[str, VectorizedSpecKernel] = {}
         self._local = threading.local()
-        self.compiles = {"interp": 0, "src": 0, "numba": 0, "vector": 0}
+        self.compiles = {"interp": 0, "src": 0, "vector": 0}
 
     # -- interpreter tier (thread-local, stateful) ----------------------
 
@@ -125,38 +109,6 @@ class KernelCache:
                 self._src[key] = kern
         return kern
 
-    def numba(
-        self,
-        fn: IRFunction,
-        obs: Instrumentation = NULL_INSTRUMENTATION,
-        fuel: int = DEFAULT_FUEL,
-    ):
-        """The numba-tier kernel, or None when unavailable/failed."""
-        key = fn.fingerprint()
-        if key in self._numba:
-            return self._numba[key]
-        with self._lock:
-            if key in self._numba:
-                return self._numba[key]
-            from . import numba_backend
-
-            kern = None
-            if numba_backend.available():
-                started = time.perf_counter()
-                kern = numba_backend.compile_kernel(fn, fuel)
-                if kern is not None:
-                    self.compiles["numba"] += 1
-                    obs.metrics.counter("kernel.compile_s.numba").inc(
-                        time.perf_counter() - started
-                    )
-            self._numba[key] = kern
-        return kern
-
-    def numba_failed(self, fn: IRFunction) -> None:
-        """Permanently disable the numba tier for one kernel."""
-        with self._lock:
-            self._numba[fn.fingerprint()] = None
-
     def vectorized(self, fn: IRFunction) -> VectorizedKernel:
         key = fn.fingerprint()
         kern = self._vector.get(key)
@@ -181,7 +133,6 @@ class KernelCache:
     def clear(self) -> None:
         with self._lock:
             self._src.clear()
-            self._numba.clear()
             self._vector.clear()
             self._specvec.clear()
             self._local = threading.local()
@@ -200,20 +151,21 @@ class KernelDispatcher:
     execution context; it owns the per-kernel raw work counters (so
     partial counts from faulted attempts accumulate exactly as the old
     per-device ``CompiledKernel`` counters did) and the hotness state
-    driving promotion.
+    driving promotion: a kernel moves to the src tier once its
+    cumulative launched iterations reach ``src_threshold``.
     """
 
     def __init__(
         self,
         cache: Optional[KernelCache] = None,
-        policy: Optional[TierPolicy] = None,
+        src_threshold: int = 256,
         obs: Optional[Instrumentation] = None,
         native: bool = True,
         crosscheck: bool = False,
         fuel: int = DEFAULT_FUEL,
     ):
         self.cache = cache or GLOBAL_KERNEL_CACHE
-        self.policy = policy or TierPolicy()
+        self.src_threshold = src_threshold
         self.obs = obs or NULL_INSTRUMENTATION
         self.native = native
         self.crosscheck = crosscheck
@@ -244,20 +196,12 @@ class KernelDispatcher:
 
     # -- tier selection -------------------------------------------------
 
-    def _select(self, fn: IRFunction, flavor: str, n: int) -> str:
+    def _select(self, fn: IRFunction, n: int) -> str:
         key = fn.fingerprint()
         hot = self._hot.get(key, 0) + n
         self._hot[key] = hot
-        pol = self.policy
-        tier = TIER_INTERP
-        if self.native and pol.enable_src and hot >= pol.src_threshold:
-            tier = TIER_SRC
-            if (
-                pol.enable_numba
-                and flavor == "direct"
-                and hot >= pol.numba_threshold
-            ):
-                tier = TIER_NUMBA
+        native = self.native and hot >= self.src_threshold
+        tier = TIER_SRC if native else TIER_INTERP
         previous = self._tier.get(key, TIER_INTERP)
         if tier != previous:
             self._tier[key] = tier
@@ -320,20 +264,13 @@ class KernelDispatcher:
 
     def _run(self, fn, flavor, indices, scalar_env, storage):
         indices = list(indices)
-        tier = self._select(fn, flavor, len(indices))
-        if tier != TIER_INTERP and self.crosscheck:
-            self._record(tier, flavor, len(indices))
-            return self._run_crosschecked(
-                fn, flavor, tier, indices, scalar_env, storage
-            )
-        if tier == TIER_NUMBA:
-            result = self._run_numba(fn, indices, scalar_env, storage)
-            if result is not None:
-                self._record(TIER_NUMBA, flavor, len(indices))
-                return result
-            tier = TIER_SRC
+        tier = self._select(fn, len(indices))
         if tier == TIER_SRC:
             self._record(TIER_SRC, flavor, len(indices))
+            if self.crosscheck:
+                return self._run_crosschecked(
+                    fn, flavor, indices, scalar_env, storage
+                )
             return self._run_src(fn, flavor, indices, scalar_env, storage)
         self._record(TIER_INTERP, flavor, len(indices))
         return self._run_interp(fn, flavor, indices, scalar_env, storage)
@@ -369,29 +306,12 @@ class KernelDispatcher:
             return per_lane
         return per_lane, aux
 
-    def _run_numba(self, fn, indices, scalar_env, storage):
-        kern = self.cache.numba(fn, self.obs, self.fuel)
-        if kern is None:
-            return None
-        from . import numba_backend
-
-        per_lane: list[int] = []
-        try:
-            kern.run(indices, scalar_env, storage, self.counters(fn), per_lane)
-        except numba_backend.NumbaFallback as fb:
-            if fb.permanent:
-                self.cache.numba_failed(fn)
-            return None
-        return per_lane
-
     # -- crosscheck mode ------------------------------------------------
 
-    def _run_crosschecked(
-        self, fn, flavor, tier, indices, scalar_env, storage
-    ):
+    def _run_crosschecked(self, fn, flavor, indices, scalar_env, storage):
         """Replay through the interpreter oracle and compare bitwise.
 
-        The native tier runs against a scratch copy of memory; the
+        The src tier runs against a scratch copy of memory; the
         interpreter runs against the real storage so its effects (and
         its counts) are the ones the caller keeps.
         """
@@ -400,17 +320,10 @@ class KernelDispatcher:
         native_pl: list[int] = []
         native_aux = native_err = None
         try:
-            if tier == TIER_NUMBA:
-                kern = self.cache.numba(fn, self.obs, self.fuel)
-                if kern is None:
-                    tier = TIER_SRC
-            if tier == TIER_NUMBA:
-                kern.run(indices, scalar_env, scratch, native_raw, native_pl)
-            else:
-                kern = self.cache.src(fn, flavor, self.obs, self.fuel)
-                native_aux = kern.run(
-                    indices, scalar_env, scratch, native_raw, native_pl
-                )
+            kern = self.cache.src(fn, flavor, self.obs, self.fuel)
+            native_aux = kern.run(
+                indices, scalar_env, scratch, native_raw, native_pl
+            )
         except Exception as exc:  # noqa: BLE001 - compared to the oracle
             native_err = exc
 
@@ -463,7 +376,7 @@ class KernelDispatcher:
         if diffs:
             self.obs.metrics.counter("kernel.crosscheck.mismatch").inc()
             raise NativeMismatch(
-                f"native tier {tier!r} diverged from the interpreter on "
+                f"native tier {TIER_SRC!r} diverged from the interpreter on "
                 f"kernel {fn.name!r} ({flavor}): " + "; ".join(diffs)
             )
         self.obs.metrics.counter("kernel.crosscheck.ok").inc()

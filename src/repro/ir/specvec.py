@@ -7,8 +7,10 @@ and read/write sets are logged for dependency checking.  For
 single-block kernels the whole launch is data-independent per lane, so
 the address streams, buffers and logs can be produced with NumPy over
 all lanes at once — this module is the buffered-mode twin of
-:class:`repro.ir.vectorizer.VectorizedKernel` and must match the scalar
-backend observationally:
+:class:`repro.ir.vectorizer.VectorizedKernel`.  Both run the one
+instruction walk :func:`repro.ir.vectorizer.run_lanes`; this module adds
+only the memory side, LOAD forwarding and the read/write logs, and must
+match the scalar backend observationally:
 
 * identical work :class:`Counts` (every LOAD/STORE is metered whether or
   not the read hits the lane buffer, exactly like the closure path);
@@ -32,42 +34,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import JaponicaError, MemoryFault
 from .columnar import ColumnarLanes
-from .instructions import IRFunction, Opcode, SPECIAL_OPS
-from .interpreter import (
-    ArrayStorage,
-    C_FLOAT,
-    C_INT,
-    C_INTRINSIC,
-    C_LOAD,
-    C_SPECIAL,
-    C_STORE,
-    C_TOTAL,
-    Counts,
-    N_COUNTERS,
-)
-from .vectorizer import (
-    _NP_TYPE,
-    _broadcast,
-    _vbinop,
-    _vcast,
-    _vintrinsic,
-    _vunop,
-    can_vectorize,
-)
+from .instructions import IRFunction
+from .interpreter import ArrayStorage, Counts
+from .vectorizer import check_vectorizable, lane_values, run_lanes
 
 
 class VectorizedSpecKernel:
     """Buffered (speculative) execution of a straight-line kernel."""
 
     def __init__(self, fn: IRFunction):
-        if not can_vectorize(fn):
-            raise JaponicaError(
-                f"kernel {fn.name!r} has control flow and cannot be vectorized"
-            )
+        check_vectorizable(fn)
         self.fn = fn
-        self._instrs = fn.entry.instrs
 
     def run_buffered(
         self,
@@ -76,7 +54,6 @@ class VectorizedSpecKernel:
         indices: np.ndarray,
     ) -> tuple[Counts, ColumnarLanes]:
         """Execute all lanes speculatively; return (counts, columnar lanes)."""
-        fn = self.fn
         n = int(indices.shape[0])
         order = indices.astype(np.int64)
         names: list[str] = []
@@ -96,18 +73,6 @@ class VectorizedSpecKernel:
                 empty, empty, buffers={}, op_total=0,
             )
 
-        regs: list = [None] * fn.num_regs
-        regs[fn.index.id] = indices.astype(np.int32)
-        for param in fn.scalars:
-            try:
-                value = scalar_env[param.name]
-            except KeyError:
-                raise JaponicaError(
-                    f"kernel {fn.name!r} missing scalar {param.name!r}"
-                ) from None
-            regs[fn.scalar_regs[param.name].id] = _NP_TYPE[param.type](value)
-
-        raw = [0] * N_COUNTERS
         op_slot = 0
         #: array_id -> ordered list of (op slot, flats[n], values[n])
         store_sites: dict[int, list[tuple[int, np.ndarray, np.ndarray]]] = {}
@@ -116,94 +81,41 @@ class VectorizedSpecKernel:
         #: logged writes: (op slot, array_id, flats[n])
         write_parts: list[tuple[int, int, np.ndarray]] = []
 
-        for instr in self._instrs:
-            op = instr.op
-            if op is Opcode.CONST:
-                regs[instr.dst.id] = _NP_TYPE[instr.dst.type](instr.value)
-                raw[C_TOTAL] += n
-            elif op is Opcode.MOV:
-                regs[instr.dst.id] = regs[instr.a.id]
-                raw[C_TOTAL] += n
-            elif op is Opcode.BIN:
-                regs[instr.dst.id] = _vbinop(
-                    instr.binop,
-                    regs[instr.a.id],
-                    regs[instr.b.id],
-                    instr.a.type,
-                )
-                cat = (
-                    C_SPECIAL
-                    if instr.binop in SPECIAL_OPS
-                    else (C_FLOAT if instr.a.type.is_floating else C_INT)
-                )
-                raw[cat] += n
-                raw[C_TOTAL] += n
-            elif op is Opcode.UN:
-                regs[instr.dst.id] = _vunop(
-                    instr.binop, regs[instr.a.id], instr.dst.type
-                )
-                raw[C_FLOAT if instr.dst.type.is_floating else C_INT] += n
-                raw[C_TOTAL] += n
-            elif op is Opcode.CAST:
-                regs[instr.dst.id] = _vcast(
-                    regs[instr.a.id], instr.a.type, instr.dst.type
-                )
-                raw[C_INT] += n
-                raw[C_TOTAL] += n
-            elif op is Opcode.LOAD:
-                a_id = array_id(instr.array)
-                vecs, flats = _flat_addresses(
-                    storage, instr.array, [regs[r.id] for r in instr.idx], n
-                )
-                arr = storage.arrays[instr.array]
-                cur = arr[tuple(vecs)] if len(vecs) > 1 else arr[vecs[0]]
-                unhit = np.ones(n, dtype=bool)
-                for _slot, s_flats, s_vals in store_sites.get(a_id, ()):
-                    m = s_flats == flats
-                    cur = np.where(m, s_vals, cur)
-                    unhit &= ~m
-                read_parts.append(
-                    (op_slot, a_id, np.nonzero(unhit)[0], flats[unhit])
-                )
-                regs[instr.dst.id] = cur
-                op_slot += 1
-                raw[C_LOAD] += n
-                raw[C_TOTAL] += n
-            elif op is Opcode.STORE:
-                a_id = array_id(instr.array)
-                _vecs, flats = _flat_addresses(
-                    storage, instr.array, [regs[r.id] for r in instr.idx], n
-                )
-                arr = storage.arrays[instr.array]
-                vals = _broadcast(regs[instr.a.id], n, arr.dtype)
-                if arr.dtype.kind in "iu":
-                    with np.errstate(over="ignore"):
-                        vals = np.asarray(vals).astype(arr.dtype)
-                else:
-                    vals = np.asarray(vals, dtype=arr.dtype)
-                write_parts.append((op_slot, a_id, flats))
-                store_sites.setdefault(a_id, []).append(
-                    (op_slot, flats, vals.copy())
-                )
-                op_slot += 1
-                raw[C_STORE] += n
-                raw[C_TOTAL] += n
-            elif op is Opcode.CALL:
-                regs[instr.dst.id] = _vintrinsic(
-                    instr.intrinsic,
-                    [regs[r.id] for r in instr.args],
-                    instr.dst.type,
-                )
-                raw[C_INTRINSIC] += n
-                raw[C_TOTAL] += n
-            elif op is Opcode.RET:
-                raw[C_TOTAL] += n
-            else:  # BR/CBR cannot appear in a single-block kernel
-                raise JaponicaError(f"unexpected opcode {op} in vector path")
+        def flat_addresses(instr, vecs):
+            if len(vecs) > 1:
+                return vecs[0] * storage.shapes[instr.array][1] + vecs[1]
+            return vecs[0]
 
-        reads = _finalize_log(
-            [(s, a, p, f) for (s, a, p, f) in read_parts]
-        )
+        def load(instr, vecs):
+            nonlocal op_slot
+            a_id = array_id(instr.array)
+            flats = flat_addresses(instr, vecs)
+            cur = storage.arrays[instr.array][tuple(vecs)]
+            unhit = np.ones(n, dtype=bool)
+            for _slot, s_flats, s_vals in store_sites.get(a_id, ()):
+                m = s_flats == flats
+                cur = np.where(m, s_vals, cur)
+                unhit &= ~m
+            read_parts.append(
+                (op_slot, a_id, np.nonzero(unhit)[0], flats[unhit])
+            )
+            op_slot += 1
+            return cur
+
+        def store(instr, vecs, value):
+            nonlocal op_slot
+            a_id = array_id(instr.array)
+            flats = flat_addresses(instr, vecs)
+            vals = lane_values(value, n, storage.arrays[instr.array].dtype)
+            write_parts.append((op_slot, a_id, flats))
+            store_sites.setdefault(a_id, []).append(
+                (op_slot, flats, vals.copy())
+            )
+            op_slot += 1
+
+        counts = run_lanes(self.fn, storage, scalar_env, indices, load, store)
+
+        reads = _finalize_log(read_parts)
         writes = _finalize_log(
             [(s, a, np.arange(n, dtype=np.int64), f)
              for (s, a, f) in write_parts]
@@ -225,27 +137,7 @@ class VectorizedSpecKernel:
             order, np.ones(n, dtype=bool), names,
             reads, writes, buffers=buffers, op_total=op_slot,
         )
-        return Counts.from_raw(raw), lanes
-
-
-def _flat_addresses(storage: ArrayStorage, name: str, idx, n: int):
-    """Bounds-check index vectors and return (vecs, flat addresses)."""
-    shape = storage.shapes.get(name)
-    if shape is None:
-        raise MemoryFault(f"unbound array {name!r}")
-    vecs = [_broadcast(v, n, np.int64) for v in idx]
-    for k, (v, d) in enumerate(zip(vecs, shape)):
-        bad = (v < 0) | (v >= d)
-        if np.any(bad):
-            i = int(v[np.argmax(bad)])
-            raise MemoryFault(
-                f"index {i} out of bounds for axis {k} of {name!r} (size {d})"
-            )
-    if len(vecs) > 1:
-        flats = vecs[0] * shape[1] + vecs[1]
-    else:
-        flats = vecs[0].astype(np.int64, copy=False)
-    return vecs, flats
+        return counts, lanes
 
 
 def _finalize_log(parts):

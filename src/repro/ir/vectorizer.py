@@ -7,27 +7,26 @@ stand-in for the SIMD throughput of real hardware: it keeps big DOALL
 loops (VectorAdd, Sepia, MVT row kernels) tractable at realistic sizes.
 
 The vectorized path must be observationally identical to the scalar
-interpreter — same results (Java wrap/truncation semantics) and the same
-dynamic work counts — and the test suite cross-checks both properties.
+interpreter — bitwise-equal results and the same dynamic work counts.
+Both come from shared definitions: every value is computed by the array
+form of the :mod:`repro.ir.java_ops` rule the interpreter runs in scalar
+form, and every instruction is metered by
+:func:`repro.ir.interpreter.category`.  :func:`run_lanes` is the one
+instruction walk; this module's :class:`VectorizedKernel` gives it
+direct memory, :class:`repro.ir.specvec.VectorizedSpecKernel` buffered
+memory with read/write logs.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from ..errors import JaponicaError, MemoryFault
-from .instructions import IRFunction, JType, Opcode, SPECIAL_OPS
-from .interpreter import ArrayStorage, Counts
-
-_NP_TYPE = {
-    JType.INT: np.int32,
-    JType.LONG: np.int64,
-    JType.FLOAT: np.float32,
-    JType.DOUBLE: np.float64,
-    JType.BOOL: np.bool_,
-}
-
-_INT_INFO = {JType.INT: np.iinfo(np.int32), JType.LONG: np.iinfo(np.int64)}
+from . import java_ops
+from .instructions import IRFunction, Opcode
+from .interpreter import ArrayStorage, C_TOTAL, Counts, N_COUNTERS, category
 
 
 def can_vectorize(fn: IRFunction) -> bool:
@@ -35,16 +34,128 @@ def can_vectorize(fn: IRFunction) -> bool:
     return fn.is_straightline
 
 
+def check_vectorizable(fn: IRFunction) -> None:
+    """Raise unless the kernel body is a single straight-line block."""
+    if not can_vectorize(fn):
+        raise JaponicaError(
+            f"kernel {fn.name!r} has control flow and cannot be vectorized"
+        )
+
+
+def lane_values(value, n: int, dtype) -> np.ndarray:
+    """``value`` as ``n`` lanes of ``dtype`` (a scalar is broadcast)."""
+    arr = np.asarray(value, dtype=dtype)
+    if arr.ndim == 0:
+        return np.broadcast_to(arr, (n,))
+    return arr
+
+
+def lane_indices(
+    storage: ArrayStorage, name: str, idx, n: int
+) -> list[np.ndarray]:
+    """Bounds-check one access over all lanes; returns per-axis indices.
+
+    Messages match :meth:`ArrayStorage.flat`; the reported index is the
+    first faulting lane's on the first faulting axis.
+    """
+    shape = storage.shapes.get(name)
+    if shape is None:
+        raise MemoryFault(f"unbound array {name!r}")
+    if len(idx) != len(shape):
+        raise MemoryFault(
+            f"array {name!r} has {len(shape)} dims, got {len(idx)} indices"
+        )
+    vecs = [lane_values(v, n, np.int64) for v in idx]
+    for k, (v, d) in enumerate(zip(vecs, shape)):
+        bad = (v < 0) | (v >= d)
+        if np.any(bad):
+            i = int(v[np.argmax(bad)])
+            raise MemoryFault(
+                f"index {i} out of bounds for axis {k} of {name!r} (size {d})"
+            )
+    return vecs
+
+
+def run_lanes(
+    fn: IRFunction,
+    storage: ArrayStorage,
+    scalar_env: dict[str, object],
+    indices: np.ndarray,
+    load: Callable,
+    store: Callable,
+) -> Counts:
+    """Execute a straight-line body for every lane in ``indices``.
+
+    Memory goes through ``load(instr, vecs) -> values`` and
+    ``store(instr, vecs, value)``, where ``vecs`` are the bounds-checked
+    per-axis lane indices; everything else is the table's array forms.
+    """
+    n = int(indices.shape[0])
+    regs: list = [None] * fn.num_regs
+    regs[fn.index.id] = indices.astype(np.int32)
+    for param in fn.scalars:
+        try:
+            value = scalar_env[param.name]
+        except KeyError:
+            raise JaponicaError(
+                f"kernel {fn.name!r} missing scalar {param.name!r}"
+            ) from None
+        regs[fn.scalar_regs[param.name].id] = java_ops.NP_TYPE[param.type](
+            value
+        )
+    raw = [0] * N_COUNTERS
+    with np.errstate(all="ignore"):
+        for instr in fn.entry.instrs:
+            op = instr.op
+            if op is Opcode.CONST:
+                regs[instr.dst.id] = java_ops.NP_TYPE[instr.dst.type](
+                    instr.value
+                )
+            elif op is Opcode.MOV:
+                regs[instr.dst.id] = regs[instr.a.id]
+            elif op is Opcode.BIN:
+                rule = java_ops.bin_rule(instr.binop, instr.a.type)
+                regs[instr.dst.id] = rule.array(
+                    regs[instr.a.id], regs[instr.b.id]
+                )
+            elif op is Opcode.UN:
+                rule = java_ops.un_rule(instr.binop, instr.dst.type)
+                regs[instr.dst.id] = rule.array(regs[instr.a.id])
+            elif op is Opcode.CAST:
+                rule = java_ops.CAST_RULES[instr.a.type, instr.dst.type]
+                regs[instr.dst.id] = rule.array(regs[instr.a.id])
+            elif op is Opcode.CALL:
+                _scalar, core, convert = java_ops.call_rule(
+                    instr.intrinsic, instr.dst.type
+                )
+                regs[instr.dst.id] = convert.array(
+                    core(*[regs[r.id] for r in instr.args])
+                )
+            elif op is Opcode.LOAD:
+                vecs = lane_indices(
+                    storage, instr.array, [regs[r.id] for r in instr.idx], n
+                )
+                regs[instr.dst.id] = load(instr, vecs)
+            elif op is Opcode.STORE:
+                vecs = lane_indices(
+                    storage, instr.array, [regs[r.id] for r in instr.idx], n
+                )
+                store(instr, vecs, regs[instr.a.id])
+            elif op is not Opcode.RET:  # BR/CBR end a multi-block kernel
+                raise JaponicaError(f"unexpected opcode {op} in vector path")
+            cat = category(instr)
+            if cat is not None:
+                raw[cat] += n
+            raw[C_TOTAL] += n
+    return Counts.from_raw(raw)
+
+
 class VectorizedKernel:
     """Executes a straight-line kernel over a full index range at once."""
 
     def __init__(self, fn: IRFunction):
-        if not can_vectorize(fn):
-            raise JaponicaError(
-                f"kernel {fn.name!r} has control flow and cannot be vectorized"
-            )
+        check_vectorizable(fn)
         self.fn = fn
-        self._instrs = fn.entry.instrs
 
     def run_range(
         self,
@@ -54,281 +165,15 @@ class VectorizedKernel:
     ) -> Counts:
         """Execute iterations for every index in ``indices`` (ascending order
         semantics for overlapping stores)."""
-        fn = self.fn
         n = int(indices.shape[0])
         if n == 0:
             return Counts()
-        regs: list = [None] * fn.num_regs
-        regs[fn.index.id] = indices.astype(np.int32)
-        for param in fn.scalars:
-            try:
-                value = scalar_env[param.name]
-            except KeyError:
-                raise JaponicaError(
-                    f"kernel {fn.name!r} missing scalar {param.name!r}"
-                ) from None
-            regs[fn.scalar_regs[param.name].id] = _NP_TYPE[param.type](value)
 
-        raw = [0] * 8  # same layout as interpreter counters
-        from .interpreter import (
-            C_BRANCH,
-            C_FLOAT,
-            C_INT,
-            C_INTRINSIC,
-            C_LOAD,
-            C_SPECIAL,
-            C_STORE,
-            C_TOTAL,
-        )
+        def load(instr, vecs):
+            return storage.arrays[instr.array][tuple(vecs)]
 
-        for instr in self._instrs:
-            op = instr.op
-            if op is Opcode.CONST:
-                regs[instr.dst.id] = _NP_TYPE[instr.dst.type](instr.value)
-                raw[C_TOTAL] += n
-            elif op is Opcode.MOV:
-                regs[instr.dst.id] = regs[instr.a.id]
-                raw[C_TOTAL] += n
-            elif op is Opcode.BIN:
-                regs[instr.dst.id] = _vbinop(
-                    instr.binop,
-                    regs[instr.a.id],
-                    regs[instr.b.id],
-                    instr.a.type,
-                )
-                cat = (
-                    C_SPECIAL
-                    if instr.binop in SPECIAL_OPS
-                    else (C_FLOAT if instr.a.type.is_floating else C_INT)
-                )
-                raw[cat] += n
-                raw[C_TOTAL] += n
-            elif op is Opcode.UN:
-                regs[instr.dst.id] = _vunop(
-                    instr.binop, regs[instr.a.id], instr.dst.type
-                )
-                raw[C_FLOAT if instr.dst.type.is_floating else C_INT] += n
-                raw[C_TOTAL] += n
-            elif op is Opcode.CAST:
-                regs[instr.dst.id] = _vcast(
-                    regs[instr.a.id], instr.a.type, instr.dst.type
-                )
-                raw[C_INT] += n
-                raw[C_TOTAL] += n
-            elif op is Opcode.LOAD:
-                regs[instr.dst.id] = _vload(
-                    storage, instr.array, [regs[r.id] for r in instr.idx], n
-                )
-                raw[C_LOAD] += n
-                raw[C_TOTAL] += n
-            elif op is Opcode.STORE:
-                _vstore(
-                    storage,
-                    instr.array,
-                    [regs[r.id] for r in instr.idx],
-                    regs[instr.a.id],
-                    n,
-                )
-                raw[C_STORE] += n
-                raw[C_TOTAL] += n
-            elif op is Opcode.CALL:
-                regs[instr.dst.id] = _vintrinsic(
-                    instr.intrinsic,
-                    [regs[r.id] for r in instr.args],
-                    instr.dst.type,
-                )
-                raw[C_INTRINSIC] += n
-                raw[C_TOTAL] += n
-            elif op is Opcode.RET:
-                raw[C_TOTAL] += n
-            else:  # BR/CBR cannot appear in a single-block kernel
-                raise JaponicaError(f"unexpected opcode {op} in vector path")
-        return Counts.from_raw(raw)
+        def store(instr, vecs, value):
+            arr = storage.arrays[instr.array]
+            arr[tuple(vecs)] = lane_values(value, n, arr.dtype)
 
-
-def _broadcast(value, n: int, dtype) -> np.ndarray:
-    arr = np.asarray(value, dtype=dtype)
-    if arr.ndim == 0:
-        return np.broadcast_to(arr, (n,))
-    return arr
-
-
-def _vbinop(op: str, a, b, jt: JType):
-    if op in ("<", "<=", ">", ">=", "==", "!="):
-        fns = {
-            "<": np.less,
-            "<=": np.less_equal,
-            ">": np.greater,
-            ">=": np.greater_equal,
-            "==": np.equal,
-            "!=": np.not_equal,
-        }
-        return fns[op](a, b)
-    if jt is JType.BOOL:
-        fns = {"&": np.logical_and, "|": np.logical_or, "^": np.logical_xor}
-        return fns[op](a, b)
-    if jt.is_floating:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            if op == "*":
-                return a * b
-            if op == "/":
-                # numpy's 0/0 and nan/0 yield the hardware -NaN; the
-                # interpreter (java_ops._fdiv) substitutes +NaN
-                r = np.divide(a, b)
-                bad = (b == 0) & ((a == 0) | np.isnan(a))
-                return np.where(bad, np.nan, r) if np.any(bad) else r
-            if op == "%":
-                # numpy's fmod yields -NaN for inf % y and x % 0; the
-                # interpreter (java_ops._frem) substitutes +NaN
-                r = np.fmod(a, b)
-                bad = np.isinf(a) | (b == 0)
-                return np.where(bad, np.nan, r) if np.any(bad) else r
-        raise JaponicaError(f"bad float op {op!r}")
-    # integral, Java wrap semantics (numpy ints wrap modularly)
-    bits = 32 if jt is JType.INT else 64
-    with np.errstate(over="ignore"):
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            return _trunc_div(a, b)
-        if op == "%":
-            return _trunc_rem(a, b)
-        if op == "<<":
-            return a << _mask_shift(b, bits)
-        if op == ">>":
-            return a >> _mask_shift(b, bits)
-        if op == ">>>":
-            unsigned = np.uint32 if jt is JType.INT else np.uint64
-            signed = _NP_TYPE[jt]
-            return (
-                a.astype(unsigned) >> _mask_shift(b, bits).astype(unsigned)
-            ).astype(signed)
-        if op == "&":
-            return a & b
-        if op == "|":
-            return a | b
-        if op == "^":
-            return a ^ b
-    raise JaponicaError(f"bad int op {op!r}")
-
-
-def _mask_shift(count, bits: int):
-    return np.asarray(count) & np.int32(bits - 1)
-
-
-def _trunc_div(a, b):
-    """Java integer division: truncation toward zero; 0-divisor faults."""
-    b_arr = np.asarray(b)
-    if np.any(b_arr == 0):
-        raise ZeroDivisionError("/ by zero")
-    q = np.floor_divide(np.abs(a), np.abs(b_arr))
-    sign = np.where((np.asarray(a) < 0) != (b_arr < 0), -1, 1)
-    dtype = np.result_type(np.asarray(a), b_arr)
-    return (q * sign).astype(dtype)
-
-
-def _trunc_rem(a, b):
-    q = _trunc_div(a, b)
-    dtype = np.result_type(np.asarray(a), np.asarray(b))
-    with np.errstate(over="ignore"):
-        return (np.asarray(a) - q * np.asarray(b)).astype(dtype)
-
-
-def _vunop(op: str, a, jt: JType):
-    if op == "-":
-        with np.errstate(over="ignore"):
-            return -np.asarray(a)
-    if op == "!":
-        return np.logical_not(a)
-    if op == "~":
-        return ~np.asarray(a)
-    raise JaponicaError(f"bad unary op {op!r}")
-
-
-def _vcast(value, src: JType, dst: JType):
-    arr = np.asarray(value)
-    if dst is JType.BOOL:
-        return arr.astype(np.bool_)
-    if dst in (JType.INT, JType.LONG):
-        if src.is_floating:
-            info = _INT_INFO[dst]
-            out = np.where(np.isnan(arr), 0.0, arr)
-            out = np.clip(out, float(info.min), float(info.max))
-            return out.astype(_NP_TYPE[dst])
-        with np.errstate(over="ignore"):
-            return arr.astype(_NP_TYPE[dst])
-    return arr.astype(_NP_TYPE[dst])
-
-
-def _vload(storage: ArrayStorage, name: str, idx, n: int):
-    shape = storage.shapes.get(name)
-    if shape is None:
-        raise MemoryFault(f"unbound array {name!r}")
-    vecs = [_broadcast(v, n, np.int64) for v in idx]
-    for k, (v, d) in enumerate(zip(vecs, shape)):
-        bad = (v < 0) | (v >= d)
-        if np.any(bad):
-            i = int(v[np.argmax(bad)])
-            raise MemoryFault(
-                f"index {i} out of bounds for axis {k} of {name!r} (size {d})"
-            )
-    arr = storage.arrays[name]
-    return arr[tuple(vecs)] if len(vecs) > 1 else arr[vecs[0]]
-
-
-def _vstore(storage: ArrayStorage, name: str, idx, value, n: int) -> None:
-    shape = storage.shapes.get(name)
-    if shape is None:
-        raise MemoryFault(f"unbound array {name!r}")
-    vecs = [_broadcast(v, n, np.int64) for v in idx]
-    for k, (v, d) in enumerate(zip(vecs, shape)):
-        bad = (v < 0) | (v >= d)
-        if np.any(bad):
-            i = int(v[np.argmax(bad)])
-            raise MemoryFault(
-                f"index {i} out of bounds for axis {k} of {name!r} (size {d})"
-            )
-    arr = storage.arrays[name]
-    vals = _broadcast(value, n, arr.dtype)
-    if arr.dtype.kind in "iu":
-        with np.errstate(over="ignore"):
-            vals = np.asarray(vals).astype(arr.dtype)
-    if len(vecs) > 1:
-        arr[tuple(vecs)] = vals
-    else:
-        arr[vecs[0]] = vals
-
-
-def _vintrinsic(name: str, args, jt: JType):
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        fns = {
-            "Math.sqrt": lambda x: np.sqrt(_nan_neg(x)),
-            "Math.exp": np.exp,
-            "Math.log": np.log,
-            "Math.pow": np.power,
-            "Math.abs": np.abs,
-            "Math.min": np.minimum,
-            "Math.max": np.maximum,
-            "Math.floor": np.floor,
-            "Math.ceil": np.ceil,
-            "Math.sin": np.sin,
-            "Math.cos": np.cos,
-            "Math.tan": np.tan,
-        }
-        result = fns[name](*args)
-    if jt in (JType.INT, JType.LONG):
-        return np.asarray(result).astype(_NP_TYPE[jt])
-    return np.asarray(result).astype(_NP_TYPE[jt])
-
-
-def _nan_neg(x):
-    arr = np.asarray(x, dtype=np.float64)
-    return np.where(arr < 0, np.nan, arr)
+        return run_lanes(self.fn, storage, scalar_env, indices, load, store)

@@ -52,9 +52,9 @@ class JaponicaConfig:
     #: simulated GPUs in the device pool (1 = the seed single-GPU path)
     devices: int = 1
     #: tiered native kernel backend: promote hot kernels from the
-    #: interpreter to generated type-specialized source (and numba where
-    #: importable).  Semantics are bit-identical by construction; turn
-    #: off to force the interpreter everywhere.
+    #: interpreter to generated type-specialized source.  Semantics are
+    #: bit-identical by construction; turn off to force the interpreter
+    #: everywhere.
     native: bool = True
     #: run every native launch twice — native on scratch storage, the
     #: interpreter on the real storage — and raise NativeMismatch on any

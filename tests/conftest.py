@@ -45,24 +45,19 @@ except ImportError:  # pragma: no cover
 
 @pytest.fixture(autouse=True)
 def _native_backend_isolation():
-    """Keep process-wide native-backend state from leaking across tests.
+    """Keep the process-wide kernel cache from leaking across tests.
 
-    Two module globals survive a test otherwise: the numba probe's
-    ``_SELFTEST`` tri-state (a test that monkeypatches the probe, or
-    runs where numba is absent, poisons the verdict for every later
-    test) and ``GLOBAL_KERNEL_CACHE`` (kernels compiled under one
-    test's policy/monkeypatching get reused by the next).  Snapshot the
-    verdict and swap in a fresh cache for each test.
+    ``GLOBAL_KERNEL_CACHE`` survives a test otherwise: kernels compiled
+    under one test's settings or monkeypatching get reused by the next.
+    Swap in a fresh cache for each test.
     """
-    from repro.ir.native import dispatch, numba_backend
+    from repro.ir.native import dispatch
 
-    saved_selftest = numba_backend._SELFTEST
     saved_cache = dispatch.GLOBAL_KERNEL_CACHE
     dispatch.GLOBAL_KERNEL_CACHE = dispatch.KernelCache()
     try:
         yield
     finally:
-        numba_backend._SELFTEST = saved_selftest
         dispatch.GLOBAL_KERNEL_CACHE = saved_cache
 
 

@@ -2,11 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.ir import java_ops as J
-from repro.ir.instructions import JType
+from repro.ir.instructions import INTRINSICS, JType
+from repro.ir.native import codegen
 
 i32 = st.integers(min_value=-(2**31), max_value=2**31 - 1)
 i64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
@@ -110,6 +112,11 @@ class TestCast:
         # 2^24 + 1 is not representable in binary32
         assert J.cast(2**24 + 1, JType.INT, JType.FLOAT) == float(2**24)
 
+    def test_long_to_float_rounds_once(self):
+        # float(v) rounds to 53 bits first, landing on a binary32 tie
+        v = 2**60 + 2**36 + 1
+        assert J.cast(v, JType.LONG, JType.FLOAT) == float(2**60 + 2**37)
+
 
 class TestUnopsAndIntrinsics:
     def test_negate_min_int(self):
@@ -135,3 +142,120 @@ class TestUnopsAndIntrinsics:
         assert J.default_value(JType.INT) == 0
         assert J.default_value(JType.DOUBLE) == 0.0
         assert J.default_value(JType.BOOL) is False
+
+
+# -- the table: scalar form, array form and emitted expression agree --------
+
+_F64_EDGES = [
+    0.0, -0.0, float("inf"), float("-inf"), float("nan"), -float("nan"),
+    1.0, -1.0, 0.5, -2.5, 7.0, -10.0, 309.0, 310.0, 1e308, -1e308,
+    2.0**31, -(2.0**31), 2.0**63, -(2.0**63), 5e-324, 3.4028235677973366e38,
+]
+_EDGES = {
+    JType.DOUBLE: _F64_EDGES,
+    JType.FLOAT: [J._round_float(v) for v in _F64_EDGES],
+    JType.INT: [-(2**31), 2**31 - 1, 0, 1, -1, 7, -7, 31, 32, 33],
+    JType.LONG: [-(2**63), 2**63 - 1, 0, 1, -1, 7, -7, 63, 64,
+                 2**60 + 2**36 + 1, -(2**31)],
+    JType.BOOL: [False, True],
+}
+
+
+def _bits(value, jtype):
+    return np.asarray(value).astype(J.NP_TYPE[jtype]).reshape(-1).tobytes()
+
+
+def _emitted(expr: str, **bound):
+    """The expression as the src tier runs it: its text in the globals
+    a generated kernel is compiled with."""
+    params = "x, y" if "{b}" in expr else "x"
+    text = f"lambda {params}: {expr.format(a='x', b='y')}"
+    return eval(text, {**codegen._BASE_GLOBALS, **bound})  # noqa: S307
+
+
+def _outcome(form, args, result_type):
+    try:
+        with np.errstate(all="ignore"):
+            return _bits(form(*args), result_type)
+    except Exception as exc:  # noqa: BLE001 - compared by type
+        return type(exc)
+
+
+def _agree(forms, operands, result_type):
+    """The scalar, emitted and array forms give bitwise-equal results, or
+    raise the same exception type, on each operand tuple."""
+    scalar, emitted, array = forms
+    for args in operands:
+        values = [v for v, _t in args]
+        lanes = [np.array([v], dtype=J.NP_TYPE[t]) for v, t in args]
+        outcomes = [
+            _outcome(scalar, values, result_type),
+            _outcome(emitted, values, result_type),
+            _outcome(array, lanes, result_type),
+        ]
+        assert outcomes[0] == outcomes[1] == outcomes[2], (args, outcomes)
+
+
+def _pairs(ta, tb):
+    return [((a, ta), (b, tb)) for a in _EDGES[ta] for b in _EDGES[tb]]
+
+
+class TestTable:
+    @pytest.mark.parametrize("key", sorted(J.BIN_RULES, key=str))
+    def test_bin_rules_agree(self, key):
+        op, jt = key
+        rule = J.BIN_RULES[key]
+        tb = JType.INT if op in ("<<", ">>", ">>>") else jt
+        result = JType.BOOL if op in ("<", "<=", ">", ">=", "==", "!=") else jt
+        _agree(
+            (rule.scalar, _emitted(rule.expr), rule.array),
+            _pairs(jt, tb),
+            result,
+        )
+
+    @pytest.mark.parametrize("key", sorted(J.UN_RULES, key=str))
+    def test_un_rules_agree(self, key):
+        rule = J.UN_RULES[key]
+        _agree(
+            (rule.scalar, _emitted(rule.expr), rule.array),
+            [((v, key[1]),) for v in _EDGES[key[1]]],
+            key[1],
+        )
+
+    @pytest.mark.parametrize("key", sorted(J.CAST_RULES, key=str))
+    def test_cast_rules_agree(self, key):
+        src, dst = key
+        rule = J.CAST_RULES[key]
+        _agree(
+            (rule.scalar, _emitted(rule.expr), rule.array),
+            [((v, src),) for v in _EDGES[src]],
+            dst,
+        )
+
+    @pytest.mark.parametrize(
+        "name,jtype",
+        [(n, JType.DOUBLE) for n in sorted(J.INTRINSIC_FNS)]
+        + [(n, t) for n in ("Math.abs", "Math.min", "Math.max")
+           for t in (JType.FLOAT, JType.INT, JType.LONG)],
+    )
+    def test_intrinsic_rules_agree(self, name, jtype):
+        scalar, array, convert = J.call_rule(name, jtype)
+        arity = INTRINSICS[name]
+        emitted = _emitted(
+            convert.expr.replace("{a}", "_fn({a}, {b})" if arity == 2
+                                 else "_fn({a})"),
+            _fn=scalar,
+        )
+        operands = (
+            _pairs(jtype, jtype) if arity == 2
+            else [((v, jtype),) for v in _EDGES[jtype]]
+        )
+        _agree(
+            (
+                lambda *a: convert.scalar(scalar(*a)),
+                emitted,
+                lambda *a: convert.array(array(*a)),
+            ),
+            operands,
+            jtype,
+        )

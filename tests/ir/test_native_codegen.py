@@ -198,62 +198,3 @@ class TestSource:
         src = generate_source(fn)
         assert "_c7" in src
         assert "_raw[7] += _c7 + _t" in src
-
-
-class TestNumbaSourceOnly:
-    """The numba emitter's source is validated un-jitted (no numba here)."""
-
-    def test_generates_compilable_source(self):
-        from repro.ir.native._numba_codegen import generate_numba
-
-        _, fn = lowered(BRANCHY)
-        source, meta = generate_numba(fn)
-        compile(source, "<t>", "exec")
-        assert "_nkernel" in source
-        assert meta["plan"] is not None
-
-    def test_unjitted_matches_interpreter(self):
-        import math
-
-        from repro.ir.native._numba_codegen import generate_numba
-
-        def jdiv(a, b):
-            if b == -1:
-                return -a
-            q = a // b
-            if a % b != 0 and (a < 0) != (b < 0):
-                q += 1
-            return q
-
-        def jrem(a, b):
-            if b == -1:
-                return a - a
-            r = a % b
-            if r != 0 and (a < 0) != (b < 0):
-                r -= b
-            return r
-
-        _, fn = lowered(BRANCHY)
-        source, meta = generate_numba(fn)
-        ns = {
-            "np": np, "math": math, "_NAN": float("nan"),
-            "_INF": float("inf"), "_jdiv": jdiv, "_jrem": jrem,
-            "_dconsts": meta["dconsts"],
-        }
-        exec(compile(source, "<t>", "exec"), ns)
-        s1, s2 = _storage(), _storage()
-        pl1, c1, _, e1 = _interp(fn, "direct", range(8), {"n": 8}, s1)
-        assert e1 is None
-        sci = np.array([8], dtype=np.int64)
-        scf = np.zeros(1, dtype=np.float64)
-        raw = np.zeros(N_COUNTERS, dtype=np.int64)
-        pl = np.zeros(8, dtype=np.int64)
-        plan = meta["plan"]
-        arrays = [s2.arrays[name] for name in plan.arrays]
-        code, pos, *_ = ns["_nkernel"](
-            np.arange(8, dtype=np.int64), sci, scf, *arrays, raw, pl
-        )
-        assert (code, pos) == (0, 8)
-        assert [int(x) for x in pl] == pl1
-        assert Counts.from_raw([int(x) for x in raw]) == c1
-        assert np.array_equal(s1.arrays["b"], s2.arrays["b"])

@@ -1,23 +1,28 @@
-"""Property-based differential suite: every kernel tier vs the interpreter.
+"""Property-based differential suite: every kernel engine vs the interpreter.
 
 Hypothesis generates random small IR kernels straight through
 :class:`IRBuilder` — mixed int/long/double arithmetic, guarded division,
-float32 round-trips, intrinsics, data-dependent branches, and bounded
-loops — and runs each through the interpreter, the generated-source tier,
-and the numba emitter (executed un-jitted, since this container has no
-numba).  Arrays must be bitwise identical, per-lane instruction counts and
-:class:`Counts` equal, and fuel exhaustion must surface the same exception
-with the same message at the same point.
+saturating ``(long)``/``(int)`` casts, float32 round-trips, intrinsics,
+``MIN_VALUE``/``MAX_VALUE`` constants, data-dependent branches, and
+bounded loops — and runs each through the interpreter and the
+generated-source tier; straight-line kernels also run through the
+vectorized engines (``VectorizedKernel.run_range`` and
+``VectorizedSpecKernel.run_buffered``).  Arrays must be bitwise
+identical, :class:`Counts` equal, per-lane instruction counts and
+speculative lane state equal, and exceptions of the same type (the
+interpreter and the src tier also agree on the message and the point of
+fuel exhaustion).
 """
+
+import struct
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.ir import ArrayStorage, IRBuilder, JType
-from repro.ir.interpreter import Counts, N_COUNTERS
-from repro.ir.native._numba_codegen import generate_numba
-from repro.ir.native.numba_backend import NumbaFallback
+from repro.ir.specvec import VectorizedSpecKernel
+from repro.ir.vectorizer import VectorizedKernel
 
 from .test_native_codegen import _interp, _native
 
@@ -27,8 +32,14 @@ INT_OPS = ["+", "-", "*", "&", "|", "^", "<<", ">>", ">>>"]
 LONG_OPS = ["+", "-", "*", "^", ">>>"]
 DBL_OPS = ["+", "-", "*", "/", "%"]
 CMP_OPS = ["<", "<=", ">", ">=", "==", "!="]
-INTR1 = ["Math.abs", "Math.floor", "Math.ceil", "Math.sin", "Math.cos"]
+INTR1 = [
+    "Math.abs", "Math.floor", "Math.ceil", "Math.sin", "Math.cos",
+    "Math.exp", "Math.log", "Math.tan", "Math.sqrt",
+]
 INTR2 = ["Math.min", "Math.max", "Math.pow"]
+
+INT_MIN, INT_MAX = -(2**31), 2**31 - 1
+LONG_MIN, LONG_MAX = -(2**63), 2**63 - 1
 
 _idx = st.integers(0, 15)
 _ops = st.lists(
@@ -36,11 +47,14 @@ _ops = st.lists(
         st.tuples(st.just("ibin"), st.sampled_from(INT_OPS), _idx, _idx),
         st.tuples(st.just("idiv"), st.sampled_from(["/", "%"]), _idx, _idx),
         st.tuples(st.just("lbin"), st.sampled_from(LONG_OPS), _idx, _idx),
+        st.tuples(st.just("ldiv"), st.sampled_from(["/", "%"]), _idx, _idx),
         st.tuples(st.just("dbin"), st.sampled_from(DBL_OPS), _idx, _idx),
         st.tuples(st.just("iun"), st.sampled_from(["-", "~"]), _idx, _idx),
         st.tuples(st.just("dun"), st.just("-"), _idx, _idx),
         st.tuples(st.just("i2d"), st.just(""), _idx, _idx),
         st.tuples(st.just("d2i"), st.just(""), _idx, _idx),
+        st.tuples(st.just("d2l"), st.just(""), _idx, _idx),
+        st.tuples(st.just("l2d"), st.just(""), _idx, _idx),
         st.tuples(st.just("f32"), st.just(""), _idx, _idx),
         st.tuples(st.just("intr1"), st.sampled_from(INTR1), _idx, _idx),
         st.tuples(st.just("intr2"), st.sampled_from(INTR2), _idx, _idx),
@@ -50,20 +64,31 @@ _ops = st.lists(
 )
 _branch = st.none() | st.tuples(st.sampled_from(CMP_OPS), _idx, _idx, _idx, _idx)
 _loop = st.none() | st.tuples(st.integers(0, 3), _idx)
-_programs = st.fixed_dictionaries(
-    {
-        "int_consts": st.lists(
-            st.integers(-(2**31), 2**31 - 1), max_size=3
-        ),
-        "dbl_consts": st.lists(st.floats(width=64), max_size=3),
-        "ops": _ops,
-        "branch": _branch,
-        "loop": _loop,
-    }
+_int_consts = st.lists(
+    st.sampled_from([INT_MIN, INT_MAX]) | st.integers(INT_MIN, INT_MAX),
+    max_size=3,
 )
-_i32 = st.lists(
-    st.integers(-(2**31), 2**31 - 1), min_size=N, max_size=N
+_long_consts = st.lists(
+    st.sampled_from([LONG_MIN, LONG_MAX]) | st.integers(LONG_MIN, LONG_MAX),
+    max_size=2,
 )
+_dbl_consts = st.lists(st.floats(width=64), max_size=3)
+
+
+def _programs(control_flow=True):
+    return st.fixed_dictionaries(
+        {
+            "int_consts": _int_consts,
+            "long_consts": _long_consts,
+            "dbl_consts": _dbl_consts,
+            "ops": _ops,
+            "branch": _branch if control_flow else st.none(),
+            "loop": _loop if control_flow else st.none(),
+        }
+    )
+
+
+_i32 = st.lists(st.integers(INT_MIN, INT_MAX), min_size=N, max_size=N)
 _f64 = st.lists(st.floats(width=64), min_size=N, max_size=N)
 
 
@@ -80,13 +105,17 @@ def build(prog):
     b.declare_array("ai", JType.INT, 1)
     b.declare_array("ad", JType.DOUBLE, 1)
     b.declare_array("oi", JType.INT, 1)
+    b.declare_array("ol", JType.LONG, 1)
     b.declare_array("od", JType.DOUBLE, 1)
     entry = b.new_block("entry")
     b.set_insert(entry)
     ints = [i, sn, b.load("ai", (i,), JType.INT)]
+    longs = [b.cast(ints[-1], JType.LONG)]
     dbls = [ss, b.load("ad", (i,), JType.DOUBLE)]
     for c in prog["int_consts"]:
         ints.append(b.const(c, JType.INT))
+    for c in prog["long_consts"]:
+        longs.append(b.const(c, JType.LONG))
     for c in prog["dbl_consts"]:
         dbls.append(b.const(c, JType.DOUBLE))
     for kind, op, x, y in prog["ops"]:
@@ -98,9 +127,13 @@ def build(prog):
             d = b.bin("|", _pick(ints, y), one, JType.INT)
             ints.append(b.bin(op, _pick(ints, x), d, JType.INT))
         elif kind == "lbin":
-            la = b.cast(_pick(ints, x), JType.LONG)
-            lb = b.cast(_pick(ints, y), JType.LONG)
-            ints.append(b.cast(b.bin(op, la, lb, JType.LONG), JType.INT))
+            # a shift count is an int, as lowering casts it
+            lb = _pick(ints, y) if op == ">>>" else _pick(longs, y)
+            longs.append(b.bin(op, _pick(longs, x), lb, JType.LONG))
+        elif kind == "ldiv":
+            one = b.const(1, JType.LONG)
+            d = b.bin("|", _pick(longs, y), one, JType.LONG)
+            longs.append(b.bin(op, _pick(longs, x), d, JType.LONG))
         elif kind == "dbin":
             dbls.append(
                 b.bin(op, _pick(dbls, x), _pick(dbls, y), JType.DOUBLE)
@@ -113,6 +146,10 @@ def build(prog):
             dbls.append(b.cast(_pick(ints, x), JType.DOUBLE))
         elif kind == "d2i":
             ints.append(b.cast(_pick(dbls, x), JType.INT))
+        elif kind == "d2l":
+            longs.append(b.cast(_pick(dbls, x), JType.LONG))
+        elif kind == "l2d":
+            dbls.append(b.cast(_pick(longs, x), JType.DOUBLE))
         elif kind == "f32":
             dbls.append(
                 b.cast(b.cast(_pick(dbls, x), JType.FLOAT), JType.DOUBLE)
@@ -123,6 +160,7 @@ def build(prog):
             dbls.append(
                 b.call(op, (_pick(dbls, x), _pick(dbls, y)), JType.DOUBLE)
             )
+    b.store("ol", (i,), longs[-1])
     if prog["branch"] is not None:
         op, x, y, ti, ei = prog["branch"]
         cond = b.bin(op, _pick(ints, x), _pick(ints, y), JType.BOOL)
@@ -172,6 +210,7 @@ def _storage(ai, ad):
             "ai": np.array(ai, dtype=np.int32),
             "ad": np.array(ad, dtype=np.float64),
             "oi": np.zeros(N, dtype=np.int32),
+            "ol": np.zeros(N, dtype=np.int64),
             "od": np.zeros(N, dtype=np.float64),
         }
     )
@@ -184,67 +223,51 @@ def _same_arrays(s1, s2):
         assert a.tobytes() == b.tobytes(), name  # bitwise, NaN-safe
 
 
-def _jdiv(a, b):
-    if b == -1:
-        return -a
-    q = a // b
-    if a % b != 0 and (a < 0) != (b < 0):
-        q += 1
-    return q
-
-
-def _jrem(a, b):
-    if b == -1:
-        return a - a
-    r = a % b
-    if r != 0 and (a < 0) != (b < 0):
-        r -= b
-    return r
-
-
-def _jpow(a, b):  # java_ops._safe_pow, as the njit helper emulates it
-    import math
-
+def _attempt(call, *args):
     try:
-        return math.pow(a, b)
-    except (OverflowError, ValueError):
-        return float("nan") if a < 0 else float("inf")
+        return call(*args), None
+    except Exception as exc:  # noqa: BLE001 - compared by type
+        return None, exc
 
 
-def _run_unjitted(fn, env, storage, fuel=None):
-    """Execute the numba emitter's source as plain python."""
-    import math
+def _lane_bits(lanes):
+    """Speculative lane state with buffered values compared bitwise."""
 
-    source, meta = (
-        generate_numba(fn) if fuel is None else generate_numba(fn, fuel)
-    )
-    ns = {
-        "np": np,
-        "math": math,
-        "_NAN": float("nan"),
-        "_INF": float("inf"),
-        "_jdiv": _jdiv,
-        "_jrem": _jrem,
-        "_jpow": _jpow,
-        "_dconsts": meta["dconsts"],
-    }
-    exec(compile(source, "<unjit>", "exec"), ns)
-    sci = np.zeros(max(1, meta["n_sci"]), dtype=np.int64)
-    scf = np.zeros(max(1, meta["n_scf"]), dtype=np.float64)
-    for p in fn.scalars:
-        arr, slot = meta["scalar_slot"][p.name]
-        if arr == "_sci":
-            sci[slot] = int(env[p.name])
-        else:
-            scf[slot] = float(env[p.name])
-    raw = np.zeros(N_COUNTERS, dtype=np.int64)
-    pl = np.zeros(N, dtype=np.int64)
-    arrays = [storage.arrays[name] for name in meta["plan"].arrays]
-    with np.errstate(all="ignore"):
-        result = ns["_nkernel"](
-            np.arange(N, dtype=np.int64), sci, scf, *arrays, raw, pl
+    def bits(value):
+        return struct.pack("<d", value) if isinstance(value, float) else value
+
+    return {
+        i: (
+            lanes[i].reads,
+            lanes[i].writes,
+            lanes[i].op,
+            {key: bits(v) for key, v in lanes[i].buffer.items()},
         )
-    return result, [int(x) for x in pl], Counts.from_raw([int(x) for x in raw])
+        for i in lanes
+    }
+
+
+def assert_vectorized_engines_match(fn, env, ai, ad):
+    """Both vectorized engines reproduce the interpreter bitwise."""
+    s1, s2 = _storage(ai, ad), _storage(ai, ad)
+    _pl, c1, _, e1 = _interp(fn, "direct", range(N), env, s1)
+    c2, e2 = _attempt(VectorizedKernel(fn).run_range, s2, env, np.arange(N))
+    assert type(e1) is type(e2)
+    if e1 is None:
+        assert c1 == c2
+        _same_arrays(s1, s2)
+
+    s3, s4 = _storage(ai, ad), _storage(ai, ad)
+    _pl, c3, lanes3, e3 = _interp(fn, "buffered", range(N), env, s3)
+    out, e4 = _attempt(
+        VectorizedSpecKernel(fn).run_buffered, s4, env, np.arange(N)
+    )
+    assert type(e3) is type(e4)
+    _same_arrays(s3, s4)  # buffered mode never writes storage
+    if e3 is None:
+        c4, lanes4 = out
+        assert c3 == c4
+        assert _lane_bits(lanes3) == _lane_bits(lanes4)
 
 
 COMMON = dict(
@@ -259,6 +282,7 @@ class TestDifferential:
         yields the negative QNaN; java_ops._fdiv substitutes +NaN)."""
         prog = {
             "int_consts": [],
+            "long_consts": [],
             "dbl_consts": [],
             "ops": [("dbin", "/", 0, 0)],
             "branch": None,
@@ -270,15 +294,78 @@ class TestDifferential:
         s1, s2 = _storage([0] * N, [0.0] * N), _storage([0] * N, [0.0] * N)
         _, _, _, e1 = _interp(fn, "direct", range(N), env, s1)
         _, _, _, e2 = _native(fn, "direct", list(range(N)), env, s2)
-        assert e1 is None and e2 is None
-        for s_ in (s1, s2):
-            assert s_.arrays["od"].tobytes() == pos_nan * N
         s3 = _storage([0] * N, [0.0] * N)
-        (code, _pos, *_), _, _ = _run_unjitted(fn, env, s3)
-        assert code == 0
-        assert s3.arrays["od"].tobytes() == pos_nan * N
+        _, e3 = _attempt(
+            VectorizedKernel(fn).run_range, s3, env, np.arange(N)
+        )
+        assert e1 is None and e2 is None and e3 is None
+        for s_ in (s1, s2, s3):
+            assert s_.arrays["od"].tobytes() == pos_nan * N
+        assert_vectorized_engines_match(fn, env, [0] * N, [0.0] * N)
 
-    @given(prog=_programs, ai=_i32, ad=_f64, s=st.floats(width=64))
+    def test_java_math_edges_in_every_engine(self):
+        """Math.pow/min/max and the NaN-substituting intrinsics give
+        Java's answers, bitwise, in the interpreter, the src tier and
+        both vectorized engines."""
+        nan, inf = float("nan"), float("inf")
+        neg_nan = -nan
+        # lane k computes f(ad[k], s) for the op under test
+        cases = [
+            ("Math.pow",
+             [-10.0, -10.0, -0.0, -0.0, 0.0, 1.0, -1.0, 1.0, nan, -8.0],
+             [309.0, 310.0, -1.0, -2.0, -1.0, inf, -inf, nan, 0.0, 0.5],
+             [-inf, inf, -inf, inf, inf, nan, nan, nan, 1.0, nan]),
+            ("Math.min", [1.0, 0.0, -0.0, nan], [nan, -0.0, 0.0, 1.0],
+             [nan, -0.0, -0.0, nan]),
+            ("Math.max", [0.0, -0.0, 1.0, -1.0], [-0.0, 0.0, nan, -0.0],
+             [0.0, 0.0, nan, -0.0]),
+            ("Math.sqrt", [neg_nan, -1.0, 4.0, -0.0], None,
+             [nan, nan, 2.0, -0.0]),
+            ("Math.log", [neg_nan, -1.0, 0.0, inf], None,
+             [nan, nan, -inf, inf]),
+            ("Math.sin", [inf, -inf, -0.0, 0.0], None,
+             [nan, nan, -0.0, 0.0]),
+            ("Math.cos", [inf, -inf, 0.0, 0.0], None, [nan, nan, 1.0, 1.0]),
+            ("Math.tan", [inf, -inf, -0.0, 0.0], None,
+             [nan, nan, -0.0, 0.0]),
+        ]
+        for name, xs, ys, want in cases:
+            b = IRBuilder("edge")
+            i = b.declare_index("i")
+            b.declare_array("x", JType.DOUBLE, 1)
+            b.declare_array("y", JType.DOUBLE, 1)
+            b.declare_array("o", JType.DOUBLE, 1)
+            b.set_insert(b.new_block("entry"))
+            args = [b.load("x", (i,), JType.DOUBLE)]
+            if ys is not None:
+                args.append(b.load("y", (i,), JType.DOUBLE))
+            b.store("o", (i,), b.call(name, tuple(args), JType.DOUBLE))
+            b.ret()
+            fn = b.finish()
+            n = len(xs)
+
+            def fresh():
+                return ArrayStorage({
+                    "x": np.array(xs, dtype=np.float64),
+                    "y": np.array(ys or [0.0] * n, dtype=np.float64),
+                    "o": np.zeros(n),
+                })
+
+            expect = np.array(want, dtype=np.float64).tobytes()
+            runs = [fresh() for _ in range(4)]
+            _interp(fn, "direct", range(n), {}, runs[0])
+            _native(fn, "direct", list(range(n)), {}, runs[1])
+            VectorizedKernel(fn).run_range(runs[2], {}, np.arange(n))
+            _c, lanes = VectorizedSpecKernel(fn).run_buffered(
+                runs[3], {}, np.arange(n)
+            )
+            lanes.commit(runs[3], range(n))
+            for engine, st_ in zip(
+                ("interp", "src", "vectorized", "specvec"), runs
+            ):
+                assert st_.arrays["o"].tobytes() == expect, (name, engine)
+
+    @given(prog=_programs(), ai=_i32, ad=_f64, s=st.floats(width=64))
     @settings(max_examples=60, **COMMON)
     def test_all_tiers_bitwise_identical(self, prog, ai, ad, s):
         fn = build(prog)
@@ -292,20 +379,23 @@ class TestDifferential:
         assert pl1 == pl2
         assert c1 == c2
         _same_arrays(s1, s2)
-        if e1 is not None:
-            return
-        s3 = _storage(ai, ad)
-        try:
-            (code, pos, *_rest), pl3, c3 = _run_unjitted(fn, env, s3)
-        except NumbaFallback:
-            return
-        assert (code, pos) == (0, N)
-        assert pl3 == pl1
-        assert c3 == c1
-        _same_arrays(s1, s3)
+        if fn.is_straightline:
+            assert_vectorized_engines_match(fn, env, ai, ad)
 
     @given(
-        prog=_programs,
+        prog=_programs(control_flow=False),
+        ai=_i32,
+        ad=_f64,
+        s=st.floats(width=64),
+    )
+    @settings(max_examples=60, **COMMON)
+    def test_vectorized_engines_bitwise_identical(self, prog, ai, ad, s):
+        fn = build(prog)
+        assert fn.is_straightline
+        assert_vectorized_engines_match(fn, {"n": N, "s": s}, ai, ad)
+
+    @given(
+        prog=_programs(),
         ai=_i32,
         ad=_f64,
         s=st.floats(width=64),
@@ -326,20 +416,3 @@ class TestDifferential:
         assert pl1 == pl2
         assert c1 == c2
         _same_arrays(s1, s2)
-        s3 = _storage(ai, ad)
-        try:
-            (code, pos, *_rest), pl3, _ = _run_unjitted(fn, env, s3, fuel)
-        except NumbaFallback:
-            return
-        if e1 is None:
-            assert (code, pos) == (0, N)
-            assert pl3 == pl1
-        else:
-            # host-side reconstruction must reproduce the message exactly
-            assert code == 1
-            msg = (
-                f"kernel {fn.name!r} exceeded {fuel} instructions "
-                f"at index {pos}"
-            )
-            assert msg == str(e1)
-            assert pl3[:pos] == pl1[:pos]

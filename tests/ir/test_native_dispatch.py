@@ -10,7 +10,6 @@ from repro.ir.native import (
     KernelDispatcher,
     TIER_INTERP,
     TIER_SRC,
-    TierPolicy,
 )
 from repro.obs import Instrumentation
 
@@ -38,7 +37,7 @@ def _storage(n=16):
 
 class TestPromotion:
     def test_cold_kernel_uses_interpreter(self):
-        d = KernelDispatcher(cache=KernelCache(), policy=TierPolicy())
+        d = KernelDispatcher(cache=KernelCache())
         fn = _fn()
         d.run_direct(fn, list(range(8)), {}, _storage())
         assert d._tier.get(fn.fingerprint(), TIER_INTERP) == TIER_INTERP
@@ -46,7 +45,7 @@ class TestPromotion:
 
     def test_hot_kernel_promotes_to_src(self):
         d = KernelDispatcher(
-            cache=KernelCache(), policy=TierPolicy(src_threshold=16)
+            cache=KernelCache(), src_threshold=16
         )
         fn = _fn()
         d.run_direct(fn, list(range(8)), {}, _storage())
@@ -56,7 +55,7 @@ class TestPromotion:
 
     def test_one_large_launch_promotes_immediately(self):
         d = KernelDispatcher(
-            cache=KernelCache(), policy=TierPolicy(src_threshold=16)
+            cache=KernelCache(), src_threshold=16
         )
         fn = _fn()
         d.run_direct(fn, list(range(16)), {}, _storage())
@@ -65,7 +64,7 @@ class TestPromotion:
     def test_native_off_never_promotes(self):
         d = KernelDispatcher(
             cache=KernelCache(),
-            policy=TierPolicy(src_threshold=1),
+            src_threshold=1,
             native=False,
         )
         fn = _fn()
@@ -76,7 +75,7 @@ class TestPromotion:
         obs = Instrumentation.recording()
         d = KernelDispatcher(
             cache=KernelCache(),
-            policy=TierPolicy(src_threshold=1),
+            src_threshold=1,
             obs=obs,
         )
         fn = _fn()
@@ -89,11 +88,31 @@ class TestPromotion:
         assert spans[0].attrs["tier"] == TIER_SRC
         assert spans[0].attrs["from_tier"] == TIER_INTERP
 
+    def test_promotion_span_names_the_tier_that_runs(self):
+        # a hot control-flow kernel must report the tier it executes on:
+        # the promote span's tier and the kernel.tier.* counter agree
+        obs = Instrumentation.recording()
+        d = KernelDispatcher(cache=KernelCache(), obs=obs)
+        fn = _fn()
+        n = 65536
+        storage = ArrayStorage(
+            {"a": np.arange(n, dtype=np.float64) - 4.0, "b": np.zeros(n)}
+        )
+        d.run_direct(fn, list(range(n)), {}, storage)
+        spans = [
+            s for s in obs.tracer.finished_spans()
+            if s.name.startswith("promote:")
+        ]
+        assert [s.attrs["tier"] for s in spans] == [TIER_SRC]
+        m = obs.metrics
+        assert m.counter(f"kernel.tier.{spans[0].attrs['tier']}").value == 1
+        assert m.counter("kernel.tier.interp").value == 0
+
     def test_tier_counters_recorded(self):
         obs = Instrumentation.recording()
         d = KernelDispatcher(
             cache=KernelCache(),
-            policy=TierPolicy(src_threshold=16),
+            src_threshold=16,
             obs=obs,
         )
         fn = _fn()
@@ -109,9 +128,8 @@ class TestSharedCache:
     def test_two_dispatchers_share_compiles(self):
         # N devices / executors of one process compile each kernel once
         cache = KernelCache()
-        pol = TierPolicy(src_threshold=1)
-        d1 = KernelDispatcher(cache=cache, policy=pol)
-        d2 = KernelDispatcher(cache=cache, policy=pol)
+        d1 = KernelDispatcher(cache=cache, src_threshold=1)
+        d2 = KernelDispatcher(cache=cache, src_threshold=1)
         fn = _fn()
         d1.run_direct(fn, list(range(8)), {}, _storage())
         d2.run_direct(fn, list(range(8)), {}, _storage())
@@ -119,9 +137,8 @@ class TestSharedCache:
 
     def test_counters_are_per_dispatcher(self):
         cache = KernelCache()
-        pol = TierPolicy(src_threshold=1)
-        d1 = KernelDispatcher(cache=cache, policy=pol)
-        d2 = KernelDispatcher(cache=cache, policy=pol)
+        d1 = KernelDispatcher(cache=cache, src_threshold=1)
+        d2 = KernelDispatcher(cache=cache, src_threshold=1)
         fn = _fn()
         d1.run_direct(fn, list(range(8)), {}, _storage())
         assert d1.peek_counts(fn).instructions > 0
@@ -144,7 +161,7 @@ class TestTierEquivalence:
         for native in (False, True):
             d = KernelDispatcher(
                 cache=KernelCache(),
-                policy=TierPolicy(src_threshold=1),
+                src_threshold=1,
                 native=native,
             )
             storage = _storage()
@@ -164,7 +181,7 @@ class TestCrosscheck:
         obs = Instrumentation.recording()
         d = KernelDispatcher(
             cache=KernelCache(),
-            policy=TierPolicy(src_threshold=1),
+            src_threshold=1,
             crosscheck=True,
             obs=obs,
         )
@@ -176,7 +193,7 @@ class TestCrosscheck:
     def test_divergence_raises_mismatch(self):
         d = KernelDispatcher(
             cache=KernelCache(),
-            policy=TierPolicy(src_threshold=1),
+            src_threshold=1,
             crosscheck=True,
         )
         fn = _fn()
@@ -196,7 +213,7 @@ class TestCrosscheck:
     def test_interpreter_effects_win(self):
         d = KernelDispatcher(
             cache=KernelCache(),
-            policy=TierPolicy(src_threshold=1),
+            src_threshold=1,
             crosscheck=True,
         )
         fn = _fn()
@@ -207,22 +224,3 @@ class TestCrosscheck:
         )
         d.run_direct(fn, list(range(16)), {}, storage)
         assert np.array_equal(storage.arrays["b"], expect.arrays["b"])
-
-
-class TestNumbaAbsent:
-    def test_numba_tier_falls_back_silently(self):
-        # this container has no numba: the dispatcher must serve the
-        # src tier at numba heat without errors or retries
-        from repro.ir.native import numba_backend
-
-        d = KernelDispatcher(
-            cache=KernelCache(),
-            policy=TierPolicy(src_threshold=1, numba_threshold=4),
-        )
-        fn = _fn()
-        d.run_direct(fn, list(range(16)), {}, _storage())
-        if not numba_backend.available():
-            assert d.cache.compiles["numba"] == 0
-            assert d.cache._numba[fn.fingerprint()] is None
-        # either way the run succeeded and counters accumulated
-        assert d.take_counts(fn).instructions > 0

@@ -1,24 +1,21 @@
 """Regression: native-backend state must not leak between tests.
 
-Two globals used to escape test boundaries — the numba probe's
-``_SELFTEST`` negative cache and the process-wide
-``GLOBAL_KERNEL_CACHE``.  A test that poisoned either (e.g. forcing the
-numba probe to a verdict, or filling the kernel cache) silently changed
-every later test in the session.  The autouse ``_native_backend_
-isolation`` fixture in ``tests/conftest.py`` now snapshots both around
-each test; these tests deliberately poison the globals and rely on
-pytest's in-file ordering to prove the next test starts clean.
+The process-wide ``GLOBAL_KERNEL_CACHE`` used to escape test boundaries:
+a test that filled or replaced it silently changed every later test in
+the run.  The autouse ``_native_backend_isolation`` fixture in
+``tests/conftest.py`` now swaps in a fresh cache around each test; these
+tests deliberately poison the global and rely on pytest's in-file
+ordering to prove the next test starts clean.
 """
 
 from __future__ import annotations
 
-from repro.ir.native import dispatch, numba_backend
+from repro.ir.native import dispatch
 
 
-def test_poison_selftest_and_swap_cache():
-    # simulate a badly-behaved test: force the probe verdict and
-    # replace the process-wide cache with a pre-filled one
-    numba_backend._SELFTEST = False
+def test_poison_global_kernel_cache():
+    # simulate a badly-behaved test: replace the process-wide cache
+    # with a pre-filled one
     poisoned = dispatch.KernelCache()
     poisoned.compiles["src"] = 999
     dispatch.GLOBAL_KERNEL_CACHE = poisoned
@@ -26,14 +23,7 @@ def test_poison_selftest_and_swap_cache():
 
 
 def test_next_test_sees_pristine_state():
-    # the fixture must have restored the probe cache...
-    assert numba_backend._SELFTEST is None or isinstance(
-        numba_backend._SELFTEST, bool
-    )
-    assert numba_backend._SELFTEST is not False or numba_backend._HAVE_NUMBA, (
-        "poisoned _SELFTEST=False leaked from the previous test"
-    )
-    # ...and the global kernel cache is no longer the poisoned object
+    # the global kernel cache is no longer the poisoned object
     assert dispatch.GLOBAL_KERNEL_CACHE.compiles["src"] != 999, (
         "poisoned GLOBAL_KERNEL_CACHE leaked from the previous test"
     )

@@ -25,8 +25,10 @@ def assert_equivalent(src, arrays, env, n):
     st1, c1, st2, c2 = both_paths(src, arrays, env, n)
     for name in arrays:
         got, want = st2.arrays[name], st1.arrays[name]
-        assert np.array_equal(got, want, equal_nan=True), name
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name  # bitwise, NaN-safe
     assert c1 == c2
+    return st2
 
 
 DOUBLE_SRC = """
@@ -75,7 +77,34 @@ class T { static void f(double[][] M, double[] row, int j, int n) {
 """
 
 
+TRANSCENDENTAL_SRC = """
+class T { static void f(double[] a, double[] b, double[] e, double[] l,
+                        double[] t, double[] p, int n) {
+  /* acc parallel */
+  for (int i = 0; i < n; i++) {
+    e[i] = Math.exp(a[i]);
+    l[i] = Math.log(b[i]);
+    t[i] = Math.tan(a[i]);
+    p[i] = Math.pow(b[i], a[i]);
+  }
+} }
+"""
+
+
 class TestEquivalence:
+    def test_transcendentals_bitwise(self):
+        # numpy's exp/log/tan/pow are not libm bitwise on every lane
+        rng = np.random.default_rng(6)
+        n = 1000
+        zeros = {k: np.zeros(n) for k in "eltp"}
+        assert_equivalent(
+            TRANSCENDENTAL_SRC,
+            {"a": rng.uniform(-20, 20, n), "b": rng.uniform(0, 50, n),
+             **zeros},
+            {"n": n},
+            n,
+        )
+
     def test_double_kernel(self):
         rng = np.random.default_rng(1)
         n = 257
@@ -208,3 +237,64 @@ class TestGuards:
         )
         with pytest.raises(ZeroDivisionError):
             VectorizedKernel(fn).run_range(storage, {"n": 3}, np.arange(3))
+
+
+DIV_SRC = """
+class T { static void f(TY[] x, TY[] d, TY[] q, TY[] r, int n) {
+  /* acc parallel */
+  for (int i = 0; i < n; i++) { q[i] = x[i] / d[i]; r[i] = x[i] % d[i]; }
+} }
+"""
+
+CAST_SRC = """
+class T { static void f(double[] x, long[] y, int[] z, int n) {
+  /* acc parallel */
+  for (int i = 0; i < n; i++) { y[i] = (long) x[i]; z[i] = (int) x[i]; }
+} }
+"""
+
+
+class TestIntegerEdges:
+    """Java's answers where numpy's defaults wrap or round differently."""
+
+    @pytest.mark.parametrize(
+        "ty,dtype", [("int", np.int32), ("long", np.int64)]
+    )
+    def test_min_value_division(self, ty, dtype):
+        lo, hi = np.iinfo(dtype).min, np.iinfo(dtype).max
+        x = np.array([lo, lo, lo, lo, hi, -7, 7, lo + 1], dtype=dtype)
+        d = np.array([7, -7, -1, 2, -1, 2, -2, -1], dtype=dtype)
+        n = len(x)
+        out = assert_equivalent(
+            DIV_SRC.replace("TY", ty),
+            {"x": x, "d": d, "q": np.zeros(n, dtype), "r": np.zeros(n, dtype)},
+            {"n": n},
+            n,
+        )
+        # Java truncates toward zero; MIN_VALUE / -1 wraps to MIN_VALUE
+        q7 = -306783378 if ty == "int" else -1317624576693539401
+        r7 = -2 if ty == "int" else -1
+        assert out.arrays["q"].tolist() == [
+            q7, -q7, lo, lo // 2, -hi, -3, -3, hi,
+        ]
+        assert out.arrays["r"].tolist() == [r7, r7, 0, 0, 0, -1, 1, 0]
+
+    def test_saturating_long_and_int_casts(self):
+        inf, nan = float("inf"), float("nan")
+        x = np.array([2.0**63, inf, -inf, nan, 9.3e18, -9.3e18, 2.0**31,
+                      -1.5, 1.5, -(2.0**63)])
+        n = len(x)
+        out = assert_equivalent(
+            CAST_SRC,
+            {"x": x, "y": np.zeros(n, np.int64), "z": np.zeros(n, np.int32)},
+            {"n": n},
+            n,
+        )
+        lmax, lmin = 2**63 - 1, -(2**63)
+        imax, imin = 2**31 - 1, -(2**31)
+        assert out.arrays["y"].tolist() == [
+            lmax, lmax, lmin, 0, lmax, lmin, 2**31, -1, 1, lmin,
+        ]
+        assert out.arrays["z"].tolist() == [
+            imax, imax, imin, 0, imax, imin, imax, -1, 1, imin,
+        ]
