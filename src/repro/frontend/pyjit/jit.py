@@ -8,9 +8,9 @@ into a *permanent, deterministic* fallback to the original function —
 same inputs, same decision, every run — recorded as a
 :class:`LiftReport`.
 
-Observability rides the host plane (``jit.lift.*`` counters, ``jit``
-span category) and is filtered from insight reports like the PR-8
-``kernel.*`` metrics: whether a function was jitted is not simulated
+Observability is declared on the host plane (``jit.*`` counters and
+``jit.lift:`` spans), so insight reports leave it out like the kernel
+tier's instruments: whether a function was jitted is not simulated
 behavior.
 """
 
@@ -27,13 +27,13 @@ import numpy as np
 
 from ...errors import JaponicaError
 from ...lang import ast_nodes as A
+from ...obs.tracer import PLANE_HOST
 from .bytecode import SUPPORTED_VERSIONS, python_version_tag
 from .errors import LiftError
 from .lifter import RET_NAME, check_code_shape, lift_function
 from .typing import build_class, java_type_of_value, signature_tag
 
-#: Span category / metric prefix of the lift plane (host-side, filtered
-#: from insight reports).
+#: Span category / metric prefix of bytecode lifting.
 JIT_SPAN_CATEGORY = "jit"
 
 
@@ -158,8 +158,9 @@ class JitFunction:
 
     def _fallback_spec(self, sig: str, err: LiftError) -> _Specialization:
         eng = self._engine()
-        eng.obs.metrics.counter("jit.lift.fallback").inc()
-        eng.obs.metrics.counter(f"jit.lift.fallback.{err.code}").inc()
+        m = eng.obs.metrics
+        m.counter("jit.lift.fallback", PLANE_HOST).inc()
+        m.counter(f"jit.lift.fallback.{err.code}", PLANE_HOST).inc()
         return _Specialization(
             ok=False,
             report=LiftReport(
@@ -191,12 +192,15 @@ class JitFunction:
             key = jit_unit_key(self._fingerprint, sig, eng._cpu_threads)
             cached = cache.get(key, "unit", obs=eng.obs)
         with eng.obs.tracer.span(
-            f"jit.lift:{name}", JIT_SPAN_CATEGORY, signature=sig
+            f"jit.lift:{name}", JIT_SPAN_CATEGORY, plane=PLANE_HOST,
+            signature=sig,
         ):
             try:
                 if cached is not None:
                     unit, inference, ret_t, n_loops = cached
-                    eng.obs.metrics.counter("jit.lift.cache_hit").inc()
+                    eng.obs.metrics.counter(
+                        "jit.lift.cache_hit", PLANE_HOST
+                    ).inc()
                 else:
                     lifted = lift_function(self._fn)
                     cls, ret_t = build_class(name, params, lifted)
@@ -238,8 +242,8 @@ class JitFunction:
             cache=eng.cache,
             inference=inference,
         )
-        eng.obs.metrics.counter("jit.lift.ok").inc()
-        eng.obs.metrics.counter("jit.lift.loops").inc(
+        eng.obs.metrics.counter("jit.lift.ok", PLANE_HOST).inc()
+        eng.obs.metrics.counter("jit.lift.loops", PLANE_HOST).inc(
             sum(len(mt.loops) for mt in unit.methods.values())
         )
         report = LiftReport(
@@ -270,9 +274,9 @@ class JitFunction:
         self.last_report = spec.report
         eng = self._engine()
         if not spec.ok:
-            eng.obs.metrics.counter("jit.call.fallback").inc()
+            eng.obs.metrics.counter("jit.call.fallback", PLANE_HOST).inc()
             return self._fn(*args, **kwargs)
-        eng.obs.metrics.counter("jit.call.jit").inc()
+        eng.obs.metrics.counter("jit.call.jit", PLANE_HOST).inc()
         try:
             result = spec.program.run(
                 spec.method,
@@ -285,7 +289,9 @@ class JitFunction:
             # value-dependent runtime rejection (the lift itself was
             # sound).  ``run`` works on copies, so nothing was mutated:
             # the plain function on the untouched arguments is safe.
-            eng.obs.metrics.counter("jit.call.runtime_fallback").inc()
+            eng.obs.metrics.counter(
+                "jit.call.runtime_fallback", PLANE_HOST
+            ).inc()
             return self._fn(*args, **kwargs)
         self.last_result = result
         # arrays are in/out: mirror Python's in-place mutation semantics

@@ -22,13 +22,13 @@ always win.
 from __future__ import annotations
 
 import threading
-import time
 from typing import Optional, Sequence
 
 import numpy as np
 
 from ...errors import NativeMismatch
 from ...obs.metrics import NULL_INSTRUMENTATION, Instrumentation
+from ...obs.tracer import PLANE_HOST
 from ..instructions import IRFunction
 from ..interpreter import (
     ArrayStorage,
@@ -87,11 +87,7 @@ class KernelCache:
     # -- stateless tiers ------------------------------------------------
 
     def src(
-        self,
-        fn: IRFunction,
-        flavor: str,
-        obs: Instrumentation = NULL_INSTRUMENTATION,
-        fuel: int = DEFAULT_FUEL,
+        self, fn: IRFunction, flavor: str, fuel: int = DEFAULT_FUEL
     ) -> NativeKernel:
         key = (fn.fingerprint(), flavor)
         kern = self._src.get(key)
@@ -100,13 +96,8 @@ class KernelCache:
         with self._lock:
             kern = self._src.get(key)
             if kern is None:
-                started = time.perf_counter()
-                kern = NativeKernel(fn, flavor, fuel)
+                kern = self._src[key] = NativeKernel(fn, flavor, fuel)
                 self.compiles["src"] += 1
-                obs.metrics.counter("kernel.compile_s.src").inc(
-                    time.perf_counter() - started
-                )
-                self._src[key] = kern
         return kern
 
     def vectorized(self, fn: IRFunction) -> VectorizedKernel:
@@ -208,6 +199,7 @@ class KernelDispatcher:
             with self.obs.tracer.span(
                 f"promote:{fn.name}",
                 "kernel",
+                plane=PLANE_HOST,
                 tier=tier,
                 from_tier=previous,
                 hot_iterations=hot,
@@ -217,9 +209,9 @@ class KernelDispatcher:
 
     def _record(self, tier: str, flavor: str, n: int) -> None:
         m = self.obs.metrics
-        m.counter(f"kernel.tier.{tier}").inc()
-        m.counter(f"kernel.tier.{tier}.iterations").inc(n)
-        m.counter(f"kernel.dispatch.{flavor}").inc()
+        m.counter(f"kernel.tier.{tier}", PLANE_HOST).inc()
+        m.counter(f"kernel.tier.{tier}.iterations", PLANE_HOST).inc(n)
+        m.counter(f"kernel.dispatch.{flavor}", PLANE_HOST).inc()
 
     # -- execution ------------------------------------------------------
 
@@ -297,7 +289,7 @@ class KernelDispatcher:
         return per_lane
 
     def _run_src(self, fn, flavor, indices, scalar_env, storage):
-        kern = self.cache.src(fn, flavor, self.obs, self.fuel)
+        kern = self.cache.src(fn, flavor, self.fuel)
         per_lane: list[int] = []
         aux = kern.run(
             indices, scalar_env, storage, self.counters(fn), per_lane
@@ -320,7 +312,7 @@ class KernelDispatcher:
         native_pl: list[int] = []
         native_aux = native_err = None
         try:
-            kern = self.cache.src(fn, flavor, self.obs, self.fuel)
+            kern = self.cache.src(fn, flavor, self.fuel)
             native_aux = kern.run(
                 indices, scalar_env, scratch, native_raw, native_pl
             )
@@ -374,12 +366,14 @@ class KernelDispatcher:
             if flavor != "direct" and native_aux != interp_aux:
                 diffs.append(f"{flavor} lane state differs")
         if diffs:
-            self.obs.metrics.counter("kernel.crosscheck.mismatch").inc()
+            self.obs.metrics.counter(
+                "kernel.crosscheck.mismatch", PLANE_HOST
+            ).inc()
             raise NativeMismatch(
                 f"native tier {TIER_SRC!r} diverged from the interpreter on "
                 f"kernel {fn.name!r} ({flavor}): " + "; ".join(diffs)
             )
-        self.obs.metrics.counter("kernel.crosscheck.ok").inc()
+        self.obs.metrics.counter("kernel.crosscheck.ok", PLANE_HOST).inc()
         if interp_err is not None:
             raise interp_err
         if flavor == "direct":

@@ -48,6 +48,8 @@ from .tracer import (
     PHASE_PROFILE,
     PHASE_SCHEDULE,
     PHASE_TRANSLATE,
+    PLANE_HOST,
+    PLANE_SIM,
     Span,
     Tracer,
 )
@@ -71,6 +73,8 @@ __all__ = [
     "PHASE_PROFILE",
     "PHASE_SCHEDULE",
     "PHASE_TRANSLATE",
+    "PLANE_HOST",
+    "PLANE_SIM",
     "Span",
     "TRACE_SCHEMA",
     "Tracer",

@@ -1,10 +1,12 @@
-"""Prometheus text exposition of a merged registry state.
+"""Prometheus text exposition of a merged metrics registry.
 
-Renders the merge state (see :mod:`repro.obs.distrib.merge`) as
-Prometheus text format 0.0.4 — the format ``GET /v1/metrics`` answers
-by default.  Deterministic by construction: families and labels are
-sorted, and every value comes from the merged state (no wall clock, no
-iteration-order dependence).
+Renders a :class:`~repro.obs.metrics.MetricsRegistry` (the serve plane's
+fold of its own and every worker's registry) as Prometheus text format
+0.0.4 — the format ``GET /v1/metrics`` answers by default.
+Deterministic by construction: families and labels are sorted, and
+every value comes from the registry's sorted :meth:`to_dict` view, whose
+histogram buckets and quantiles are ``Histogram.bucket_pairs()`` and
+``Histogram.quantile()``.
 
 Naming: dots become underscores under a ``repro_`` prefix, so the
 ``serve.wall_ms`` histogram exports as ``repro_serve_wall_ms``.  The
@@ -16,8 +18,6 @@ family with a tenant label, not one family per tenant.
 from __future__ import annotations
 
 import re
-
-from .merge import _bucket_key, state_histogram_quantile
 
 _TENANT_RE = re.compile(r"^serve\.tenant\.(?P<tenant>.+)\.(?P<rest>[^.]+)$")
 
@@ -48,8 +48,9 @@ def _line(fam: str, labels: str, value, suffix: str = "") -> str:
     return f"{fam}{suffix}{label_part} {value}"
 
 
-def render_prometheus(state: dict) -> str:
-    """The merged state as Prometheus text (trailing newline included)."""
+def render_prometheus(registry) -> str:
+    """The registry as Prometheus text (trailing newline included)."""
+    doc = registry.to_dict()
     lines: list[str] = []
     families_seen: set[str] = set()
 
@@ -58,30 +59,24 @@ def render_prometheus(state: dict) -> str:
             families_seen.add(fam)
             lines.append(f"# TYPE {fam} {kind}")
 
-    for name in sorted(state["counters"]):
-        fam, labels = _family(name)
-        header(fam, "counter")
-        lines.append(_line(fam, labels, state["counters"][name]))
-
-    for name in sorted(state["gauges"]):
-        fam, labels = _family(name)
-        header(fam, "gauge")
-        lines.append(_line(fam, labels, state["gauges"][name]))
+    for section, kind in (("counters", "counter"), ("gauges", "gauge")):
+        for name, value in doc[section].items():
+            fam, labels = _family(name)
+            header(fam, kind)
+            lines.append(_line(fam, labels, value))
 
     # group histograms by family first: tenant-labelled series share one
     # family, and all samples of a family must stay contiguous
     groups: dict[str, list[tuple[str, dict]]] = {}
-    for name in sorted(state["histograms"]):
+    for name, h in doc["histograms"].items():
         fam, labels = _family(name)
-        groups.setdefault(fam, []).append((labels, state["histograms"][name]))
+        groups.setdefault(fam, []).append((labels, h))
 
     for fam in sorted(groups):
         header(fam, "histogram")
         for labels, h in groups[fam]:
             cum = 0
-            for le, n in sorted(
-                h["buckets"], key=lambda p: _bucket_key(p[0])
-            ):
+            for le, n in h["buckets"]:
                 cum += n
                 le_txt = "+Inf" if le == "+Inf" else repr(float(le))
                 bucket_labels = ", ".join(
@@ -101,12 +96,10 @@ def render_prometheus(state: dict) -> str:
             lines.append(_line(fam, labels, h["sum"], suffix="_sum"))
 
     for fam in sorted(groups):
-        for q, tag in ((0.50, "p50"), (0.95, "p95"), (0.99, "p99")):
+        for tag in ("p50", "p95", "p99"):
             qfam = f"{fam}_{tag}"
             header(qfam, "gauge")
             for labels, h in groups[fam]:
-                lines.append(
-                    _line(qfam, labels, state_histogram_quantile(h, q))
-                )
+                lines.append(_line(qfam, labels, h[tag]))
 
     return "\n".join(lines) + "\n"

@@ -8,13 +8,16 @@ dict so the HTTP layer, the service, and the worker-pool process
 transport share one wire format.
 
 Workers ship their pipeline spans back *in-band* with the job result as
-plain span documents (:func:`span_doc`).  The service grafts them into
-the per-job trace tree with :func:`adopt_spans`: ids are remapped,
-logical ticks are rebased past the service tracer's current tick (the
-two tick clocks are independent monotone counters), and shipped roots
-are re-parented under the dispatch attempt that produced them.  The
-result is one tree per job — HTTP accept, every gate verdict, every
-attempt, and the pipeline phases — under one ``trace_id``.
+plain span documents (:func:`span_doc`, which carries each span's
+plane).  :func:`adopt_spans` is the one graft routine: the service
+grafts shipped documents into the per-job trace tree with it, and a
+worker grafts a report job's isolated spans under its ``worker:job``
+span with it before shipping.  Ids are remapped, logical ticks are
+rebased past the receiving tracer's current tick (the two tick clocks
+are independent monotone counters), and shipped roots are re-parented
+under the given span.  The result is one tree per job — HTTP accept,
+every gate verdict, every attempt, and the pipeline phases — under one
+``trace_id``.
 
 Spans a SIGKILLed worker never got to close do not dangle: the service
 side closes its open spans via :func:`close_open_spans` with
@@ -27,7 +30,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from ..tracer import Span, Tracer
+from ..tracer import PLANE_HOST, Span, Tracer
 
 
 def mint_trace_id(tenant: str, job_id: str) -> str:
@@ -93,7 +96,8 @@ class JobTrace:
 
     def open_root(self, name: str, category: str, **attrs):
         self.root = self.tracer.span(
-            name, category, trace_id=self.context.trace_id, **attrs
+            name, category, plane=PLANE_HOST,
+            trace_id=self.context.trace_id, **attrs,
         )
         return self.root
 
@@ -110,40 +114,8 @@ def span_doc(sp: Span) -> dict:
         "sim_end_s": sp.sim_end_s,
         "parent_id": sp.parent_id,
         "attrs": dict(sp.attrs),
+        "plane": sp.plane,
     }
-
-
-def merge_span_docs(
-    primary: list[dict], extra: list[dict],
-    attach_to: Optional[int] = None,
-) -> list[dict]:
-    """Concatenate two shipped span groups with disjoint id spaces.
-
-    ``extra`` (e.g. the isolated per-report instrumentation a worker
-    used alongside its long-lived tracer) is offset past ``primary`` in
-    both id and tick space; its roots are re-parented to ``attach_to``
-    (an id *within primary's id space*) when given.
-    """
-    if not extra:
-        return list(primary)
-    out = list(primary)
-    id_off = 1 + max((d["id"] for d in primary), default=-1)
-    tick_off = max(
-        (max(d["tick_start"], d["tick_end"]) for d in primary), default=0
-    )
-    extra_ids = {d["id"] for d in extra}
-    for d in sorted(extra, key=lambda d: d["id"]):
-        doc = dict(d)
-        doc["id"] = d["id"] + id_off
-        doc["tick_start"] = d["tick_start"] + tick_off
-        if d["tick_end"] >= 0:
-            doc["tick_end"] = d["tick_end"] + tick_off
-        if d["parent_id"] is not None and d["parent_id"] in extra_ids:
-            doc["parent_id"] = d["parent_id"] + id_off
-        else:
-            doc["parent_id"] = attach_to
-        out.append(doc)
-    return out
 
 
 def adopt_spans(
@@ -190,6 +162,7 @@ def adopt_spans(
             sim_end_s=d["sim_end_s"],
             parent_id=parent,
             attrs=dict(d["attrs"]),
+            plane=d["plane"],
         ))
     tracer._tick = base + 1 + (max_tick - min_tick)
     return len(docs)
@@ -213,5 +186,9 @@ def close_open_spans(tracer: Tracer, status: str) -> int:
 
 
 def open_span_docs(tracer: Tracer) -> list[dict]:
-    """Documents for the currently-open spans (flight-recorder bundles)."""
-    return [span_doc(sp) for sp in tracer.spans if sp.open]
+    """Documents for the currently-open spans (flight-recorder bundles,
+    which like every export leave the plane out)."""
+    docs = [span_doc(sp) for sp in tracer.spans if sp.open]
+    for doc in docs:
+        del doc["plane"]
+    return docs

@@ -12,7 +12,11 @@ consumes.
 Every quantity is *simulated* (seconds on the discrete-event clock,
 deterministic counters), never wall-clock, so a report is byte-identical
 across repeated runs with the same seed — the property CI leans on to
-diff against a committed baseline.
+diff against a committed baseline.  The report keeps only spans and
+instruments declared on the ``sim`` plane: which engine tier ran a
+kernel, how a Python function was lifted, or how the serve plane routed
+a job is host machinery, so equal simulations render equal reports with
+the native backend on or off, from either frontend, traced or not.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import json
 from typing import Optional, Sequence
 
+from ..tracer import PLANE_SIM
 from .attribution import BUCKETS, lane_attribution, overlap_stats
 from .critical_path import critical_path
 
@@ -126,27 +131,13 @@ def steal_summary(metrics, timelines: Sequence) -> dict:
     }
 
 
-#: Host-plane observability excluded from the report: the RunReport
-#: describes the *simulated* run, and which engine tier executed a
-#: kernel (or how long its host compile took in wall seconds) is not
-#: simulated behavior — equal simulations must render equal reports
-#: whether the native backend is on or off.  The ``serve.*`` plane
-#: (request tracing, gate verdicts, worker bookkeeping) is host-side
-#: wall-clock machinery too: a job served with ``--trace`` must render
-#: the same insight report as one served without it.
-_HOST_PLANE_METRIC_PREFIXES = ("kernel.", "jit.", "serve.")
-_HOST_PLANE_SPAN_CATEGORIES = frozenset(
-    {"kernel", "jit", "serve", "serve.worker", "serve.http"}
-)
-
-
 def phase_summary(tracer) -> dict:
     """Pipeline span roll-up by category (counts + simulated seconds)."""
     if tracer is None:
         return {}
     out: dict[str, dict] = {}
     for sp in tracer.finished_spans():
-        if sp.category in _HOST_PLANE_SPAN_CATEGORIES:
+        if sp.plane != PLANE_SIM:
             continue
         row = out.setdefault(sp.category, {"count": 0, "sim_s": 0.0})
         row["count"] += 1
@@ -184,15 +175,7 @@ def analyze_run(
     if sim_time_s is not None:
         section["sim_time_s"] = sim_time_s
     if metrics is not None:
-        doc = metrics.to_dict()
-        section["metrics"] = {
-            kind: {
-                name: v
-                for name, v in rows.items()
-                if not name.startswith(_HOST_PLANE_METRIC_PREFIXES)
-            }
-            for kind, rows in doc.items()
-        }
+        section["metrics"] = metrics.to_dict(plane=PLANE_SIM)
     return section
 
 

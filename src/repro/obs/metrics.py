@@ -5,7 +5,17 @@ simulators, the TLS engine, the fault plane bridge) feeds a shared
 :class:`MetricsRegistry` owned by the :class:`Instrumentation` bundle on
 the execution context.  Instruments measure *simulated* quantities —
 bytes, launches, steals, violations, simulated seconds — so a metrics
-dump is deterministic for a given program and seed.
+dump is deterministic for a given program and seed.  Host wall time
+never enters a registry.
+
+Each instrument declares its plane where it is first created: ``sim``
+(the default) for the simulated run, ``host`` for the machinery around
+it (kernel tiers, bytecode lifting, the serve plane).  Insight reports
+keep only ``sim`` instruments; no export writes the plane.
+
+Registries merge as a commutative monoid (:meth:`MetricsRegistry.merge`,
+identity ``MetricsRegistry()``): the serve plane folds worker registries
+into its own with it.
 
 When observability is off the registry is :data:`NULL_METRICS`, whose
 instruments are shared singletons with no-op mutators: the hot paths pay
@@ -16,7 +26,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Optional
+
+from .tracer import NULL_TRACER, PLANE_SIM
 
 #: Log-spaced histogram bucket upper bounds ("le" convention).  Powers of
 #: two are exact binary floats, so bucket assignment is identical on every
@@ -29,11 +42,12 @@ BUCKET_BOUNDS: tuple = tuple(2.0 ** k for k in range(-40, 41))
 class Counter:
     """Monotonically increasing value (counts, bytes, seconds)."""
 
-    __slots__ = ("name", "value")
+    __slots__ = ("name", "value", "plane")
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, plane: str = PLANE_SIM):
         self.name = name
         self.value = 0.0
+        self.plane = plane
 
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
@@ -42,12 +56,13 @@ class Counter:
 class Gauge:
     """Last-written value (boundaries, thresholds, pool sizes)."""
 
-    __slots__ = ("name", "value", "written")
+    __slots__ = ("name", "value", "written", "plane")
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, plane: str = PLANE_SIM):
         self.name = name
         self.value = 0.0
         self.written = False
+        self.plane = plane
 
     def set(self, value: float) -> None:
         self.value = float(value)
@@ -62,10 +77,11 @@ class Histogram:
     the same program produce identical dumps.
     """
 
-    __slots__ = ("name", "count", "total", "min", "max", "buckets")
+    __slots__ = ("name", "count", "total", "min", "max", "buckets", "plane")
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, plane: str = PLANE_SIM):
         self.name = name
+        self.plane = plane
         self.count = 0
         self.total = 0.0
         self.min = float("inf")
@@ -162,34 +178,67 @@ class MetricsRegistry:
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
 
-    def counter(self, name: str) -> Counter:
+    def counter(self, name: str, plane: str = PLANE_SIM) -> Counter:
         inst = self._counters.get(name)
         if inst is None:
-            inst = self._counters[name] = Counter(name)
+            inst = self._counters[name] = Counter(name, plane)
         return inst
 
-    def gauge(self, name: str) -> Gauge:
+    def gauge(self, name: str, plane: str = PLANE_SIM) -> Gauge:
         inst = self._gauges.get(name)
         if inst is None:
-            inst = self._gauges[name] = Gauge(name)
+            inst = self._gauges[name] = Gauge(name, plane)
         return inst
 
-    def histogram(self, name: str) -> Histogram:
+    def histogram(self, name: str, plane: str = PLANE_SIM) -> Histogram:
         inst = self._histograms.get(name)
         if inst is None:
-            inst = self._histograms[name] = Histogram(name)
+            inst = self._histograms[name] = Histogram(name, plane)
         return inst
 
-    def to_dict(self) -> dict:
-        """Plain-JSON view, keys sorted for deterministic dumps."""
+    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
+        """A new registry folding ``self`` then ``other``.
+
+        Counters add, written gauges take the max, histograms add their
+        bucket arrays, ``count`` and ``total`` and take the min of
+        ``min`` and the max of ``max``.  Associative and commutative
+        with identity ``MetricsRegistry()``; merged quantiles equal
+        those of one registry fed both observation streams.
+        """
+        out = MetricsRegistry()
+        for reg in (self, other):
+            for name, c in reg._counters.items():
+                out.counter(name, c.plane).inc(c.value)
+            for name, g in reg._gauges.items():
+                if g.written:
+                    m = out.gauge(name, g.plane)
+                    m.set(max(m.value, g.value) if m.written else g.value)
+            for name, h in reg._histograms.items():
+                m = out.histogram(name, h.plane)
+                m.count += h.count
+                m.total += h.total
+                m.min = min(m.min, h.min)
+                m.max = max(m.max, h.max)
+                m.buckets = [a + b for a, b in zip(m.buckets, h.buckets)]
+        return out
+
+    def to_dict(self, plane: Optional[str] = None) -> dict:
+        """Plain-JSON view, keys sorted for deterministic dumps.
+
+        ``plane`` keeps only the instruments of that plane.
+        """
+
+        def rows(instruments: dict) -> list:
+            return [
+                (name, inst)
+                for name, inst in sorted(instruments.items())
+                if plane is None or inst.plane == plane
+            ]
+
         return {
-            "counters": {
-                name: c.value for name, c in sorted(self._counters.items())
-            },
+            "counters": {name: c.value for name, c in rows(self._counters)},
             "gauges": {
-                name: g.value
-                for name, g in sorted(self._gauges.items())
-                if g.written
+                name: g.value for name, g in rows(self._gauges) if g.written
             },
             "histograms": {
                 name: {
@@ -205,7 +254,7 @@ class MetricsRegistry:
                     # with the ascending bound order intact
                     "buckets": h.bucket_pairs(),
                 }
-                for name, h in sorted(self._histograms.items())
+                for name, h in rows(self._histograms)
             },
         }
 
@@ -215,16 +264,18 @@ class NullMetricsRegistry:
 
     enabled = False
 
-    def counter(self, name: str) -> _NullInstrument:
+    def counter(self, name: str, plane: str = PLANE_SIM) -> _NullInstrument:
         return _NULL_INSTRUMENT
 
-    def gauge(self, name: str) -> _NullInstrument:
+    def gauge(self, name: str, plane: str = PLANE_SIM) -> _NullInstrument:
         return _NULL_INSTRUMENT
 
-    def histogram(self, name: str) -> _NullInstrument:
+    def histogram(
+        self, name: str, plane: str = PLANE_SIM
+    ) -> _NullInstrument:
         return _NULL_INSTRUMENT
 
-    def to_dict(self) -> dict:
+    def to_dict(self, plane: Optional[str] = None) -> dict:
         return {"counters": {}, "gauges": {}, "histograms": {}}
 
 
@@ -267,8 +318,6 @@ class Instrumentation:
     def disabled(cls) -> "Instrumentation":
         return NULL_INSTRUMENTATION
 
-
-from .tracer import NULL_TRACER  # noqa: E402  (cycle-free tail import)
 
 NULL_INSTRUMENTATION = Instrumentation(
     tracer=NULL_TRACER, metrics=NULL_METRICS, enabled=False

@@ -11,6 +11,11 @@ trace and neither is the wall clock, so output is fully deterministic:
   carry ``sim_start_s``/``sim_end_s`` read off the discrete-event
   :class:`~repro.runtime.clock.Timeline`.
 
+Every span declares its **plane** where it is opened: ``sim`` (the
+default) for the simulated run, ``host`` for the machinery around it —
+tier promotion, bytecode lifting, the serve plane.  Insight reports keep
+only ``sim`` spans; no export writes the plane.
+
 Disabled tracing goes through :class:`NullTracer`, whose ``span`` call
 returns a shared reusable no-op context manager: no allocation, no
 state, no effect on results or simulated time.
@@ -29,6 +34,10 @@ PHASE_PROFILE = "profile"
 PHASE_SCHEDULE = "schedule"
 PHASE_EXECUTE = "execute"
 
+#: Observability planes (declared per span and per metric instrument).
+PLANE_SIM = "sim"
+PLANE_HOST = "host"
+
 
 @dataclass
 class Span:
@@ -45,6 +54,7 @@ class Span:
     sim_end_s: Optional[float] = None
     parent_id: Optional[int] = None
     attrs: dict = field(default_factory=dict)
+    plane: str = PLANE_SIM
 
     @property
     def open(self) -> bool:
@@ -116,7 +126,9 @@ class Tracer:
         self._tick = 0
         self._stack: list[int] = []
 
-    def span(self, name: str, category: str = "", **attrs) -> _SpanHandle:
+    def span(
+        self, name: str, category: str = "", plane: str = PLANE_SIM, **attrs
+    ) -> _SpanHandle:
         """Open a span; use as a context manager."""
         sp = Span(
             id=len(self.spans),
@@ -125,6 +137,7 @@ class Tracer:
             tick_start=self._next_tick(),
             parent_id=self._stack[-1] if self._stack else None,
             attrs=dict(attrs),
+            plane=plane,
         )
         self.spans.append(sp)
         self._stack.append(sp.id)
@@ -152,7 +165,9 @@ class NullTracer:
     enabled = False
     spans: tuple = ()
 
-    def span(self, name: str, category: str = "", **attrs) -> _NullSpanHandle:
+    def span(
+        self, name: str, category: str = "", plane: str = PLANE_SIM, **attrs
+    ) -> _NullSpanHandle:
         return _NULL_HANDLE
 
     def finished_spans(self) -> tuple:

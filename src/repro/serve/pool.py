@@ -20,8 +20,8 @@ kills the same jobs' workers regardless of thread/process timing.
 
 When the pool is built with ``trace=True`` each runtime records spans
 and metrics; the trace context crosses the process pipe as a plain dict
-next to the job document, and the worker's span slice plus registry
-snapshot ride back on the result document.  :class:`WorkerDied` raised
+next to the job document, and the worker's span slice plus a copy of
+its registry ride back on the result document.  :class:`WorkerDied` raised
 here always carries the lost job's identity (job id, tenant, trace id)
 so death messages in logs and flight dumps are never anonymous.
 """

@@ -28,7 +28,8 @@ ship back with the result and are grafted under the attempt that
 produced them, so one job exports one Chrome-trace tree from HTTP accept
 to settlement.  Worker registries ride back the same way and fold into
 the service's own metrics with the commutative merge behind
-``/v1/metrics``.  A bounded flight recorder runs regardless of tracing
+``/v1/metrics``.  Every serve instrument and span is declared on the
+``host`` plane.  A bounded flight recorder runs regardless of tracing
 and dumps a ``repro.flight/v1`` post-mortem bundle on worker death,
 breaker trip, or (with ``dump_on_shed``) a shed.  With tracing off, the
 null tracer makes every span call a shared no-op and results carry no
@@ -50,7 +51,7 @@ from ..faults.resilience import FaultRuntime, ResiliencePolicy
 from ..faults.schedule import FaultSchedule
 from ..obs.export import chrome_trace
 from ..obs.metrics import MetricsRegistry
-from ..obs.tracer import NULL_TRACER
+from ..obs.tracer import NULL_TRACER, PLANE_HOST
 from ..obs.distrib import (
     LANE_SERVICE,
     FlightRecorder,
@@ -58,13 +59,8 @@ from ..obs.distrib import (
     TraceContext,
     adopt_spans,
     close_open_spans,
-    merge_states,
     open_span_docs,
-    registry_state,
     render_prometheus,
-    slo_summary,
-    state_histogram_summary,
-    tenant_latency_summary,
     write_flight_dump,
 )
 from ..runtime.deadline import Deadline
@@ -91,6 +87,35 @@ from .pool import WorkerPool
 
 #: Schema tag of the ``/v1/metrics`` JSON document.
 METRICS_DOC_SCHEMA = "repro.servemetrics/v1"
+
+
+def tenant_latency_summary(histograms: dict) -> dict:
+    """Per-tenant latency summaries from the merged histogram summaries.
+
+    The service records one ``serve.tenant.<tenant>.wall_ms`` histogram
+    per tenant at settlement; this extracts ``{tenant: summary}``.
+    """
+    prefix, suffix = "serve.tenant.", ".wall_ms"
+    out = {}
+    for name, summary in histograms.items():
+        if name.startswith(prefix) and name.endswith(suffix):
+            tenant = name[len(prefix):-len(suffix)]
+            if tenant:
+                out[tenant] = summary
+    return out
+
+
+def slo_summary(counters: dict, target_ms: float) -> dict:
+    """SLO burn-rate view over the good/bad settlement counters."""
+    good = counters.get("serve.slo.good", 0.0)
+    bad = counters.get("serve.slo.bad", 0.0)
+    total = good + bad
+    return {
+        "good": good,
+        "bad": bad,
+        "burn_rate": bad / total if total else 0.0,
+        "target_wall_ms": target_ms,
+    }
 
 
 @dataclass
@@ -183,9 +208,9 @@ class CompilationService:
         self.ledger = JobLedger()
         self.flight = FlightRecorder(capacity=cfg.flight_events)
         self._flight_dumps: deque = deque(maxlen=cfg.flight_keep)
-        #: latest registry snapshot per worker (cumulative, so keeping
-        #: only the newest per worker makes the fold exact)
-        self._worker_metrics: dict[str, dict] = {}
+        #: latest registry copy per worker (cumulative, so keeping only
+        #: the newest per worker makes the fold exact)
+        self._worker_metrics: dict[str, MetricsRegistry] = {}
         #: job traces: in flight, then an LRU of settled ones
         self._active_traces: dict[str, JobTrace] = {}
         self._traces: OrderedDict[str, JobTrace] = OrderedDict()
@@ -303,20 +328,24 @@ class CompilationService:
 
     # -- metrics merge ----------------------------------------------------
 
-    def metrics_state(self) -> dict:
-        """Service registry folded with every worker's latest snapshot."""
-        state = registry_state(self.metrics)
+    def merged_metrics(self) -> MetricsRegistry:
+        """Service registry folded with every worker's latest copy."""
+        merged = self.metrics
         for name in sorted(self._worker_metrics):
-            state = merge_states(state, self._worker_metrics[name])
-        return state
+            merged = merged.merge(self._worker_metrics[name])
+        return merged
 
     def metrics_prometheus(self) -> str:
-        return render_prometheus(self.metrics_state())
+        return render_prometheus(self.merged_metrics())
 
     def metrics_document(self) -> dict:
         """The deterministic JSON view behind ``/v1/metrics?format=json``."""
-        state = self.metrics_state()
-        counters = state["counters"]
+        doc = self.merged_metrics().to_dict()
+        counters = doc["counters"]
+        histograms = {
+            name: {k: v for k, v in h.items() if k != "buckets"}
+            for name, h in doc["histograms"].items()
+        }
         admitted = counters.get("serve.admitted", 0.0)
         refused = sum(
             v for k, v in counters.items()
@@ -328,13 +357,10 @@ class CompilationService:
             "schema": METRICS_DOC_SCHEMA,
             "workers_reporting": sorted(self._worker_metrics),
             "counters": counters,
-            "gauges": state["gauges"],
-            "histograms": {
-                name: state_histogram_summary(h)
-                for name, h in state["histograms"].items()
-            },
-            "tenants": tenant_latency_summary(state),
-            "slo": slo_summary(state, self.config.slo_wall_ms),
+            "gauges": doc["gauges"],
+            "histograms": histograms,
+            "tenants": tenant_latency_summary(histograms),
+            "slo": slo_summary(counters, self.config.slo_wall_ms),
             "rates": {
                 "shed": (
                     counters.get(f"serve.{STATUS_SHED}", 0.0) / submitted
@@ -359,7 +385,7 @@ class CompilationService:
     def _refuse(self, job: JobSpec, status: str, retry_after_s: float,
                 error: str, trace: Optional[JobTrace] = None) -> JobResult:
         self.ledger.refuse(job, status)
-        self.metrics.counter(f"serve.{status}").inc()
+        self.metrics.counter(f"serve.{status}", PLANE_HOST).inc()
         self.flight.record(
             LANE_SERVICE, "job.refused", job_id=job.job_id,
             tenant=job.tenant, status=status,
@@ -423,12 +449,13 @@ class CompilationService:
 
         # 2. circuit breaker
         breaker = self.breakers.breaker(job.tenant)
-        with tr.span("gate:breaker", "serve", tenant=job.tenant) as sp:
+        with tr.span("gate:breaker", "serve", plane=PLANE_HOST,
+                     tenant=job.tenant) as sp:
             allowed = breaker.allow()
             sp.annotate(outcome="allow" if allowed else "open",
                         state=breaker.state)
         if not allowed:
-            self.metrics.counter("serve.breaker.refused").inc()
+            self.metrics.counter("serve.breaker.refused", PLANE_HOST).inc()
             return self._refuse(
                 job, STATUS_BREAKER_OPEN,
                 retry_after_s=max(breaker.retry_after(), 1e-3),
@@ -438,13 +465,13 @@ class CompilationService:
 
         # 3. degradation ladder (cumulative rungs); any refusal past the
         # breaker must hand back the half-open probe slot allow() took
-        with tr.span("gate:ladder", "serve") as sp:
+        with tr.span("gate:ladder", "serve", plane=PLANE_HOST) as sp:
             level = self.ladder.observe(self._load())
             sp.annotate(outcome=level)
-        self.metrics.gauge("serve.degrade.level").set(level)
+        self.metrics.gauge("serve.degrade.level", PLANE_HOST).set(level)
         if level >= LEVEL_SHED_LOW and job.priority >= PRIORITY_LOW:
             breaker.release()
-            self.metrics.counter("serve.shed.priority").inc()
+            self.metrics.counter("serve.shed.priority", PLANE_HOST).inc()
             return self._refuse(
                 job, STATUS_SHED, retry_after_s=0.1,
                 error="shedding lowest-priority jobs under overload",
@@ -454,11 +481,11 @@ class CompilationService:
             breaker.release()
             cached = self._cached_answer(job)
             if cached is not None:
-                self.metrics.counter("serve.cache_only.hit").inc()
+                self.metrics.counter("serve.cache_only.hit", PLANE_HOST).inc()
                 self.ledger.refuse(job, STATUS_OK)
                 self._finish_trace(job, trace, cached)
                 return cached
-            self.metrics.counter("serve.shed.cache_only").inc()
+            self.metrics.counter("serve.shed.cache_only", PLANE_HOST).inc()
             return self._refuse(
                 job, STATUS_SHED, retry_after_s=0.1,
                 error="cache-only mode under overload and no cached answer",
@@ -466,7 +493,8 @@ class CompilationService:
             )
 
         # 4. admission control (queue depth, then the tenant's tokens)
-        with tr.span("gate:admission", "serve", tenant=job.tenant) as sp:
+        with tr.span("gate:admission", "serve", plane=PLANE_HOST,
+                     tenant=job.tenant) as sp:
             decision = self.admission.admit(job.tenant, self._queue.qsize())
             sp.annotate(
                 outcome="admit" if decision.admitted else decision.reason
@@ -474,7 +502,7 @@ class CompilationService:
         if not decision.admitted:
             breaker.release()
             self.metrics.counter(
-                f"serve.rejected.{decision.reason}"
+                f"serve.rejected.{decision.reason}", PLANE_HOST
             ).inc()
             return self._refuse(
                 job, STATUS_REJECTED,
@@ -484,14 +512,14 @@ class CompilationService:
             )
 
         # 5. admitted: stamp the deadline, queue, await settlement
-        self.metrics.counter("serve.admitted").inc()
+        self.metrics.counter("serve.admitted", PLANE_HOST).inc()
         self.ledger.admit(job)
         budget_s = (
             job.deadline_ms / 1e3
             if job.deadline_ms is not None
             else self.config.default_deadline_s
         )
-        with tr.span("gate:deadline", "serve") as sp:
+        with tr.span("gate:deadline", "serve", plane=PLANE_HOST) as sp:
             deadline = Deadline(budget_s, clock=self.clock)
             sp.annotate(outcome="stamped", budget_s=budget_s)
         self.flight.record(
@@ -502,7 +530,9 @@ class CompilationService:
         self._queue.put_nowait(
             (job.priority, next(self._qseq), job, future, deadline, trace)
         )
-        self.metrics.gauge("serve.queue_depth").set(self._queue.qsize())
+        self.metrics.gauge("serve.queue_depth", PLANE_HOST).set(
+            self._queue.qsize()
+        )
         return await future
 
     # -- dispatch path ----------------------------------------------------
@@ -520,7 +550,9 @@ class CompilationService:
                 elif result.status == STATUS_FAILED:
                     breaker.record_failure()
                     if breaker.trips > trips_before:
-                        self.metrics.counter("serve.breaker.trips").inc()
+                        self.metrics.counter(
+                            "serve.breaker.trips", PLANE_HOST
+                        ).inc()
                         self.flight.record(
                             LANE_SERVICE, "breaker.trip",
                             tenant=job.tenant, job_id=job.job_id,
@@ -540,19 +572,22 @@ class CompilationService:
                     trace_id=trace.context.trace_id if trace else "",
                     attempts=result.attempts,
                 )
-                self.metrics.counter(f"serve.{result.status}").inc()
-                self.metrics.histogram("serve.wall_ms").observe(
+                self.metrics.counter(
+                    f"serve.{result.status}", PLANE_HOST
+                ).inc()
+                self.metrics.histogram("serve.wall_ms", PLANE_HOST).observe(
                     result.wall_ms
                 )
                 self.metrics.histogram(
-                    f"serve.tenant.{job.tenant}.wall_ms"
+                    f"serve.tenant.{job.tenant}.wall_ms", PLANE_HOST
                 ).observe(result.wall_ms)
                 slo_ok = (
                     result.status == STATUS_OK
                     and result.wall_ms <= self.config.slo_wall_ms
                 )
                 self.metrics.counter(
-                    "serve.slo.good" if slo_ok else "serve.slo.bad"
+                    "serve.slo.good" if slo_ok else "serve.slo.bad",
+                    PLANE_HOST,
                 ).inc()
                 self.flight.record(
                     LANE_SERVICE, "job.settle", job_id=job.job_id,
@@ -576,7 +611,9 @@ class CompilationService:
                         )
                     except JaponicaError:  # pragma: no cover - raced settle
                         pass
-                    self.metrics.counter(f"serve.{STATUS_FAILED}").inc()
+                    self.metrics.counter(
+                        f"serve.{STATUS_FAILED}", PLANE_HOST
+                    ).inc()
                 if not future.done():
                     future.set_exception(exc)
             finally:
@@ -593,7 +630,7 @@ class CompilationService:
         attempt = 0
         while True:
             handle = tr.span(
-                "attempt:%d" % (attempt + 1), "serve",
+                "attempt:%d" % (attempt + 1), "serve", plane=PLANE_HOST,
                 job_id=job.job_id, attempt=attempt + 1,
             )
             trace_ctx = (
@@ -616,7 +653,7 @@ class CompilationService:
                 handle.annotate(outcome="worker_died", status="killed",
                                 worker=exc.worker)
                 handle.close()
-                self.metrics.counter("serve.worker.deaths").inc()
+                self.metrics.counter("serve.worker.deaths", PLANE_HOST).inc()
                 self.flight.record(
                     LANE_SERVICE, "worker.death", job_id=job.job_id,
                     tenant=job.tenant, worker=exc.worker,
@@ -637,8 +674,10 @@ class CompilationService:
                     ),
                     self.config.retry_cap_s,
                 )
-                self.metrics.counter("serve.retry.attempts").inc()
-                self.metrics.counter("serve.retry.backoff_s").inc(backoff)
+                self.metrics.counter("serve.retry.attempts", PLANE_HOST).inc()
+                self.metrics.counter(
+                    "serve.retry.backoff_s", PLANE_HOST
+                ).inc(backoff)
                 self.flight.record(
                     LANE_SERVICE, "job.retry", job_id=job.job_id,
                     tenant=job.tenant, attempt=attempt + 1,
@@ -651,24 +690,25 @@ class CompilationService:
                       handle) -> None:
         """Graft shipped worker spans; fold the worker's registry."""
         docs = result.__dict__.pop("trace_spans", None)
-        worker_state = result.__dict__.pop("worker_metrics", None)
+        worker_metrics = result.__dict__.pop("worker_metrics", None)
         worker_name = result.__dict__.pop("worker_name", None)
         if trace is not None and docs:
             adopt_spans(trace.tracer, docs, parent_id=handle.span.id)
-        if worker_name and worker_state is not None:
-            self._worker_metrics[worker_name] = worker_state
+        if worker_name and worker_metrics is not None:
+            self._worker_metrics[worker_name] = worker_metrics
 
     def _account_cache(self, result: JobResult) -> None:
         delta = result.__dict__.get("cache_delta")
         if delta:
-            self.metrics.counter("serve.cache.hits").inc(delta["hits"])
-            self.metrics.counter("serve.cache.misses").inc(delta["misses"])
+            m = self.metrics
+            m.counter("serve.cache.hits", PLANE_HOST).inc(delta["hits"])
+            m.counter("serve.cache.misses", PLANE_HOST).inc(delta["misses"])
 
     # -- introspection ----------------------------------------------------
 
     def cache_hit_rate(self) -> float:
-        hits = self.metrics.counter("serve.cache.hits").value
-        misses = self.metrics.counter("serve.cache.misses").value
+        hits = self.metrics.counter("serve.cache.hits", PLANE_HOST).value
+        misses = self.metrics.counter("serve.cache.misses", PLANE_HOST).value
         total = hits + misses
         return hits / total if total else 0.0
 

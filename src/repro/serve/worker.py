@@ -21,13 +21,15 @@ would desynchronise the deterministic schedule.
 **Distributed tracing** (``trace=True``): the runtime owns one
 long-lived recording :class:`Instrumentation` shared by its front end
 and every pooled context.  Each traced job is wrapped in a
-``worker:job`` span; the job's slice of the span list plus a snapshot of
-the runtime's metrics registry travel back *in-band* on the result (as
-transport side-channel fields, exactly like ``cache_delta``), where the
-service grafts the spans into the per-job trace tree and folds the
-registry into the ``/v1/metrics`` merge.  With tracing off the bundle is
-``NULL_INSTRUMENTATION`` and nothing is shipped — the result documents
-are byte-identical to the untraced serve plane.
+``worker:job`` span; the job's slice of the span list plus a merged copy
+of the runtime's metrics registry travel back *in-band* on the result
+(as transport side-channel fields, exactly like ``cache_delta``), where
+the service grafts the spans into the per-job trace tree and folds the
+registry into the ``/v1/metrics`` merge.  Shipped spans are dropped from
+the runtime's tracer, so a long-lived worker retains none between jobs.
+With tracing off the bundle is ``NULL_INSTRUMENTATION`` and nothing is
+shipped — the result documents are byte-identical to the untraced serve
+plane.
 """
 
 from __future__ import annotations
@@ -39,13 +41,8 @@ from typing import Optional
 from ..api import Japonica
 from ..cache.artifacts import ArtifactCache
 from ..errors import DeadlineExceeded, JaponicaError, RuntimeFaultError
-from ..obs import Instrumentation
-from ..obs.distrib import (
-    TraceContext,
-    merge_span_docs,
-    registry_state,
-    span_doc,
-)
+from ..obs import PLANE_HOST, Instrumentation, MetricsRegistry
+from ..obs.distrib import TraceContext, adopt_spans, span_doc
 from ..runtime.deadline import Deadline
 from .degrade import LEVEL_DROP_REPORT
 from .jobs import (
@@ -100,7 +97,9 @@ class WorkerRuntime:
         if ctx is not None:
             self._contexts.move_to_end(key)
             self.contexts_reused += 1
-            self.obs.metrics.counter("serve.worker.context_reuse").inc()
+            self.obs.metrics.counter(
+                "serve.worker.context_reuse", PLANE_HOST
+            ).inc()
             return ctx
         ctx = workload.make_context(
             cache=self.cache, devices=job.devices,
@@ -124,8 +123,8 @@ class WorkerRuntime:
 
         When the runtime is traced and a :class:`TraceContext` arrives
         with the job, the execution is wrapped in a ``worker:job`` span
-        and the job's spans plus a registry snapshot ship back on the
-        result's transport side channel.
+        and the job's spans plus a merged copy of the registry ship back
+        on the result's transport side channel.
         """
         if not (self.traced and trace is not None):
             return self._execute(job, degrade_level, deadline)
@@ -134,26 +133,29 @@ class WorkerRuntime:
         base = len(tracer.spans)
         self._report_obs = None
         with tracer.span(
-            "worker:job", "serve.worker",
+            "worker:job", "serve.worker", plane=PLANE_HOST,
             job_id=job.job_id, tenant=job.tenant,
             trace_id=trace.trace_id, worker=self.name,
         ) as sp:
             result = self._execute(job, degrade_level, deadline)
             sp.annotate(status=result.status)
-        docs = [span_doc(s) for s in tracer.spans[base:]]
         if self._report_obs is not None:
-            docs = merge_span_docs(
-                docs,
+            adopt_spans(
+                tracer,
                 [span_doc(s) for s in self._report_obs.tracer.spans],
-                attach_to=docs[0]["id"],
+                parent_id=sp.span.id,
             )
             self._report_obs = None
+        docs = [span_doc(s) for s in tracer.spans[base:]]
+        del tracer.spans[base:]
         m = self.obs.metrics
-        m.counter("serve.worker.jobs").inc()
-        m.counter(f"serve.worker.status.{result.status}").inc()
-        m.histogram("serve.worker.wall_ms").observe(result.wall_ms)
+        m.counter("serve.worker.jobs", PLANE_HOST).inc()
+        m.counter(f"serve.worker.status.{result.status}", PLANE_HOST).inc()
+        m.histogram("serve.worker.wall_ms", PLANE_HOST).observe(
+            result.wall_ms
+        )
         result.__dict__["trace_spans"] = docs
-        result.__dict__["worker_metrics"] = registry_state(self.obs.metrics)
+        result.__dict__["worker_metrics"] = MetricsRegistry().merge(m)
         result.__dict__["worker_name"] = self.name
         return result
 

@@ -121,7 +121,6 @@ class TestPromotion:
         m = obs.metrics
         assert m.counter("kernel.tier.interp").value == 1
         assert m.counter("kernel.tier.src").value == 1
-        assert m.counter("kernel.compile_s.src").value > 0
 
 
 class TestSharedCache:

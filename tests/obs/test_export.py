@@ -2,6 +2,8 @@
 
 import json
 
+from repro.cli import main
+from repro.ir.native import dispatch
 from repro.obs.export import (
     METRICS_SCHEMA,
     TRACE_SCHEMA,
@@ -210,3 +212,21 @@ class TestMetricsDocument:
         write_metrics_json(str(path), m)
         loaded = json.loads(path.read_text())
         assert loaded["gauges"]["scheduler.boundary"] == 0.75
+
+    def test_repeat_run_writes_identical_bytes(self, tmp_path, monkeypatch):
+        """Two ``repro run --metrics`` of Crypt, each compiling its src-tier
+        kernels into a fresh kernel cache, write the same file: host wall
+        time (a compile's seconds) never enters the registry."""
+        files = []
+        for k in range(2):
+            monkeypatch.setattr(
+                dispatch, "GLOBAL_KERNEL_CACHE", dispatch.KernelCache()
+            )
+            path = tmp_path / f"metrics{k}.json"
+            assert main([
+                "run", "Crypt", "--strategies", "japonica",
+                "--metrics", str(path),
+            ]) == 0
+            assert dispatch.GLOBAL_KERNEL_CACHE.compiles["src"] > 0
+            files.append(path.read_bytes())
+        assert files[0] == files[1]

@@ -16,7 +16,10 @@ from repro.obs.insight import (
     run_report,
     write_report_json,
 )
+from repro.obs.distrib import adopt_spans, open_span_docs, span_doc
+from repro.obs.export import chrome_trace
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracer import PLANE_HOST, Tracer
 from repro.runtime.clock import LANE_CPU, LANE_DMA, LANE_GPU, Timeline
 
 
@@ -174,6 +177,58 @@ class TestAnalyzeRun:
         write_report_json(str(path), report)
         assert path.read_bytes() == first
         assert json.loads(first)["meta"]["devices"] == 1
+
+
+class TestPlanes:
+    """Reports keep the ``sim`` plane by declaration, not by name."""
+
+    def test_declared_plane_decides_what_a_report_keeps(self):
+        m = MetricsRegistry()
+        m.counter("tls.subloops", PLANE_HOST).inc(3)
+        m.gauge("scheduler.boundary", PLANE_HOST).set(0.5)
+        m.histogram("gpu.divergence", PLANE_HOST).observe(2.0)
+        m.counter("kernel.x").inc(7)
+        m.counter("gpu.launches").inc(2)
+        tr = Tracer()
+        with tr.span("dispatch:run#0", "execute", plane=PLANE_HOST):
+            pass
+        with tr.span("promote:k", "kernel"):
+            pass
+        section = analyze_run([("t", _pipeline_timeline())], m, tr)
+        assert section["metrics"] == {
+            "counters": {"gpu.launches": 2.0, "kernel.x": 7.0},
+            "gauges": {},
+            "histograms": {},
+        }
+        assert section["phases"] == {"kernel": {"count": 1, "sim_s": 0.0}}
+        # a host counter is still a counter everywhere else
+        assert m.to_dict()["counters"]["tls.subloops"] == 3.0
+
+    def test_plane_survives_merge_and_span_adoption(self):
+        m = MetricsRegistry()
+        m.counter("serve.jobs", PLANE_HOST).inc()
+        m.counter("gpu.launches").inc()
+        merged = MetricsRegistry().merge(m)
+        assert merged.counter("serve.jobs").plane == PLANE_HOST
+        assert merged.counter("gpu.launches").plane == "sim"
+        worker = Tracer()
+        with worker.span("worker:job", "serve.worker", plane=PLANE_HOST):
+            with worker.span("parse", "parse"):
+                pass
+        service = Tracer()
+        adopt_spans(service, [span_doc(s) for s in worker.spans], None)
+        assert [s.plane for s in service.spans] == [PLANE_HOST, "sim"]
+
+    def test_no_export_writes_the_plane(self):
+        tr = Tracer()
+        with tr.span("promote:k", "kernel", plane=PLANE_HOST):
+            pass
+        tr.span("serve.job", "serve", plane=PLANE_HOST)
+        assert "plane" not in open_span_docs(tr)[0]
+        assert "plane" not in json.dumps(chrome_trace(tr.spans))
+        m = MetricsRegistry()
+        m.counter("serve.jobs", PLANE_HOST).inc()
+        assert "plane" not in json.dumps(m.to_dict())
 
 
 def _report(scale=1.0):

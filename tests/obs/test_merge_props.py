@@ -1,11 +1,12 @@
 """Property suite for the cross-process registry merge.
 
-The fold behind ``/v1/metrics`` must behave like a commutative monoid —
-associative, commutative, identity :data:`EMPTY_STATE` — and merged
-histogram quantiles must equal the quantiles of a single registry fed
-the concatenated observation stream.  Observations are drawn as dyadic
-rationals (k/8) so float addition stays exact and the algebraic laws
-can be asserted with ``==``, not a tolerance.
+:meth:`MetricsRegistry.merge` is the fold behind ``/v1/metrics`` and
+must behave like a commutative monoid — associative, commutative,
+identity ``MetricsRegistry()`` — that leaves its operands untouched, and
+merged histogram quantiles must equal the quantiles of a single registry
+fed the concatenated observation stream.  Observations are drawn as
+dyadic rationals (k/8) so float addition stays exact and the algebraic
+laws can be asserted with ``==``, not a tolerance.
 """
 
 from __future__ import annotations
@@ -15,13 +16,6 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.distrib import (
-    EMPTY_STATE,
-    merge_states,
-    registry_state,
-    state_histogram_quantile,
-    state_histogram_summary,
-)
 from repro.obs.metrics import MetricsRegistry
 
 #: dyadic rationals: exact under float addition at these magnitudes
@@ -38,7 +32,7 @@ hist_names = st.sampled_from(
 
 @st.composite
 def observation_streams(draw):
-    """A stream of registry operations (the pre-image of one state)."""
+    """A stream of registry operations (the pre-image of one registry)."""
     counters = draw(st.lists(st.tuples(counter_names, dyadic), max_size=12))
     gauges = draw(st.lists(st.tuples(gauge_names, dyadic), max_size=6))
     hists = draw(st.lists(st.tuples(hist_names, dyadic), max_size=25))
@@ -56,69 +50,64 @@ def feed(registry: MetricsRegistry, stream) -> MetricsRegistry:
     return registry
 
 
-def state_of(stream) -> dict:
-    return registry_state(feed(MetricsRegistry(), stream))
+def registry_of(stream) -> MetricsRegistry:
+    return feed(MetricsRegistry(), stream)
 
 
-def canon(state: dict) -> str:
-    return json.dumps(state, sort_keys=True)
+def canon(registry: MetricsRegistry) -> str:
+    return json.dumps(registry.to_dict(), sort_keys=True)
 
 
 @settings(max_examples=60, deadline=None)
 @given(observation_streams(), observation_streams(), observation_streams())
 def test_merge_is_associative(sa, sb, sc):
-    a, b, c = state_of(sa), state_of(sb), state_of(sc)
-    left = merge_states(merge_states(a, b), c)
-    right = merge_states(a, merge_states(b, c))
-    assert canon(left) == canon(right)
+    a, b, c = registry_of(sa), registry_of(sb), registry_of(sc)
+    assert canon(a.merge(b).merge(c)) == canon(a.merge(b.merge(c)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(observation_streams(), observation_streams())
 def test_merge_is_commutative(sa, sb):
-    a, b = state_of(sa), state_of(sb)
-    assert canon(merge_states(a, b)) == canon(merge_states(b, a))
+    a, b = registry_of(sa), registry_of(sb)
+    assert canon(a.merge(b)) == canon(b.merge(a))
 
 
 @settings(max_examples=60, deadline=None)
 @given(observation_streams())
-def test_empty_state_is_the_identity(sa):
-    a = state_of(sa)
-    assert canon(merge_states(a, EMPTY_STATE)) == canon(a)
-    assert canon(merge_states(EMPTY_STATE, a)) == canon(a)
+def test_empty_registry_is_the_identity(sa):
+    a = registry_of(sa)
+    empty = MetricsRegistry()
+    assert canon(a.merge(empty)) == canon(a)
+    assert canon(empty.merge(a)) == canon(a)
     # and the identity is inert on itself
-    assert canon(merge_states(EMPTY_STATE, EMPTY_STATE)) == canon(EMPTY_STATE)
+    assert canon(empty.merge(empty)) == canon(empty)
 
 
 @settings(max_examples=60, deadline=None)
 @given(observation_streams(), observation_streams())
 def test_merged_quantiles_equal_single_registry_quantiles(sa, sb):
-    """merge(state(A), state(B)) answers quantiles exactly like one
-    registry that observed A ++ B."""
-    merged = merge_states(state_of(sa), state_of(sb))
+    """merge(A, B) answers quantiles exactly like one registry that
+    observed A ++ B."""
+    merged = registry_of(sa).merge(registry_of(sb))
     combined = MetricsRegistry()
     feed(combined, sa)
     feed(combined, sb)
-    for name, h in registry_state(combined)["histograms"].items():
-        assert name in merged["histograms"]
-        m = merged["histograms"][name]
+    merged_doc = merged.to_dict()["histograms"]
+    for name, summary in combined.to_dict()["histograms"].items():
+        assert merged_doc[name] == summary
+        m, hist = merged.histogram(name), combined.histogram(name)
         for q in (0.5, 0.9, 0.95, 0.99, 1.0):
-            assert state_histogram_quantile(m, q) == (
-                combined.histogram(name).quantile(q)
-            )
-        summary = state_histogram_summary(m)
-        hist = combined.histogram(name)
-        assert summary["count"] == hist.count
-        assert summary["sum"] == hist.total
-        assert summary["min"] == hist.min
-        assert summary["max"] == hist.max
+            assert m.quantile(q) == hist.quantile(q)
+        assert (m.count, m.total, m.min, m.max) == (
+            hist.count, hist.total, hist.min, hist.max
+        )
 
 
 @settings(max_examples=40, deadline=None)
 @given(observation_streams(), observation_streams())
 def test_merge_does_not_mutate_its_inputs(sa, sb):
-    a, b = state_of(sa), state_of(sb)
+    a, b = registry_of(sa), registry_of(sb)
     a0, b0 = canon(a), canon(b)
-    merge_states(a, b)
+    a.merge(b)
     assert canon(a) == a0
     assert canon(b) == b0

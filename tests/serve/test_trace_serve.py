@@ -6,6 +6,10 @@ the HTTP accept span, all four gate verdicts, every worker attempt
 (killed ones marked ``status=killed``), and the worker's pipeline phase
 spans — all under one deterministic ``trace_id`` — and the exported
 document is byte-identical across two runs of the same scenario.
+
+The worker's side of the graft is tested directly: a traced worker keeps
+no spans once a job's spans are shipped, and a report job's isolated
+spans are grafted under its ``worker:job`` span.
 """
 
 from __future__ import annotations
@@ -14,9 +18,11 @@ import asyncio
 import json
 import threading
 
-from repro.obs.distrib import mint_trace_id
+from repro.obs.distrib import TraceContext, mint_trace_id
 from repro.serve import CompilationService, ServeConfig, ServeServer
 from repro.serve.client import ServeClient
+from repro.serve.jobs import JobSpec
+from repro.serve.worker import WorkerRuntime
 
 JOB = {
     "tenant": "trace-t",
@@ -154,3 +160,45 @@ def test_untraced_job_has_no_trace_and_no_trace_id():
         )
         loop.call_soon_threadsafe(loop.stop)
         thread.join(timeout=10)
+
+
+def _traced_jobs(runtime, count: int, start: int = 0) -> list:
+    """Run ``count`` traced VectorAdd jobs; return their shipped spans."""
+    shipped = []
+    for k in range(start, start + count):
+        job = JobSpec(tenant="t", workload="VectorAdd", job_id=f"j{k}")
+        result = runtime.execute(
+            job, trace=TraceContext.mint(job.tenant, job.job_id)
+        )
+        assert result.status == "ok", result.error
+        shipped.append(result.__dict__["trace_spans"])
+    return shipped
+
+
+def test_traced_worker_does_not_retain_shipped_spans():
+    runtime = WorkerRuntime(trace=True)
+    retained = []
+    for rnd in range(3):
+        shipped = _traced_jobs(runtime, 10, start=10 * rnd)
+        assert all(docs[0]["name"] == "worker:job" for docs in shipped)
+        retained.append(len(runtime.obs.tracer.spans))
+    assert retained == [0, 0, 0]
+
+
+def test_report_job_spans_graft_under_the_worker_job_span():
+    runtime = WorkerRuntime(trace=True)
+    _traced_jobs(runtime, 2)
+    job = JobSpec(tenant="t", workload="VectorAdd", job_id="rep",
+                  report=True)
+    result = runtime.execute(job, trace=TraceContext.mint("t", "rep"))
+    docs = result.__dict__["trace_spans"]
+    root = docs[0]
+    assert root["name"] == "worker:job" and root["plane"] == "host"
+    # the report run's own pipeline spans hang under worker:job, after it
+    report_roots = [d for d in docs[1:] if d["parent_id"] == root["id"]]
+    assert any(d["name"].startswith("dispatch:") for d in report_roots)
+    assert all(d["tick_start"] > root["tick_end"] for d in report_roots)
+    assert [d["id"] for d in docs] == list(
+        range(root["id"], root["id"] + len(docs))
+    )
+    assert len(runtime.obs.tracer.spans) == 0
