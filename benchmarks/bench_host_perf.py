@@ -214,9 +214,8 @@ def measure_insight() -> dict:
 def measure_kernel_tiers(n: int) -> dict:
     """One hot launch per tier; wall-clock each and compare outputs.
 
-    The dispatcher is driven directly (promotion threshold at 1) so
-    each leg runs entirely in one tier: a warm launch first to pay
-    compiles and promotion, then the timed launch.
+    The dispatcher is driven directly, so each leg runs entirely in one
+    tier: a warm launch first to pay the compile, then the timed launch.
     """
     import numpy as np
 
@@ -233,9 +232,7 @@ def measure_kernel_tiers(n: int) -> dict:
     indices = list(range(n))
 
     def timed(native: bool) -> tuple[float, object]:
-        disp = KernelDispatcher(
-            cache=KernelCache(), src_threshold=1, native=native
-        )
+        disp = KernelDispatcher(cache=KernelCache(), native=native)
 
         def launch():
             stg = ArrayStorage(
@@ -247,7 +244,7 @@ def measure_kernel_tiers(n: int) -> dict:
             disp.take_counts(fn)
             return dt, stg.arrays["c"]
 
-        launch()  # warm: compile + cross the promotion threshold
+        launch()  # warm: compile
         return launch()
 
     interp_s, c_interp = timed(False)

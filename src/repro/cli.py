@@ -687,10 +687,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument(
         "--native", action=argparse.BooleanOptionalAction, default=True,
-        help="tiered native kernel backend: hot kernels are promoted "
-             "from the IR interpreter to generated type-specialized "
-             "source (results stay bit-identical; --no-native forces "
-             "the interpreter everywhere)",
+        help="native kernel backend: every kernel runs as generated "
+             "type-specialized source from its first launch (results "
+             "stay bit-identical; --no-native runs the IR interpreter, "
+             "the oracle, everywhere)",
     )
     run_p.add_argument(
         "--native-crosscheck", action="store_true",
@@ -746,8 +746,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     rep_p.add_argument(
         "--native", action=argparse.BooleanOptionalAction, default=True,
-        help="tiered native kernel backend (--no-native forces the "
-             "interpreter everywhere; reports stay byte-identical)",
+        help="run kernels as generated source from their first launch "
+             "(--no-native: the interpreter; reports stay byte-identical)",
     )
     rep_p.add_argument(
         "--out", metavar="FILE", default="RUN_REPORT.json",

@@ -126,7 +126,7 @@ class UnrecoverableFaultError(RuntimeFaultError):
 class NativeMismatch(JaponicaError):
     """A native kernel tier diverged from the interpreter oracle.
 
-    Raised only in ``native_crosscheck`` mode, where every promoted
+    Raised only in ``native_crosscheck`` mode, where every native
     kernel execution is replayed through the scalar interpreter and the
     two results are compared bitwise (arrays, work counts, per-lane
     totals, speculative lane state, address traces).  The interpreter's

@@ -15,8 +15,9 @@ adds a faster tier that preserves its observable behaviour exactly:
     stateless/reentrant.
 
 :class:`repro.ir.native.dispatch.KernelDispatcher` fronts the tiers:
-kernels start on the interpreter, are promoted by a hotness counter, and
-can be crosschecked bit-for-bit against the interpreter oracle.
+with the backend on, a kernel runs on src from its first launch; the
+interpreter is the oracle every launch can be crosschecked against
+bit-for-bit and the ``native=False`` engine.
 """
 
 from .codegen import DEFAULT_FUEL, NativeKernel, generate_source

@@ -1,9 +1,9 @@
-"""Tier selection and execution fronting for compiled kernels.
+"""Execution fronting for compiled kernels.
 
-``KernelDispatcher`` owns the per-context work counters and hotness
-state; the compiled artifacts themselves live in a process-wide
-``KernelCache`` shared by every device and executor, so an N-device
-pool compiles each kernel once:
+``KernelDispatcher`` owns the per-context work counters; the compiled
+artifacts themselves live in a process-wide ``KernelCache`` shared by
+every device and executor, so an N-device pool compiles each kernel
+once:
 
 * stateless tiers (generated-source ``NativeKernel``, the
   vectorized/specvec kernels) are cached globally under a lock, keyed
@@ -12,11 +12,12 @@ pool compiles each kernel once:
   their counters and backend) is cached per *thread*, which still
   deduplicates the per-device copies of the old per-instance caches.
 
-Tier ladder per kernel: ``interp`` → ``src``.  Promotion is by a
-cumulative iteration count (one large launch promotes immediately).
-``crosscheck`` mode replays every native execution through the
-interpreter oracle and compares results bitwise — the oracle's effects
-always win.
+With the native backend on, every launch runs on the ``src`` tier from
+the kernel's first launch, the way a kernel is compiled before it ever
+runs on a device.  The ``interp`` tier is the ``native=False`` engine,
+the oracle that ``crosscheck`` mode replays every native launch through
+(comparing results bitwise; the oracle's effects always win), and the
+fallback for a kernel the generator cannot compile.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ class KernelCache:
     def __init__(self):
         self._lock = threading.Lock()
         self._src: dict[tuple[str, str], NativeKernel] = {}
+        self._src_failed: set[tuple[str, str]] = set()
         self._vector: dict[str, VectorizedKernel] = {}
         self._specvec: dict[str, VectorizedSpecKernel] = {}
         self._local = threading.local()
@@ -88,15 +90,26 @@ class KernelCache:
 
     def src(
         self, fn: IRFunction, flavor: str, fuel: int = DEFAULT_FUEL
-    ) -> NativeKernel:
+    ) -> Optional[NativeKernel]:
+        """The src kernel of ``(fn, flavor)``, or ``None`` if it fails
+        to compile.
+
+        Only compiling (generate, ``compile``, ``exec``) is guarded, and
+        a failed pair is remembered: it is attempted once per process.
+        """
         key = (fn.fingerprint(), flavor)
         kern = self._src.get(key)
-        if kern is not None:
+        if kern is not None or key in self._src_failed:
             return kern
         with self._lock:
             kern = self._src.get(key)
-            if kern is None:
-                kern = self._src[key] = NativeKernel(fn, flavor, fuel)
+            if kern is None and key not in self._src_failed:
+                try:
+                    kern = NativeKernel(fn, flavor, fuel)
+                except Exception:  # noqa: BLE001 - the interpreter runs it
+                    self._src_failed.add(key)
+                    return None
+                self._src[key] = kern
                 self.compiles["src"] += 1
         return kern
 
@@ -124,6 +137,7 @@ class KernelCache:
     def clear(self) -> None:
         with self._lock:
             self._src.clear()
+            self._src_failed.clear()
             self._vector.clear()
             self._specvec.clear()
             self._local = threading.local()
@@ -136,34 +150,31 @@ GLOBAL_KERNEL_CACHE = KernelCache()
 
 
 class KernelDispatcher:
-    """Runs kernels through the hottest correct tier.
+    """Runs every kernel launch on one tier and counts the work.
 
     One dispatcher is shared by all devices and the CPU executor of an
-    execution context; it owns the per-kernel raw work counters (so
+    execution context; it owns the per-kernel raw work counters, so
     partial counts from faulted attempts accumulate exactly as the old
-    per-device ``CompiledKernel`` counters did) and the hotness state
-    driving promotion: a kernel moves to the src tier once its
-    cumulative launched iterations reach ``src_threshold``.
+    per-device ``CompiledKernel`` counters did.  With ``native`` on, a
+    launch runs on the src tier from the kernel's first launch; with it
+    off, or when the kernel fails to compile, on the interpreter.  The
+    ``kernel.tier.*`` counters name the tier each launch ran on.
     """
 
     def __init__(
         self,
         cache: Optional[KernelCache] = None,
-        src_threshold: int = 256,
         obs: Optional[Instrumentation] = None,
         native: bool = True,
         crosscheck: bool = False,
         fuel: int = DEFAULT_FUEL,
     ):
         self.cache = cache or GLOBAL_KERNEL_CACHE
-        self.src_threshold = src_threshold
         self.obs = obs or NULL_INSTRUMENTATION
         self.native = native
         self.crosscheck = crosscheck
         self.fuel = fuel
         self._raw: dict[str, list[int]] = {}
-        self._hot: dict[str, int] = {}
-        self._tier: dict[str, str] = {}
 
     # -- counters -------------------------------------------------------
 
@@ -185,27 +196,7 @@ class KernelDispatcher:
     def peek_counts(self, fn: IRFunction) -> Counts:
         return Counts.from_raw(self.counters(fn))
 
-    # -- tier selection -------------------------------------------------
-
-    def _select(self, fn: IRFunction, n: int) -> str:
-        key = fn.fingerprint()
-        hot = self._hot.get(key, 0) + n
-        self._hot[key] = hot
-        native = self.native and hot >= self.src_threshold
-        tier = TIER_SRC if native else TIER_INTERP
-        previous = self._tier.get(key, TIER_INTERP)
-        if tier != previous:
-            self._tier[key] = tier
-            with self.obs.tracer.span(
-                f"promote:{fn.name}",
-                "kernel",
-                plane=PLANE_HOST,
-                tier=tier,
-                from_tier=previous,
-                hot_iterations=hot,
-            ):
-                pass
-        return tier
+    # -- tier accounting ------------------------------------------------
 
     def _record(self, tier: str, flavor: str, n: int) -> None:
         m = self.obs.metrics
@@ -256,16 +247,20 @@ class KernelDispatcher:
 
     def _run(self, fn, flavor, indices, scalar_env, storage):
         indices = list(indices)
-        tier = self._select(fn, len(indices))
-        if tier == TIER_SRC:
-            self._record(TIER_SRC, flavor, len(indices))
-            if self.crosscheck:
-                return self._run_crosschecked(
-                    fn, flavor, indices, scalar_env, storage
-                )
-            return self._run_src(fn, flavor, indices, scalar_env, storage)
-        self._record(TIER_INTERP, flavor, len(indices))
-        return self._run_interp(fn, flavor, indices, scalar_env, storage)
+        kern = self.cache.src(fn, flavor, self.fuel) if self.native else None
+        if kern is None:
+            if self.native:
+                self.obs.metrics.counter(
+                    "kernel.compile.failed", PLANE_HOST
+                ).inc()
+            self._record(TIER_INTERP, flavor, len(indices))
+            return self._run_interp(fn, flavor, indices, scalar_env, storage)
+        self._record(TIER_SRC, flavor, len(indices))
+        if self.crosscheck:
+            return self._run_crosschecked(
+                kern, fn, flavor, indices, scalar_env, storage
+            )
+        return self._run_src(kern, fn, flavor, indices, scalar_env, storage)
 
     def _run_interp(self, fn, flavor, indices, scalar_env, storage):
         kern = self.cache.interp(fn)
@@ -288,8 +283,7 @@ class KernelDispatcher:
             return per_lane, backend.traces
         return per_lane
 
-    def _run_src(self, fn, flavor, indices, scalar_env, storage):
-        kern = self.cache.src(fn, flavor, self.fuel)
+    def _run_src(self, kern, fn, flavor, indices, scalar_env, storage):
         per_lane: list[int] = []
         aux = kern.run(
             indices, scalar_env, storage, self.counters(fn), per_lane
@@ -300,7 +294,9 @@ class KernelDispatcher:
 
     # -- crosscheck mode ------------------------------------------------
 
-    def _run_crosschecked(self, fn, flavor, indices, scalar_env, storage):
+    def _run_crosschecked(
+        self, kern, fn, flavor, indices, scalar_env, storage
+    ):
         """Replay through the interpreter oracle and compare bitwise.
 
         The src tier runs against a scratch copy of memory; the
@@ -312,7 +308,6 @@ class KernelDispatcher:
         native_pl: list[int] = []
         native_aux = native_err = None
         try:
-            kern = self.cache.src(fn, flavor, self.fuel)
             native_aux = kern.run(
                 indices, scalar_env, scratch, native_raw, native_pl
             )

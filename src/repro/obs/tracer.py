@@ -13,7 +13,7 @@ trace and neither is the wall clock, so output is fully deterministic:
 
 Every span declares its **plane** where it is opened: ``sim`` (the
 default) for the simulated run, ``host`` for the machinery around it —
-tier promotion, bytecode lifting, the serve plane.  Insight reports keep
+bytecode lifting, the serve plane.  Insight reports keep
 only ``sim`` spans; no export writes the plane.
 
 Disabled tracing goes through :class:`NullTracer`, whose ``span`` call

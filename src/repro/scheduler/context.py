@@ -51,10 +51,10 @@ class JaponicaConfig:
     link_scale: float = 1.0
     #: simulated GPUs in the device pool (1 = the seed single-GPU path)
     devices: int = 1
-    #: tiered native kernel backend: promote hot kernels from the
-    #: interpreter to generated type-specialized source.  Semantics are
-    #: bit-identical by construction; turn off to force the interpreter
-    #: everywhere.
+    #: native kernel backend: run every kernel as generated
+    #: type-specialized source from its first launch.  Semantics are
+    #: bit-identical by construction; turn off to run the interpreter,
+    #: the oracle, everywhere.
     native: bool = True
     #: run every native launch twice — native on scratch storage, the
     #: interpreter on the real storage — and raise NativeMismatch on any

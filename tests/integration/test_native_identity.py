@@ -9,26 +9,50 @@ acceptance):
   interpreter path at 1 and 4 devices, bit-identical arrays, equal
   scalars.
 
+* **Tiers** — with the backend on, every launch of every workload runs
+  on the src tier from its first launch; with it off, none does.
+
 * **Crosscheck** — ``native_crosscheck=True`` runs every launch through
   both the native tier and the interpreter oracle and raises
   :class:`NativeMismatch` on any divergence; a clean pass over every
   workload is the strongest end-to-end guarantee the backend has.
+
+* **Compile fallback** — a kernel the generator cannot compile runs on
+  the interpreter with bit-identical results.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.api import Japonica
-from repro.workloads import ALL_WORKLOADS
+from repro.errors import JaponicaError
+from repro.ir.native import codegen
+from repro.workloads import ALL_WORKLOADS, BY_NAME
 
 DEVICE_COUNTS = (1, 4)
 
 
-def insight_doc(workload, native: bool, devices: int) -> tuple[str, object]:
+@pytest.fixture(scope="module")
+def traced_run():
+    """``(name, native, devices) -> (report, result, counters)``: one
+    traced run per key, shared by this module's tests and released after
+    them."""
+
+    @functools.cache
+    def run(name: str, native: bool, devices: int):
+        doc, result, obs = insight_doc(BY_NAME[name], native, devices)
+        return doc, result, obs.metrics.to_dict()["counters"]
+
+    return run
+
+
+def insight_doc(workload, native: bool, devices: int) -> tuple:
     """Run once traced and render the insight report deterministically."""
     from repro.obs import Instrumentation
     from repro.obs.insight import analyze_run, run_report
@@ -53,18 +77,14 @@ def insight_doc(workload, native: bool, devices: int) -> tuple[str, object]:
         sim_time_s=result.sim_time_s,
     )
     report = run_report({workload.name: section}, meta={"devices": devices})
-    return json.dumps(report, indent=1, sort_keys=True), result
+    return json.dumps(report, indent=1, sort_keys=True), result, obs
 
 
 @pytest.mark.parametrize("workload", ALL_WORKLOADS, ids=lambda w: w.name)
-def test_native_backend_is_identity_on_insight_report(workload):
+def test_native_backend_is_identity_on_insight_report(workload, traced_run):
     for devices in DEVICE_COUNTS:
-        doc_interp, r_interp = insight_doc(
-            workload, native=False, devices=devices
-        )
-        doc_native, r_native = insight_doc(
-            workload, native=True, devices=devices
-        )
+        doc_interp, r_interp, _ = traced_run(workload.name, False, devices)
+        doc_native, r_native, _ = traced_run(workload.name, True, devices)
         assert doc_interp == doc_native, (
             f"{workload.name}: the native backend changed the insight "
             f"report at devices={devices}"
@@ -74,6 +94,20 @@ def test_native_backend_is_identity_on_insight_report(workload):
             native_arr = r_native.arrays[name]
             assert native_arr.dtype == arr.dtype, (devices, name)
             assert arr.tobytes() == native_arr.tobytes(), (devices, name)
+
+
+@pytest.mark.parametrize("workload", ALL_WORKLOADS, ids=lambda w: w.name)
+def test_native_runs_every_launch_on_src(workload, traced_run):
+    """No launch waits on the interpreter for a kernel to get hot."""
+    for devices in DEVICE_COUNTS:
+        _, r_interp, interp = traced_run(workload.name, False, devices)
+        _, r_native, native = traced_run(workload.name, True, devices)
+        assert native.get("kernel.tier.interp", 0) == 0, devices
+        assert interp.get("kernel.tier.src", 0) == 0, devices
+        assert native.get("kernel.tier.src", 0) == interp.get(
+            "kernel.tier.interp", 0
+        ), devices
+        assert r_native.sim_time_s == r_interp.sim_time_s, devices
 
 
 @pytest.mark.parametrize("workload", ALL_WORKLOADS, ids=lambda w: w.name)
@@ -102,3 +136,27 @@ def test_native_kwarg_on_api():
     assert results[0].sim_time_s == results[1].sim_time_s
     for name, arr in results[0].arrays.items():
         assert np.array_equal(results[1].arrays[name], arr, equal_nan=True)
+
+
+def test_compile_failure_falls_back_to_interpreter(monkeypatch):
+    """A src compile that fails demotes the kernel to the interpreter:
+    arrays and simulated time equal a ``native=False`` run, and each
+    (kernel, flavor) pair is attempted once per process."""
+    attempts = Counter()
+
+    def fail(fn, flavor="direct", fuel=None):
+        attempts[fn.fingerprint(), flavor] += 1
+        raise JaponicaError("unsupported by the generator")
+
+    # the autouse fixture gives this test its own process-wide cache
+    workload = BY_NAME["Crypt"]
+    for devices in DEVICE_COUNTS:
+        expect = workload.run("japonica", devices=devices, native=False)
+        with monkeypatch.context() as patch:
+            patch.setattr(codegen, "generate", fail)
+            got = workload.run("japonica", devices=devices)
+        assert got.sim_time_s == expect.sim_time_s, devices
+        assert got.scalars == expect.scalars, devices
+        for name, arr in expect.arrays.items():
+            assert arr.tobytes() == got.arrays[name].tobytes(), (devices, name)
+    assert attempts and set(attempts.values()) == {1}

@@ -1,16 +1,11 @@
-"""Kernel dispatcher: tiering, promotion, shared cache, crosscheck."""
+"""Kernel dispatcher: tiers, compile fallback, shared cache, crosscheck."""
 
 import numpy as np
 import pytest
 
-from repro.errors import NativeMismatch
+from repro.errors import JaponicaError, NativeMismatch
 from repro.ir import ArrayStorage
-from repro.ir.native import (
-    KernelCache,
-    KernelDispatcher,
-    TIER_INTERP,
-    TIER_SRC,
-)
+from repro.ir.native import KernelCache, KernelDispatcher, codegen
 from repro.obs import Instrumentation
 
 from ..conftest import lowered
@@ -29,6 +24,10 @@ def _fn():
     return lowered(SRC)[1]
 
 
+def _counters(obs):
+    return obs.metrics.to_dict()["counters"]
+
+
 def _storage(n=16):
     return ArrayStorage(
         {"a": np.arange(-4, n - 4, dtype=np.float64), "b": np.zeros(n)}
@@ -36,99 +35,109 @@ def _storage(n=16):
 
 
 class TestPromotion:
-    def test_cold_kernel_uses_interpreter(self):
-        d = KernelDispatcher(cache=KernelCache())
-        fn = _fn()
-        d.run_direct(fn, list(range(8)), {}, _storage())
-        assert d._tier.get(fn.fingerprint(), TIER_INTERP) == TIER_INTERP
-        assert d.cache.compiles["src"] == 0
+    """A kernel runs on the src tier from its first launch."""
 
-    def test_hot_kernel_promotes_to_src(self):
-        d = KernelDispatcher(
-            cache=KernelCache(), src_threshold=16
-        )
-        fn = _fn()
-        d.run_direct(fn, list(range(8)), {}, _storage())
-        d.run_direct(fn, list(range(8)), {}, _storage())
-        assert d._tier[fn.fingerprint()] == TIER_SRC
-        assert d.cache.compiles["src"] == 1
-
-    def test_one_large_launch_promotes_immediately(self):
-        d = KernelDispatcher(
-            cache=KernelCache(), src_threshold=16
-        )
-        fn = _fn()
-        d.run_direct(fn, list(range(16)), {}, _storage())
-        assert d._tier[fn.fingerprint()] == TIER_SRC
-
-    def test_native_off_never_promotes(self):
-        d = KernelDispatcher(
-            cache=KernelCache(),
-            src_threshold=1,
-            native=False,
-        )
-        fn = _fn()
-        d.run_direct(fn, list(range(16)), {}, _storage())
-        assert d.cache.compiles["src"] == 0
-
-    def test_promotion_emits_tracer_span(self):
-        obs = Instrumentation.recording()
-        d = KernelDispatcher(
-            cache=KernelCache(),
-            src_threshold=1,
-            obs=obs,
-        )
-        fn = _fn()
-        d.run_direct(fn, [0, 1], {}, _storage())
-        spans = [
-            s for s in obs.tracer.finished_spans()
-            if s.name.startswith("promote:")
-        ]
-        assert len(spans) == 1
-        assert spans[0].attrs["tier"] == TIER_SRC
-        assert spans[0].attrs["from_tier"] == TIER_INTERP
-
-    def test_promotion_span_names_the_tier_that_runs(self):
-        # a hot control-flow kernel must report the tier it executes on:
-        # the promote span's tier and the kernel.tier.* counter agree
+    def test_first_launch_compiles_src(self):
         obs = Instrumentation.recording()
         d = KernelDispatcher(cache=KernelCache(), obs=obs)
         fn = _fn()
-        n = 65536
-        storage = ArrayStorage(
-            {"a": np.arange(n, dtype=np.float64) - 4.0, "b": np.zeros(n)}
-        )
-        d.run_direct(fn, list(range(n)), {}, storage)
-        spans = [
-            s for s in obs.tracer.finished_spans()
-            if s.name.startswith("promote:")
-        ]
-        assert [s.attrs["tier"] for s in spans] == [TIER_SRC]
-        m = obs.metrics
-        assert m.counter(f"kernel.tier.{spans[0].attrs['tier']}").value == 1
-        assert m.counter("kernel.tier.interp").value == 0
+        d.run_direct(fn, list(range(8)), {}, _storage())
+        assert d.cache.compiles["src"] == 1
+        assert _counters(obs) == {
+            "kernel.dispatch.direct": 1,
+            "kernel.tier.src": 1,
+            "kernel.tier.src.iterations": 8,
+        }
+
+    def test_launches_emit_no_span(self):
+        # a compile span would make a trace depend on process history
+        obs = Instrumentation.recording()
+        d = KernelDispatcher(cache=KernelCache(), obs=obs)
+        fn = _fn()
+        d.run_direct(fn, [0, 1], {}, _storage())
+        d.run_direct(fn, list(range(16)), {}, _storage())
+        assert obs.tracer.finished_spans() == []
+
+    def test_first_launch_is_crosschecked(self):
+        obs = Instrumentation.recording()
+        d = KernelDispatcher(cache=KernelCache(), crosscheck=True, obs=obs)
+        d.run_direct(_fn(), list(range(8)), {}, _storage())
+        assert obs.metrics.counter("kernel.crosscheck.ok").value == 1
+
+    def test_native_off_never_promotes(self):
+        obs = Instrumentation.recording()
+        d = KernelDispatcher(cache=KernelCache(), native=False, obs=obs)
+        fn = _fn()
+        d.run_direct(fn, list(range(16)), {}, _storage())
+        assert d.cache.compiles["src"] == 0
+        assert "kernel.tier.src" not in _counters(obs)
+        assert _counters(obs)["kernel.tier.interp"] == 1
 
     def test_tier_counters_recorded(self):
         obs = Instrumentation.recording()
-        d = KernelDispatcher(
-            cache=KernelCache(),
-            src_threshold=16,
-            obs=obs,
-        )
+        d = KernelDispatcher(cache=KernelCache(), obs=obs)
         fn = _fn()
         d.run_direct(fn, list(range(8)), {}, _storage())
         d.run_direct(fn, list(range(8)), {}, _storage())
-        m = obs.metrics
-        assert m.counter("kernel.tier.interp").value == 1
-        assert m.counter("kernel.tier.src").value == 1
+        counters = _counters(obs)
+        assert counters["kernel.tier.src"] == 2
+        assert counters["kernel.tier.src.iterations"] == 16
+        assert "kernel.tier.interp" not in counters
+
+
+class TestCompileFailure:
+    """A kernel the generator cannot compile runs on the interpreter."""
+
+    @pytest.fixture
+    def attempts(self, monkeypatch):
+        seen = []
+
+        def fail(fn, flavor="direct", fuel=None):
+            seen.append((fn.fingerprint(), flavor))
+            raise JaponicaError("unsupported by the generator")
+
+        monkeypatch.setattr(codegen, "generate", fail)
+        return seen
+
+    @pytest.mark.parametrize("flavor", ["direct", "buffered", "tracing"])
+    def test_falls_back_bitwise(self, attempts, flavor):
+        fn = _fn()
+        obs = Instrumentation.recording()
+        runs = {}
+        for native in (False, True):
+            d = KernelDispatcher(cache=KernelCache(), native=native, obs=obs)
+            storage = _storage()
+            run = getattr(d, f"run_{flavor}")
+            out = [run(fn, list(range(16)), {}, storage) for _ in range(2)]
+            runs[native] = (out, d.take_counts(fn), storage)
+        assert runs[True][:2] == runs[False][:2]
+        for name, arr in runs[False][2].arrays.items():
+            assert arr.tobytes() == runs[True][2].arrays[name].tobytes()
+        # one attempt per (kernel, flavor) in the cache's lifetime
+        assert attempts == [(fn.fingerprint(), flavor)]
+        counters = _counters(obs)
+        assert counters["kernel.compile.failed"] == 2
+        assert counters["kernel.tier.interp"] == 4
+        assert "kernel.tier.src" not in counters
+
+    def test_crosscheck_runs_interpreter_alone(self, attempts):
+        obs = Instrumentation.recording()
+        d = KernelDispatcher(cache=KernelCache(), crosscheck=True, obs=obs)
+        storage = _storage()
+        d.run_direct(_fn(), list(range(16)), {}, storage)
+        assert storage.arrays["b"][0] == 4.0
+        counters = _counters(obs)
+        assert counters["kernel.compile.failed"] == 1
+        assert "kernel.crosscheck.ok" not in counters
+        assert "kernel.crosscheck.mismatch" not in counters
 
 
 class TestSharedCache:
     def test_two_dispatchers_share_compiles(self):
         # N devices / executors of one process compile each kernel once
         cache = KernelCache()
-        d1 = KernelDispatcher(cache=cache, src_threshold=1)
-        d2 = KernelDispatcher(cache=cache, src_threshold=1)
+        d1 = KernelDispatcher(cache=cache)
+        d2 = KernelDispatcher(cache=cache)
         fn = _fn()
         d1.run_direct(fn, list(range(8)), {}, _storage())
         d2.run_direct(fn, list(range(8)), {}, _storage())
@@ -136,8 +145,8 @@ class TestSharedCache:
 
     def test_counters_are_per_dispatcher(self):
         cache = KernelCache()
-        d1 = KernelDispatcher(cache=cache, src_threshold=1)
-        d2 = KernelDispatcher(cache=cache, src_threshold=1)
+        d1 = KernelDispatcher(cache=cache)
+        d2 = KernelDispatcher(cache=cache)
         fn = _fn()
         d1.run_direct(fn, list(range(8)), {}, _storage())
         assert d1.peek_counts(fn).instructions > 0
@@ -158,11 +167,7 @@ class TestTierEquivalence:
         fn = _fn()
         runs = {}
         for native in (False, True):
-            d = KernelDispatcher(
-                cache=KernelCache(),
-                src_threshold=1,
-                native=native,
-            )
+            d = KernelDispatcher(cache=KernelCache(), native=native)
             storage = _storage()
             run = getattr(d, f"run_{flavor}")
             out = run(fn, list(range(16)), {}, storage)
@@ -178,23 +183,14 @@ class TestTierEquivalence:
 class TestCrosscheck:
     def test_clean_kernel_passes(self):
         obs = Instrumentation.recording()
-        d = KernelDispatcher(
-            cache=KernelCache(),
-            src_threshold=1,
-            crosscheck=True,
-            obs=obs,
-        )
+        d = KernelDispatcher(cache=KernelCache(), crosscheck=True, obs=obs)
         fn = _fn()
         d.run_direct(fn, list(range(16)), {}, _storage())
         assert obs.metrics.counter("kernel.crosscheck.ok").value == 1
         assert obs.metrics.counter("kernel.crosscheck.mismatch").value == 0
 
     def test_divergence_raises_mismatch(self):
-        d = KernelDispatcher(
-            cache=KernelCache(),
-            src_threshold=1,
-            crosscheck=True,
-        )
+        d = KernelDispatcher(cache=KernelCache(), crosscheck=True)
         fn = _fn()
         # sabotage the cached src kernel so the tiers disagree
         broken = d.cache.src(fn, "direct")
@@ -210,11 +206,7 @@ class TestCrosscheck:
             d.run_direct(fn, list(range(16)), {}, _storage())
 
     def test_interpreter_effects_win(self):
-        d = KernelDispatcher(
-            cache=KernelCache(),
-            src_threshold=1,
-            crosscheck=True,
-        )
+        d = KernelDispatcher(cache=KernelCache(), crosscheck=True)
         fn = _fn()
         storage = _storage()
         expect = _storage()
