@@ -5,8 +5,9 @@ them to ``BENCH_HOSTPERF.json`` so the perf trajectory has data:
 
 1. **profiling-phase speedup** — wall-clock of ``profile_loop`` over a
    large straight-line kernel (VectorAdd-shaped, default 256Ki
-   iterations, full-window sample) through the columnar/vectorized fast
-   path vs. the scalar SE interpreter oracle;
+   iterations, full-window sample) vs. the same profile built the
+   per-record way: the per-lane SE launch, then the scalar analyses of
+   ``tests/oracles``;
 2. **cold vs. warm artifact cache** — wall-clock of compile and run for
    a runtime-profiling workload with a shared on-disk cache: the warm
    pass must hit the cache for both the translation unit and the
@@ -44,9 +45,9 @@ import sys
 import tempfile
 import time
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-)
+_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+sys.path.insert(0, os.path.join(_ROOT, "src"))
+sys.path.insert(0, _ROOT)  # tests.oracles: the scalar profiling leg
 
 SCHEMA = "repro.hostperf/v4"
 
@@ -69,13 +70,29 @@ CACHE_WORKLOAD = "Guass-Seidel"  # DOACROSS: profiles at runtime
 
 
 def measure_profiling(n: int) -> dict:
-    """Profile a straight-line kernel through both paths; wall-clock each."""
+    """Profile a straight-line kernel both ways; wall-clock each.
+
+    ``columnar`` is ``profile_loop`` as shipped.  ``scalar`` is the same
+    profile built per record: the per-lane SE launch on the dispatcher
+    (a ``{index: LaneSpecState}`` dict), then the scalar oracles.
+    """
     import numpy as np
 
     from repro.api import Japonica
+    from repro.gpusim.warp import divergence_factor
     from repro.ir.interpreter import ArrayStorage
-    from repro.profiler.trace import profile_loop
+    from repro.profiler.trace import (
+        ANALYSIS_COST_PER_ACCESS,
+        INSTRUMENTATION_FACTOR,
+        profile_loop,
+    )
     from repro.scheduler.context import ExecutionContext
+    from tests.oracles import (
+        analyze_lanes_scalar,
+        compression_ratio_scalar,
+        estimate_coalescing_scalar,
+        logged_accesses_scalar,
+    )
 
     program = Japonica().compile(VECADD_SRC)
     fn = program.unit.methods["run"].loops[0].fn
@@ -89,17 +106,34 @@ def measure_profiling(n: int) -> dict:
         })
 
     env = {"n": n}
+    indices = range(n)
     out = {}
-    for label, columnar in (("columnar", True), ("scalar", False)):
-        ctx = ExecutionContext()
-        ctx.device.columnar_profiling = columnar
-        stg = storage()
-        t0 = time.perf_counter()
-        run = profile_loop(
-            ctx.device, fn, range(n), env, stg, max_sample=n
-        )
-        out[f"{label}_s"] = time.perf_counter() - t0
-        out[f"{label}_profile_time_s"] = run.profile.profile_time_s
+
+    ctx = ExecutionContext()
+    stg = storage()
+    t0 = time.perf_counter()
+    run = profile_loop(ctx.device, fn, indices, env, stg, max_sample=n)
+    out["columnar_s"] = time.perf_counter() - t0
+    out["columnar_profile_time_s"] = run.profile.profile_time_s
+
+    ctx = ExecutionContext()
+    device, warp = ctx.device, ctx.device.spec.warp_size
+    stg = storage()
+    t0 = time.perf_counter()
+    per_lane, lanes = ctx.kernels.run_buffered(fn, indices, env, stg)
+    kernel_s = device.cost.gpu_kernel_time(
+        ctx.kernels.take_counts(fn), n,
+        divergence=divergence_factor(per_lane, warp),
+    )
+    profile = analyze_lanes_scalar(lanes, indices, warp)
+    profile.coalescing = estimate_coalescing_scalar(lanes, indices, warp)
+    profile.compression_ratio = compression_ratio_scalar(lanes)
+    profile.profile_time_s = (
+        kernel_s * INSTRUMENTATION_FACTOR
+        + logged_accesses_scalar(lanes) * ANALYSIS_COST_PER_ACCESS
+    )
+    out["scalar_s"] = time.perf_counter() - t0
+    out["scalar_profile_time_s"] = profile.profile_time_s
     out["speedup"] = out["scalar_s"] / out["columnar_s"]
     return out
 

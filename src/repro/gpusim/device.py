@@ -7,13 +7,14 @@ simulated kernel time by the cost model.  Three launch modes correspond
 to the three device-side execution styles in the paper:
 
 ``buffered``
-    SE-phase style: per-lane write buffers + read/write logs
-    (:class:`SpeculativeBackend`).  Used by GPU-TLS, privatization, and
-    by DOALL execution (whose commit is trivially safe).
+    SE-phase style: per-lane write buffers + read/write logs, returned
+    as a :class:`ColumnarLanes` SE log whatever engine ran the lanes.
+    Used by the profiler (its writes stay buffered, so program state is
+    not perturbed), GPU-TLS, privatization, and by DOALL execution
+    (whose commit is trivially safe).
 ``tracing``
-    Profiling instrumentation: direct writes plus a full address trace
-    (:class:`TracingBackend`) — but against a scratch copy of memory, as
-    the profiler must not perturb program state.
+    Direct writes to the real storage plus a per-lane address trace
+    (:class:`TracingBackend`), returned in ``LaunchResult.traces``.
 ``direct``
     Straight execution; uses the vectorized fast path when the kernel is
     straight-line.  Only safe for loops proven DOALL.
@@ -22,7 +23,7 @@ to the three device-side execution styles in the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -35,11 +36,7 @@ from ..errors import (
 from ..faults.plane import SITE_GPU_HANG, SITE_GPU_LAUNCH
 from ..faults.resilience import FaultRuntime
 from ..ir.instructions import IRFunction, stored_arrays
-from ..ir.interpreter import (
-    ArrayStorage,
-    Counts,
-    LaneSpecState,
-)
+from ..ir.interpreter import ArrayStorage, Counts
 from ..ir.columnar import ColumnarLanes
 from ..ir.native import KernelDispatcher
 from ..ir.vectorizer import can_vectorize
@@ -60,9 +57,8 @@ class LaunchResult:
     warps: list[Warp]
     #: lock-step SIMD divergence penalty measured for this launch
     divergence: float = 1.0
-    #: per-iteration speculative state (buffered mode only); either a
-    #: plain dict or a :class:`ColumnarLanes` view (same Mapping protocol)
-    lanes: Mapping[int, LaneSpecState] = field(default_factory=dict)
+    #: the launch's SE log (buffered mode only)
+    lanes: Optional[ColumnarLanes] = None
     #: per-iteration address traces (tracing mode only)
     traces: dict[int, list] = field(default_factory=dict)
     vectorized: bool = False
@@ -92,24 +88,6 @@ class GpuDevice:
         #: executor share one dispatcher (compile once per process), and
         #: all artifacts are keyed by content fingerprint, not id(fn)
         self.kernels = kernels or KernelDispatcher(obs=self.obs)
-        #: columnar fast path for buffered launches; tests/benches flip
-        #: this off to exercise the scalar oracle end to end
-        self.columnar_profiling: bool = True
-
-    @property
-    def native_crosscheck(self) -> bool:
-        """Replay native-tier executions through the interpreter oracle.
-
-        Same pattern as the ``*_scalar`` cross-checks: tests/benches flip
-        this on to verify the generated tiers bit-for-bit end to end.
-        The flag lives on the shared dispatcher, so setting it on any
-        device of a pool covers the whole context.
-        """
-        return self.kernels.crosscheck
-
-    @native_crosscheck.setter
-    def native_crosscheck(self, value: bool) -> None:
-        self.kernels.crosscheck = bool(value)
 
     # -- launches -------------------------------------------------------
 
@@ -145,7 +123,7 @@ class GpuDevice:
                 block_size=block_size, penalty_s=penalty_s,
             )
         if mode == "buffered":
-            if self.columnar_profiling and can_vectorize(fn) and indices:
+            if can_vectorize(fn) and indices:
                 return self._launch_buffered_vectorized(
                     fn, indices, scalar_env, storage, warps, coalescing,
                     elem_bytes, check_allocations, block_size, penalty_s,
@@ -169,11 +147,7 @@ class GpuDevice:
         )
         result = LaunchResult(counts, sim_time, len(indices), warps, divergence=div)
         if mode == "buffered":
-            result.lanes = (
-                ColumnarLanes.from_states(aux, indices)
-                if self.columnar_profiling
-                else aux
-            )
+            result.lanes = ColumnarLanes.from_states(aux, indices, storage)
         else:
             result.traces = aux
         if check_allocations:
@@ -360,30 +334,3 @@ class GpuDevice:
     def _mark_writes(self, fn: IRFunction) -> None:
         for name in stored_arrays(fn):
             self.memory.mark_written(name)
-
-    def commit_lanes(
-        self,
-        lanes: Mapping[int, LaneSpecState],
-        storage: ArrayStorage,
-        iterations: Sequence[int],
-    ) -> int:
-        """Commit buffered writes to memory in iteration order.
-
-        Returns the number of cells written.  Iteration-order commit makes
-        last-writer-wins match sequential semantics for overlapping writes
-        (the privatization copy-back rule).
-        """
-        if isinstance(lanes, ColumnarLanes):
-            cells, _nbytes = lanes.commit(storage, sorted(iterations))
-            return cells
-        written = 0
-        for i in sorted(iterations):
-            state = lanes.get(i)
-            if state is None:
-                continue
-            for (name, flat), value in state.buffer.items():
-                storage.write_flat(name, flat, value)
-                written += 1
-        return written
-
-

@@ -1,27 +1,27 @@
-"""Columnar speculative-access logs (the profiling fast path).
+"""Columnar speculative-access logs: the one SE-log format.
 
-A buffered launch over ``n`` lanes produces, per lane, a write buffer
-plus read/write logs.  The scalar representation — one
-:class:`LaneSpecState` with Python ``AccessRecord`` lists per lane — is
-what the interpreter naturally emits, but every analysis over it
-(density, coalescing, stride compression, dependency checking, commit)
-then crawls Python objects.  :class:`ColumnarLanes` stores the same
-information as NumPy columns:
+Every buffered (SE-phase) launch returns a :class:`ColumnarLanes`, and
+every consumer — dependency density, coalescing, stride compression,
+the TLS dependency check, the commit and the DC volume count — reads
+its NumPy columns:
 
 * ``order``/``present`` — iteration id per lane *position* and whether
   the lane ran;
 * read/write columns ``(pos, op, array_id, flat)`` sorted by
   ``(pos, op)`` — i.e. grouped per lane in log order;
 * per-array buffer columns ``(pos, flat, value)`` with one row per
-  final buffered cell, sorted by ``(pos, flat)``.
+  final buffered cell, sorted by ``(pos, flat)``, values at the array's
+  dtype.
 
-It also implements the ``Mapping[int, LaneSpecState]`` protocol so every
-scalar consumer keeps working unchanged: logs built by the scalar
-backend keep their original states (``from_states``), logs built by the
-vectorized SE kernel materialize states on demand.
+Straight-line kernels produce the columns directly (the vectorized SE
+kernel); kernels with control flow run per lane on the src tier or the
+interpreter, whose ``{index: LaneSpecState}`` output
+:meth:`ColumnarLanes.from_states` converts.  The ``Mapping[int,
+LaneSpecState]`` protocol materializes a lane's state on demand; only
+the scalar test oracles read it.
 
 Invariant relied upon by the columnar analyses: within a lane the log
-lists are op-ascending (both backends append with a monotonically
+lists are op-ascending (every engine appends with a monotonically
 increasing op counter).
 """
 
@@ -33,8 +33,6 @@ import numpy as np
 
 from .interpreter import AccessRecord, ArrayStorage, LaneSpecState
 
-_EMPTY = np.empty(0, dtype=np.int64)
-
 
 def _as_order_array(iteration_order) -> np.ndarray:
     if isinstance(iteration_order, np.ndarray):
@@ -43,7 +41,12 @@ def _as_order_array(iteration_order) -> np.ndarray:
 
 
 class ColumnarLanes(Mapping):
-    """Columnar per-lane speculative state of one buffered launch."""
+    """The SE log of one buffered launch, as the columns listed above.
+
+    Built by the vectorized SE kernel or by :meth:`from_states`; read by
+    the profiler's analyses, the TLS dependency check, :meth:`commit`
+    and :meth:`logged_accesses`.
+    """
 
     def __init__(
         self,
@@ -52,9 +55,8 @@ class ColumnarLanes(Mapping):
         names: list[str],
         reads: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
         writes: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-        buffers: Optional[dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]],
+        buffers: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]],
         op_total: Optional[int] = None,
-        states: Optional[Mapping[int, LaneSpecState]] = None,
     ):
         self.order = order
         self.present = present
@@ -62,11 +64,9 @@ class ColumnarLanes(Mapping):
         self.r_pos, self.r_op, self.r_arr, self.r_flat = reads
         self.w_pos, self.w_op, self.w_arr, self.w_flat = writes
         #: array_id -> (pos, flat, value) final buffered cells, unique per
-        #: (pos, flat), sorted by (pos, flat); None when only scalar
-        #: states carry the buffers (``from_states`` construction)
+        #: (pos, flat), sorted by (pos, flat)
         self.buffers = buffers
         self._op_total = op_total
-        self._states = dict(states) if states is not None else None
         self._pos_of: Optional[dict[int, int]] = None
 
     # -- construction ----------------------------------------------------
@@ -76,8 +76,15 @@ class ColumnarLanes(Mapping):
         cls,
         states: Mapping[int, LaneSpecState],
         iteration_order: Sequence[int],
+        storage: ArrayStorage,
     ) -> "ColumnarLanes":
-        """Wrap scalar backend output (log lists must be op-ascending)."""
+        """Columns of a per-lane engine's ``{index: LaneSpecState}`` output.
+
+        Log lists must be op-ascending, and a lane's buffer keys must be
+        its written cells in first-write order: every engine appends the
+        write record before it sets the buffer key, so the deduplicated
+        write log names each buffered value's cell.
+        """
         order = _as_order_array(iteration_order)
         n = len(order)
         present = np.zeros(n, dtype=bool)
@@ -85,6 +92,7 @@ class ColumnarLanes(Mapping):
         aid: dict[str, int] = {}
         r_cols: tuple[list, list, list, list] = ([], [], [], [])
         w_cols: tuple[list, list, list, list] = ([], [], [], [])
+        values: list = []
         for p in range(n):
             state = states.get(int(order[p]))
             if state is None:
@@ -108,32 +116,39 @@ class ColumnarLanes(Mapping):
                 w_cols[1].append(rec.op)
                 w_cols[2].append(a)
                 w_cols[3].append(rec.flat)
+            values.extend(state.buffer.values())
 
         def cols(raw):
             return tuple(np.array(c, dtype=np.int64) for c in raw)
 
         # the scan is position-major and each lane's list op-ascending,
         # so the columns are already (pos, op)-sorted
-        return cls(
-            order, present, names, cols(r_cols), cols(w_cols),
-            buffers=None, states=states,
-        )
+        reads, writes = cols(r_cols), cols(w_cols)
+        w_pos, w_op, w_arr, w_flat = writes
+        m = int(w_flat.max()) + 1 if len(w_flat) else 1
+        # first write per (lane, cell) in (pos, op) order: the buffer
+        # keys, in the order ``values`` lists them
+        b_pos, _op, b_key = dedup_first(w_pos, w_op, w_arr * m + w_flat)
+        b_val = np.array(values, dtype=object)
+        b_arr = b_key // m
+        buffers: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        for a in np.unique(b_arr):
+            sel = b_arr == a
+            pos, flat = b_pos[sel], b_key[sel] % m
+            s = np.lexsort((flat, pos))
+            dtype = storage.arrays[names[a]].dtype
+            buffers[int(a)] = (pos[s], flat[s], b_val[sel][s].astype(dtype))
+        return cls(order, present, names, reads, writes, buffers)
 
     # -- Mapping protocol ------------------------------------------------
 
     def __len__(self) -> int:
-        if self._states is not None:
-            return len(self._states)
         return int(self.present.sum())
 
     def __iter__(self) -> Iterator[int]:
-        if self._states is not None:
-            return iter(self._states)
         return (int(it) for it in self.order[self.present])
 
     def __getitem__(self, iteration: int) -> LaneSpecState:
-        if self._states is not None:
-            return self._states[iteration]
         pos = self._position_of(iteration)
         if pos is None:
             raise KeyError(iteration)
@@ -165,25 +180,17 @@ class ColumnarLanes(Mapping):
             )
         ]
         buffer: dict[tuple[str, int], object] = {}
-        if self.buffers:
-            for a_id, (b_pos, b_flat, b_val) in self.buffers.items():
-                lo, hi = np.searchsorted(b_pos, [pos, pos + 1])
-                name = names[a_id]
-                for f, v in zip(b_flat[lo:hi], b_val[lo:hi]):
-                    buffer[(name, int(f))] = v.item()
+        for a_id, (b_pos, b_flat, b_val) in self.buffers.items():
+            lo, hi = np.searchsorted(b_pos, [pos, pos + 1])
+            name = names[a_id]
+            for f, v in zip(b_flat[lo:hi], b_val[lo:hi]):
+                buffer[(name, int(f))] = v.item()
         return LaneSpecState(
             buffer=buffer, reads=reads, writes=writes,
             op=int(self._op_total or 0),
         )
 
-    # -- fast-path queries ------------------------------------------------
-
-    def matches_order(self, iteration_order) -> bool:
-        """True when ``iteration_order`` equals the launch's lane order."""
-        seq = _as_order_array(iteration_order)
-        return seq.shape == self.order.shape and bool(
-            np.array_equal(self.order, seq)
-        )
+    # -- queries ----------------------------------------------------------
 
     @property
     def n_positions(self) -> int:
@@ -194,43 +201,8 @@ class ColumnarLanes(Mapping):
         return int(self.present.sum())
 
     def logged_accesses(self) -> int:
-        """Total logged reads + writes (the DD analysis input volume)."""
+        """Total logged reads + writes (the DD/DC analysis input volume)."""
         return len(self.r_pos) + len(self.w_pos)
-
-    def _wanted_mask(self, iterations) -> np.ndarray:
-        wanted = np.unique(np.fromiter(iterations, dtype=np.int64))
-        lane_wanted = np.isin(self.order, wanted)
-        return lane_wanted & self.present
-
-    def metadata_entries(self, iterations=None) -> int:
-        if iterations is None:
-            return self.logged_accesses()
-        mask = self._wanted_mask(iterations)
-        return int(mask[self.r_pos].sum() + mask[self.w_pos].sum())
-
-    def buffered_cells(self) -> int:
-        if self._states is not None:
-            return sum(len(s.buffer) for s in self._states.values())
-        assert self.buffers is not None
-        return sum(len(b_pos) for b_pos, _f, _v in self.buffers.values())
-
-    def buffered_bytes(self, storage: ArrayStorage, iterations=None) -> int:
-        if self._states is not None:
-            total = 0
-            wanted = None if iterations is None else set(iterations)
-            for it, state in self._states.items():
-                if wanted is not None and it not in wanted:
-                    continue
-                for (name, _flat) in state.buffer:
-                    total += storage.arrays[name].dtype.itemsize
-            return total
-        assert self.buffers is not None
-        mask = None if iterations is None else self._wanted_mask(iterations)
-        total = 0
-        for a_id, (b_pos, _f, _v) in self.buffers.items():
-            rows = len(b_pos) if mask is None else int(mask[b_pos].sum())
-            total += rows * storage.arrays[self.names[a_id]].dtype.itemsize
-        return total
 
     # -- commit -----------------------------------------------------------
 
@@ -240,21 +212,9 @@ class ColumnarLanes(Mapping):
         """Apply buffers of ``iterations`` in the given sequential order.
 
         Returns ``(cells_written, bytes_written)``; the last lane (in the
-        given order) to buffer a cell wins, matching the scalar commit.
+        given order) to buffer a cell wins, so overlapping writes resolve
+        to the sequentially-last writer.
         """
-        if self._states is not None:
-            cells = 0
-            nbytes = 0
-            for it in iterations:
-                state = self._states.get(it)
-                if state is None:
-                    continue
-                for (name, flat), value in state.buffer.items():
-                    storage.write_flat(name, flat, value)
-                    cells += 1
-                    nbytes += storage.arrays[name].dtype.itemsize
-            return cells, nbytes
-        assert self.buffers is not None
         commit = np.fromiter(iterations, dtype=np.int64)
         if len(commit) == 0 or not self.buffers:
             return 0, 0

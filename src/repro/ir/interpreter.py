@@ -37,6 +37,10 @@ class FuelExhausted(JaponicaError):
     """Raised when a kernel exceeds its instruction budget (runaway loop)."""
 
 
+#: Per-index instruction budget of every kernel engine.
+DEFAULT_FUEL = 200_000_000
+
+
 # ---------------------------------------------------------------------------
 # Work counters
 # ---------------------------------------------------------------------------
@@ -357,7 +361,7 @@ class CompiledKernel:
     ``fn(regs) -> int`` returning the next block id (or -1 for RET).
     """
 
-    def __init__(self, fn: IRFunction, fuel: int = 200_000_000):
+    def __init__(self, fn: IRFunction, fuel: int = DEFAULT_FUEL):
         self.fn = fn
         self.fuel = fuel
         self.counters = [0] * N_COUNTERS

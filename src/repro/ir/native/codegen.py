@@ -49,13 +49,12 @@ from ..instructions import IRFunction, Opcode
 from ..interpreter import (
     AccessRecord,
     C_TOTAL,
+    DEFAULT_FUEL,
     FuelExhausted,
     LaneSpecState,
     N_COUNTERS,
     category,
 )
-
-DEFAULT_FUEL = 200_000_000
 
 FLAVORS = ("direct", "buffered", "tracing")
 

@@ -43,7 +43,7 @@ from ..interpreter import (
 )
 from ..specvec import VectorizedSpecKernel
 from ..vectorizer import VectorizedKernel
-from .codegen import DEFAULT_FUEL, NativeKernel
+from .codegen import NativeKernel
 
 TIER_INTERP = "interp"
 TIER_SRC = "src"
@@ -88,9 +88,7 @@ class KernelCache:
 
     # -- stateless tiers ------------------------------------------------
 
-    def src(
-        self, fn: IRFunction, flavor: str, fuel: int = DEFAULT_FUEL
-    ) -> Optional[NativeKernel]:
+    def src(self, fn: IRFunction, flavor: str) -> Optional[NativeKernel]:
         """The src kernel of ``(fn, flavor)``, or ``None`` if it fails
         to compile.
 
@@ -105,7 +103,7 @@ class KernelCache:
             kern = self._src.get(key)
             if kern is None and key not in self._src_failed:
                 try:
-                    kern = NativeKernel(fn, flavor, fuel)
+                    kern = NativeKernel(fn, flavor)
                 except Exception:  # noqa: BLE001 - the interpreter runs it
                     self._src_failed.add(key)
                     return None
@@ -167,13 +165,11 @@ class KernelDispatcher:
         obs: Optional[Instrumentation] = None,
         native: bool = True,
         crosscheck: bool = False,
-        fuel: int = DEFAULT_FUEL,
     ):
         self.cache = cache or GLOBAL_KERNEL_CACHE
         self.obs = obs or NULL_INSTRUMENTATION
         self.native = native
         self.crosscheck = crosscheck
-        self.fuel = fuel
         self._raw: dict[str, list[int]] = {}
 
     # -- counters -------------------------------------------------------
@@ -247,7 +243,7 @@ class KernelDispatcher:
 
     def _run(self, fn, flavor, indices, scalar_env, storage):
         indices = list(indices)
-        kern = self.cache.src(fn, flavor, self.fuel) if self.native else None
+        kern = self.cache.src(fn, flavor) if self.native else None
         if kern is None:
             if self.native:
                 self.obs.metrics.counter(

@@ -10,45 +10,26 @@ memory bandwidth in the cost model.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Mapping, Sequence
-
 import numpy as np
 
 from ..ir.columnar import ColumnarLanes
-from ..ir.interpreter import LaneSpecState
 
 
 def estimate_coalescing(
-    lanes: Mapping[int, LaneSpecState],
-    iteration_order: Sequence[int],
-    warp_size: int = 32,
-    floor: float = 0.1,
+    lanes: ColumnarLanes, warp_size: int = 32, floor: float = 0.1
 ) -> float:
     """Fraction in (0, 1]: 1.0 = perfectly coalesced accesses.
 
     Computed as the fraction of adjacent-lane address pairs (same warp,
     same op slot, same array) whose flat-address delta is 0 (broadcast)
     or ±1 (unit stride).  Kernels with no comparable pairs default to 1.0.
+    The (warp, op, array) slots are grouped by one sort; unit-position
+    neighbours are then counted with |flat delta| <= 1.
     """
-    if isinstance(lanes, ColumnarLanes) and lanes.matches_order(
-        iteration_order
-    ):
-        return _estimate_columnar(lanes, warp_size, floor)
-    return estimate_coalescing_scalar(
-        lanes, iteration_order, warp_size, floor
-    )
-
-
-def _estimate_columnar(
-    col: ColumnarLanes, warp_size: int, floor: float
-) -> float:
-    """Vectorized twin: group (warp, op, array) slots by sorting, then
-    count unit-position neighbours with |flat delta| <= 1."""
-    pos = np.concatenate([col.r_pos, col.w_pos])
-    op = np.concatenate([col.r_op, col.w_op])
-    arr = np.concatenate([col.r_arr, col.w_arr])
-    flat = np.concatenate([col.r_flat, col.w_flat])
+    pos = np.concatenate([lanes.r_pos, lanes.w_pos])
+    op = np.concatenate([lanes.r_op, lanes.w_op])
+    arr = np.concatenate([lanes.r_arr, lanes.w_arr])
+    flat = np.concatenate([lanes.r_flat, lanes.w_flat])
     if len(pos) < 2:
         return 1.0
     warp = pos // warp_size
@@ -62,41 +43,4 @@ def _estimate_columnar(
     if total == 0:
         return 1.0
     good = int((adjacent & (np.abs(flat[1:] - flat[:-1]) <= 1)).sum())
-    return max(floor, good / total)
-
-
-def estimate_coalescing_scalar(
-    lanes: Mapping[int, LaneSpecState],
-    iteration_order: Sequence[int],
-    warp_size: int = 32,
-    floor: float = 0.1,
-) -> float:
-    """Reference (per-record) implementation (the cross-check oracle)."""
-    # (warp, op, array) -> {lane_position: flat}
-    slots: dict[tuple[int, int, str], dict[int, int]] = defaultdict(dict)
-    for pos, it in enumerate(iteration_order):
-        state = lanes.get(it)
-        if state is None:
-            continue
-        warp = pos // warp_size
-        for rec in state.reads:
-            slots[(warp, rec.op, rec.array)][pos] = rec.flat
-        for rec in state.writes:
-            slots[(warp, rec.op, rec.array)][pos] = rec.flat
-
-    good = 0
-    total = 0
-    for mapping in slots.values():
-        if len(mapping) < 2:
-            continue
-        positions = sorted(mapping)
-        for a, b in zip(positions, positions[1:]):
-            if b != a + 1:
-                continue  # only adjacent lanes are coalescing-relevant
-            total += 1
-            delta = abs(mapping[b] - mapping[a])
-            if delta <= 1:
-                good += 1
-    if total == 0:
-        return 1.0
     return max(floor, good / total)

@@ -8,10 +8,6 @@ per-warp TD map the mode-B recovery logic consults.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections import defaultdict
-from typing import Mapping, Sequence
-
 import numpy as np
 
 from ..ir.columnar import (
@@ -20,7 +16,6 @@ from ..ir.columnar import (
     dedup_first,
     first_seen_ranks,
 )
-from ..ir.interpreter import LaneSpecState
 from .intrawarp import classify_same_warp
 from .report import DepPair, DependencyProfile
 
@@ -29,169 +24,25 @@ SAMPLE_CAP = 4096
 
 
 def analyze_lanes(
-    lanes: Mapping[int, LaneSpecState],
-    iteration_order: Sequence[int],
-    warp_size: int = 32,
+    lanes: ColumnarLanes, warp_size: int = 32
 ) -> DependencyProfile:
-    """Compute the dependency profile from per-iteration SE logs.
+    """Compute the dependency profile from a launch's SE log.
 
-    ``iteration_order`` is the sequential order of the iterations (the
-    launch's index list); warps are formed over lane *positions* in this
-    order, mirroring how the launch partitioned them.
+    Warps are formed over lane *positions* in the launch order
+    (``lanes.order``), mirroring how the launch partitioned them.
 
-    Columnar logs matching the launch order take the vectorized path;
-    everything else (plain dicts, sub-ranges) uses the scalar analysis,
-    which doubles as the cross-check oracle for the vectorized one.
+    The per-cell reader/writer scans are sort/unique/searchsorted passes.
+    Iteration ids never drive the math — dependencies relate lane
+    *positions* (ids are unique within a launch, so a position bijects
+    to its id) — ids only appear in the reported targets and sample
+    pairs.
     """
-    if isinstance(lanes, ColumnarLanes) and lanes.matches_order(
-        iteration_order
-    ):
-        return _analyze_columnar(lanes, warp_size)
-    return analyze_lanes_scalar(lanes, iteration_order, warp_size)
-
-
-def analyze_lanes_scalar(
-    lanes: Mapping[int, LaneSpecState],
-    iteration_order: Sequence[int],
-    warp_size: int = 32,
-) -> DependencyProfile:
-    """Reference (per-record) implementation of :func:`analyze_lanes`."""
-    order_pos = {it: pos for pos, it in enumerate(iteration_order)}
-    n = len(iteration_order)
-
-    # cell -> sorted list of writer iterations; cell -> reader iterations
-    writers: dict[tuple[str, int], list[int]] = defaultdict(list)
-    readers: dict[tuple[str, int], list[int]] = defaultdict(list)
-    for it in iteration_order:
-        state = lanes.get(it)
-        if state is None:
-            continue
-        seen_w: set[tuple[str, int]] = set()
-        for rec in state.writes:
-            key = (rec.array, rec.flat)
-            if key not in seen_w:
-                seen_w.add(key)
-                writers[key].append(it)
-        seen_r: set[tuple[str, int]] = set()
-        for rec in state.reads:
-            key = (rec.array, rec.flat)
-            if key not in seen_r:
-                seen_r.add(key)
-                readers[key].append(it)
-
-    for lst in writers.values():
-        lst.sort(key=order_pos.__getitem__)
-    for lst in readers.values():
-        lst.sort(key=order_pos.__getitem__)
-
+    n = lanes.n_positions
+    order = lanes.order
     profile = DependencyProfile(iterations=n)
-    td_targets: set[int] = set()
-    fd_targets: set[int] = set()
-
-    def warp_of_iter(it: int) -> int:
-        return order_pos[it] // warp_size
-
-    # --- true dependencies: an upward-exposed read hitting an earlier write
-    for key, reads in readers.items():
-        ws = writers.get(key)
-        if not ws:
-            continue
-        w_positions = [order_pos[w] for w in ws]
-        for r in reads:
-            rp = order_pos[r]
-            k = bisect_left(w_positions, rp)
-            if k == 0:
-                continue  # no earlier writer
-            src = ws[k - 1]
-            if src == r:
-                continue
-            profile.td_pairs += 1
-            td_targets.add(r)
-            profile.td_arrays.add(key[0])
-            profile.td_warps.add(warp_of_iter(r))
-            dist = rp - order_pos[src]
-            profile.td_distances[dist] = profile.td_distances.get(dist, 0) + 1
-            same = classify_same_warp(order_pos[src], rp, warp_size)
-            if same:
-                profile.intra_warp_td += 1
-            else:
-                profile.inter_warp_td += 1
-            if len(profile.sample_pairs) < SAMPLE_CAP:
-                profile.sample_pairs.append(
-                    DepPair(key[0], src, r, "true", same)
-                )
-
-    # --- false dependencies: WAW between distinct writers, WAR read->write
-    for key, ws in writers.items():
-        if len(ws) > 1:
-            for a, b in zip(ws, ws[1:]):
-                profile.fd_pairs += 1
-                fd_targets.add(b)
-                profile.fd_arrays.add(key[0])
-                if len(profile.sample_pairs) < SAMPLE_CAP:
-                    profile.sample_pairs.append(
-                        DepPair(
-                            key[0],
-                            a,
-                            b,
-                            "output",
-                            classify_same_warp(
-                                order_pos[a], order_pos[b], warp_size
-                            ),
-                        )
-                    )
-        reads = readers.get(key)
-        if not reads:
-            continue
-        w_positions = [order_pos[w] for w in ws]
-        for r in reads:
-            rp = order_pos[r]
-            k = bisect_left(w_positions, rp + 1)
-            if k >= len(ws):
-                continue  # no later writer
-            later_writer = ws[k]
-            if later_writer == r:
-                continue
-            profile.fd_pairs += 1
-            fd_targets.add(later_writer)
-            profile.fd_arrays.add(key[0])
-            if len(profile.sample_pairs) < SAMPLE_CAP:
-                profile.sample_pairs.append(
-                    DepPair(
-                        key[0],
-                        r,
-                        later_writer,
-                        "anti",
-                        classify_same_warp(rp, order_pos[later_writer], warp_size),
-                    )
-                )
-
-    denom = max(1, n - 1)
-    profile.td_density = len(td_targets) / denom
-    profile.fd_density = len(fd_targets - td_targets) / denom
-    profile.uniform_write_arrays = _uniform_write_arrays(
-        lanes, iteration_order
-    )
-    return profile
-
-
-def _analyze_columnar(
-    col: ColumnarLanes, warp_size: int
-) -> DependencyProfile:
-    """Vectorized :func:`analyze_lanes` over columnar logs.
-
-    The per-cell reader/writer scans of the scalar analysis become
-    sort/unique/searchsorted passes.  Iteration ids never drive the
-    math — dependencies relate lane *positions* (ids are unique within a
-    launch, so a position bijects to its id) — ids only appear in the
-    reported targets and sample pairs.
-    """
-    n = col.n_positions
-    order = col.order
-    profile = DependencyProfile(iterations=n)
-    r_keys, w_keys, m = cell_keys(col)
-    rp, _ro, rk = dedup_first(col.r_pos, col.r_op, r_keys)
-    wp, _wo, wk = dedup_first(col.w_pos, col.w_op, w_keys)
+    r_keys, w_keys, m = cell_keys(lanes)
+    rp, _ro, rk = dedup_first(lanes.r_pos, lanes.r_op, r_keys)
+    wp, _wo, wk = dedup_first(lanes.w_pos, lanes.w_op, w_keys)
 
     # writers sorted by (cell, position); comp packs both into one key so
     # "latest writer strictly before position p" is a single searchsorted
@@ -216,7 +67,7 @@ def _analyze_columnar(
     profile.td_pairs = int(valid.sum())
     td_target_pos = np.unique(t_r)
     td_targets = {int(order[p]) for p in td_target_pos}
-    profile.td_arrays = {col.names[a] for a in np.unique(t_key // m)}
+    profile.td_arrays = {lanes.names[a] for a in np.unique(t_key // m)}
     profile.td_warps = {int(w) for w in np.unique(t_r // warp_size)}
     dists, counts = np.unique(t_r - t_src, return_counts=True)
     profile.td_distances = {
@@ -226,14 +77,14 @@ def _analyze_columnar(
     profile.intra_warp_td = int(same.sum())
     profile.inter_warp_td = int((~same).sum())
     if len(t_r):
-        # scalar sample order: readers-dict insertion order, then
+        # sample order: cells by first read (in scan order), then
         # ascending reader position within a cell
         uniq_r, rank_r = first_seen_ranks(rk)
         key_rank = rank_r[np.searchsorted(uniq_r, t_key)]
         for j in np.lexsort((t_r, key_rank))[:SAMPLE_CAP]:
             samples_td.append(
                 DepPair(
-                    col.names[int(t_key[j] // m)],
+                    lanes.names[int(t_key[j] // m)],
                     int(order[t_src[j]]),
                     int(order[t_r[j]]),
                     "true",
@@ -262,14 +113,14 @@ def _analyze_columnar(
         int(order[p]) for p in war_b
     }
     profile.fd_arrays = {
-        col.names[a]
+        lanes.names[a]
         for a in np.unique(
             np.concatenate([waw_key // m, war_key // m])
         )
     } if profile.fd_pairs else set()
     if profile.fd_pairs and len(samples_td) < SAMPLE_CAP:
-        # scalar order: writers-dict insertion order; per cell the WAW
-        # chain first (ascending position), then the WAR pairs
+        # sample order: cells by first write (in scan order); per cell
+        # the WAW chain first (ascending position), then the WAR pairs
         uniq_w, rank_w = first_seen_ranks(wk)
         keys = np.concatenate([waw_key, war_key])
         kind = np.concatenate(
@@ -284,7 +135,7 @@ def _analyze_columnar(
             is_waw = kind[j] == 0
             samples_fd.append(
                 DepPair(
-                    col.names[int(keys[j] // m)],
+                    lanes.names[int(keys[j] // m)],
                     int(order[src[j]]),
                     int(order[dst[j]]),
                     "output" if is_waw else "anti",
@@ -296,14 +147,19 @@ def _analyze_columnar(
     denom = max(1, n - 1)
     profile.td_density = len(td_targets) / denom
     profile.fd_density = len(fd_targets - td_targets) / denom
-    profile.uniform_write_arrays = _uniform_write_columnar(col, wp, wk, m)
+    profile.uniform_write_arrays = _uniform_writes(lanes, wp, wk, m)
     return profile
 
 
-def _uniform_write_columnar(
+def _uniform_writes(
     col: ColumnarLanes, wp: np.ndarray, wk: np.ndarray, m: int
 ) -> set[str]:
-    """Columnar twin of :func:`_uniform_write_arrays` (deduped writes in)."""
+    """Arrays whose per-iteration write-cell sets are all identical.
+
+    Takes the deduplicated writes.  An iteration that skips the array
+    breaks "the last one overwrites everything", so uniformity also
+    requires every iteration to write it.
+    """
     total = col.n_present
     out: set[str] = set()
     for a in np.unique(wk // m):
@@ -320,36 +176,3 @@ def _uniform_write_columnar(
         if (fs == fs[0]).all():
             out.add(col.names[int(a)])
     return out
-
-
-def _uniform_write_arrays(
-    lanes: Mapping[int, LaneSpecState],
-    iteration_order: Sequence[int],
-) -> set[str]:
-    """Arrays whose per-iteration write-cell sets are all identical."""
-    reference: dict[str, frozenset[int]] = {}
-    writers_count: dict[str, int] = defaultdict(int)
-    non_uniform: set[str] = set()
-    total = 0
-    for it in iteration_order:
-        state = lanes.get(it)
-        if state is None:
-            continue
-        total += 1
-        per_array: dict[str, set[int]] = defaultdict(set)
-        for rec in state.writes:
-            per_array[rec.array].add(rec.flat)
-        for name, cells in per_array.items():
-            writers_count[name] += 1
-            frozen = frozenset(cells)
-            if name not in reference:
-                reference[name] = frozen
-            elif reference[name] != frozen:
-                non_uniform.add(name)
-    # an iteration that skips the array breaks "the last one overwrites
-    # everything", so uniformity also requires every iteration to write it
-    return {
-        name
-        for name in reference
-        if name not in non_uniform and writers_count[name] == total
-    }

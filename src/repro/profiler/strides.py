@@ -20,6 +20,10 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
+from ..ir.columnar import ColumnarLanes
+
 
 @dataclass(frozen=True)
 class StridePattern:
@@ -169,67 +173,38 @@ def compress_lane(
     )
 
 
-def compression_ratio(lanes, sample: int = 512) -> float:
+def compression_ratio(lanes: ColumnarLanes, sample: int = 512) -> float:
     """Raw trace entries / compressed entries over (a sample of) lanes.
 
-    ``lanes`` maps iteration -> LaneSpecState (the profiler's SE logs).
-    1.0 = nothing gained (fully irregular); large = strided accesses.
+    Compresses each (lane, array) read stream and write stream of the
+    first ``sample`` lanes that ran (a lane's :func:`compress_lane`
+    entries are its two streams' pattern counts).  Lanes that did not
+    run log nothing, so the sampled rows are exactly those before the
+    last sampled position.  1.0 = nothing gained (fully irregular);
+    large = strided accesses.
     """
-    from ..ir.columnar import ColumnarLanes
-
-    if isinstance(lanes, ColumnarLanes):
-        return _compression_ratio_columnar(lanes, sample)
-    return compression_ratio_scalar(lanes, sample)
-
-
-def _compression_ratio_columnar(col, sample: int) -> float:
-    """Columnar twin: per-lane log slices come straight off the sorted
-    (pos, op) columns, already in log order."""
-    import numpy as np
-
-    if col._states is not None:
-        # wrapped scalar logs: sample in dict (insertion) order exactly
-        # like the oracle — the record lists are already materialized
-        return compression_ratio_scalar(col._states, sample)
-    raw = 0
-    compressed = 0
-    lanes_pos = np.nonzero(col.present)[0][:sample]
-    r_lo = np.searchsorted(col.r_pos, lanes_pos)
-    r_hi = np.searchsorted(col.r_pos, lanes_pos + 1)
-    w_lo = np.searchsorted(col.w_pos, lanes_pos)
-    w_hi = np.searchsorted(col.w_pos, lanes_pos + 1)
-    for k in range(len(lanes_pos)):
-        ra = col.r_arr[r_lo[k]:r_hi[k]]
-        rf = col.r_flat[r_lo[k]:r_hi[k]]
-        wa = col.w_arr[w_lo[k]:w_hi[k]]
-        wf = col.w_flat[w_lo[k]:w_hi[k]]
-        for a in np.unique(np.concatenate([ra, wa])):
-            reads = rf[ra == a]
-            writes = wf[wa == a]
-            raw += len(reads) + len(writes)
-            compressed += compress_lane(
-                reads.tolist(), writes.tolist()
-            ).entries
-    if compressed == 0:
+    sampled = np.nonzero(lanes.present)[0][:sample]
+    if len(sampled) == 0:
         return 1.0
-    return raw / compressed
-
-
-def compression_ratio_scalar(lanes, sample: int = 512) -> float:
-    """Reference (per-record) implementation (the cross-check oracle)."""
+    end = sampled[-1] + 1
+    width = len(lanes.names)
     raw = 0
     compressed = 0
-    for k, (_it, state) in enumerate(lanes.items()):
-        if k >= sample:
-            break
-        per_array: dict[str, tuple[list[int], list[int]]] = {}
-        for rec in state.reads:
-            per_array.setdefault(rec.array, ([], []))[0].append(rec.flat)
-        for rec in state.writes:
-            per_array.setdefault(rec.array, ([], []))[1].append(rec.flat)
-        for reads, writes in per_array.values():
-            raw += len(reads) + len(writes)
-            compressed += compress_lane(reads, writes).entries
+    for pos, arr, flat in (
+        (lanes.r_pos, lanes.r_arr, lanes.r_flat),
+        (lanes.w_pos, lanes.w_arr, lanes.w_flat),
+    ):
+        rows = int(np.searchsorted(pos, end))
+        # stable sort by (lane, array) keeps each stream in log order
+        key = pos[:rows] * width + arr[:rows]
+        s = np.argsort(key, kind="stable")
+        key, flats = key[s], flat[:rows][s].tolist()
+        cuts = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), rows]
+        raw += rows
+        compressed += sum(
+            len(compress_addresses(flats[a:b]))
+            for a, b in zip(cuts, cuts[1:])
+        )
     if compressed == 0:
         return 1.0
     return raw / compressed

@@ -246,7 +246,7 @@ def _run_device_shard(
             )
             return leftover
         if buffered:
-            dev.commit_lanes(launch.lanes, storage, chunk)
+            launch.lanes.commit(storage, sorted(chunk))
         launch.counts.add_to_raw(raw)
         executed += len(chunk)
         kernel_events.append(

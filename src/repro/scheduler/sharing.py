@@ -361,7 +361,7 @@ class TaskSharingScheduler:
                     block_size=loop.annotation.threads,
                 )
                 if buffered:
-                    self.ctx.device.commit_lanes(launch.lanes, storage, chunk)
+                    launch.lanes.commit(storage, sorted(chunk))
                 launch.counts.add_to_raw(raw)
                 kernel_events.append(
                     tl.schedule(
@@ -400,7 +400,7 @@ class TaskSharingScheduler:
                     block_size=loop.annotation.threads,
                 )
                 if buffered:
-                    self.ctx.device.commit_lanes(launch.lanes, storage, chunk)
+                    launch.lanes.commit(storage, sorted(chunk))
                 launch.counts.add_to_raw(raw)
                 last = tl.schedule(
                     LANE_GPU, launch.sim_time_s, after=[last],

@@ -1,7 +1,5 @@
 """GPU-TLS: speculative loop execution and privatization."""
 
-from .buffers import buffered_bytes, buffered_cells, metadata_entries
-from .commit import commit_iterations
 from .depcheck import DcResult, Violation, check_subloop
 from .engine import DC_COST_PER_ENTRY, GpuTlsEngine, TlsConfig, TlsResult, TlsStats
 from .privatize import PRIVATIZATION_OVERHEAD, PrivatizeResult, run_privatized
@@ -28,12 +26,8 @@ __all__ = [
     "TlsResult",
     "TlsStats",
     "Violation",
-    "buffered_bytes",
-    "buffered_cells",
     "check_subloop",
-    "commit_iterations",
     "decide_recovery",
-    "metadata_entries",
     "run_privatized",
     "speculative_run",
 ]

@@ -12,12 +12,11 @@ iteration order, so the last writer wins as in sequential execution.)
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from ..ir.columnar import ColumnarLanes, cell_keys, dedup_first
-from ..ir.interpreter import LaneSpecState
 
 
 @dataclass
@@ -47,34 +46,24 @@ class DcResult:
         return {v.iteration for v in self.violations}
 
 
-def check_subloop(
-    lanes: Mapping[int, LaneSpecState],
-    order: Sequence[int],
-) -> DcResult:
+def check_subloop(lanes: ColumnarLanes) -> DcResult:
     """Find RAW violations among the sub-loop's iterations.
 
-    ``order`` is the sequential iteration order of the sub-loop (the
-    launch's index list).
+    The sequential order is the launch's index list (``lanes.order``).
+    The latest strictly-earlier writer of each deduplicated read comes
+    from one searchsorted over (cell, position)-sorted writes; then the
+    first violating read per iteration is kept (logs are (pos,
+    op)-sorted, and a cell's violation status is op-independent, so
+    first-occurrence dedup preserves which read reports the violation).
     """
-    if isinstance(lanes, ColumnarLanes) and lanes.matches_order(order):
-        return _check_columnar(lanes)
-    return check_subloop_scalar(lanes, order)
-
-
-def _check_columnar(col: ColumnarLanes) -> DcResult:
-    """Vectorized RAW check: latest strictly-earlier writer per deduped
-    read via one searchsorted over (cell, position)-sorted writes, then
-    the first violating read per iteration (logs are (pos, op)-sorted,
-    and a cell's violation status is op-independent, so first-occurrence
-    dedup preserves which read reports the violation)."""
     result = DcResult()
-    r_keys, w_keys, m = cell_keys(col)
-    rp, _ro, rk = dedup_first(col.r_pos, col.r_op, r_keys)
-    if len(rp) == 0 or len(col.w_pos) == 0:
+    r_keys, w_keys, m = cell_keys(lanes)
+    rp, _ro, rk = dedup_first(lanes.r_pos, lanes.r_op, r_keys)
+    if len(rp) == 0 or len(lanes.w_pos) == 0:
         return result
-    ws_ord = np.lexsort((col.w_pos, w_keys))
-    Wk, Wp = w_keys[ws_ord], col.w_pos[ws_ord]
-    n = col.n_positions
+    ws_ord = np.lexsort((lanes.w_pos, w_keys))
+    Wk, Wp = w_keys[ws_ord], lanes.w_pos[ws_ord]
+    n = lanes.n_positions
     idx = np.searchsorted(Wk * (n + 1) + Wp, rk * (n + 1) + rp, side="left")
     cand = np.maximum(idx - 1, 0)
     valid = (idx > 0) & (Wk[cand] == rk)
@@ -83,61 +72,15 @@ def _check_columnar(col: ColumnarLanes) -> DcResult:
     vp, vk, vsrc = rp[valid], rk[valid], Wp[cand][valid]
     first = np.ones(len(vp), dtype=bool)
     first[1:] = vp[1:] != vp[:-1]
-    order_arr = col.order
+    order_arr = lanes.order
     for p, k, src in zip(vp[first], vk[first], vsrc[first]):
         result.violations.append(
             Violation(
                 int(order_arr[p]),
                 int(order_arr[src]),
-                col.names[int(k) // m],
+                lanes.names[int(k) // m],
                 int(k) % m,
             )
         )
     result.first_violation_pos = int(vp[0])
-    return result
-
-
-def check_subloop_scalar(
-    lanes: Mapping[int, LaneSpecState],
-    order: Sequence[int],
-) -> DcResult:
-    """Reference (per-record) implementation (the cross-check oracle)."""
-    pos = {it: p for p, it in enumerate(order)}
-    # cell -> earliest writer position (the first write wins for "is there
-    # an earlier writer" queries against readers)
-    writer_pos: dict[tuple[str, int], list[tuple[int, int]]] = {}
-    for it in order:
-        state = lanes.get(it)
-        if state is None:
-            continue
-        p = pos[it]
-        for rec in state.writes:
-            writer_pos.setdefault((rec.array, rec.flat), []).append((p, it))
-
-    result = DcResult()
-    for it in order:
-        state = lanes.get(it)
-        if state is None:
-            continue
-        p = pos[it]
-        for rec in state.reads:
-            writers = writer_pos.get((rec.array, rec.flat))
-            if not writers:
-                continue
-            # any earlier writer? (writers are in ascending position order)
-            src = None
-            for wp, wit in writers:
-                if wp >= p:
-                    break
-                src = wit
-            if src is not None:
-                result.violations.append(
-                    Violation(it, src, rec.array, rec.flat)
-                )
-                if (
-                    result.first_violation_pos is None
-                    or p < result.first_violation_pos
-                ):
-                    result.first_violation_pos = p
-                break  # one violation per iteration is enough to squash it
     return result

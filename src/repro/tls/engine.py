@@ -27,8 +27,6 @@ from ..ir.interpreter import N_COUNTERS, ArrayStorage, Counts
 from ..obs.metrics import NULL_INSTRUMENTATION, Instrumentation
 from ..profiler.report import DependencyProfile
 from ..runtime.clock import LANE_CPU, LANE_GPU, Timeline
-from .buffers import metadata_entries
-from .commit import commit_iterations
 from .depcheck import check_subloop
 from .recovery import (
     DEFAULT_LOOKAHEAD_WARPS,
@@ -154,17 +152,24 @@ class GpuTlsEngine:
             stats.subloops += 1
             tl.schedule(LANE_GPU, se.kernel_time_s, label=f"SE@{pos}")
 
-            dc = check_subloop(se.lanes, chunk)
-            entries = metadata_entries(se.lanes)
+            dc = check_subloop(se.lanes)
             tl.schedule(
                 LANE_GPU,
-                entries * DC_COST_PER_ENTRY
+                se.lanes.logged_accesses() * DC_COST_PER_ENTRY
                 + self.device.spec.launch_overhead_s,
                 label=f"DC@{pos}",
             )
 
+            # commit applies buffers in iteration order, so overlapping
+            # writes resolve to the sequentially-last writer.  Only the
+            # clean *prefix* (every iteration before the earliest
+            # violation) commits: the paper commits "those threads not
+            # found to have violations", and a clean thread after a
+            # violating one is simply re-executed after recovery — a
+            # conservative refinement that keeps re-executed writes from
+            # invalidating already-committed state.
             if dc.ok:
-                cells, nbytes = commit_iterations(se.lanes, storage, chunk)
+                cells, nbytes = se.lanes.commit(storage, chunk)
                 stats.cells_committed += cells
                 stats.committed_iterations += len(chunk)
                 tl.schedule(
@@ -180,7 +185,7 @@ class GpuTlsEngine:
             stats.violations += 1
             v_pos = dc.first_violation_pos
             clean = chunk[:v_pos]
-            cells, nbytes = commit_iterations(se.lanes, storage, clean)
+            cells, nbytes = se.lanes.commit(storage, clean)
             stats.cells_committed += cells
             stats.committed_iterations += len(clean)
             stats.squashed_iterations += len(chunk) - len(clean)

@@ -32,7 +32,6 @@ from ..ir.instructions import IRFunction
 from ..ir.interpreter import ArrayStorage, Counts
 from ..ir.vectorizer import VectorizedKernel, can_vectorize
 from ..profiler.report import DependencyProfile
-from .commit import commit_iterations
 from .depcheck import check_subloop
 from .rename import PRIV_BASE, priv_name, rename_privatized
 
@@ -95,7 +94,7 @@ def run_privatized(
         elem_bytes=elem_bytes,
     )
     if verify_no_td:
-        dc = check_subloop(launch.lanes, indices)
+        dc = check_subloop(launch.lanes)
         if not dc.ok:
             v = dc.violations[0]
             raise SpeculationError(
@@ -103,7 +102,7 @@ def run_privatized(
                 f"{v.array!r} (iteration {v.src_iteration} -> "
                 f"{v.iteration}); privatization is not legal for this loop"
             )
-    cells, nbytes = commit_iterations(launch.lanes, storage, indices)
+    cells, nbytes = launch.lanes.commit(storage, indices)
     commit_time = (
         nbytes / (device.spec.mem_bandwidth_gbps * 1e9)
         + device.spec.launch_overhead_s

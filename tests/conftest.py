@@ -107,6 +107,25 @@ def lowered(source: str, method: str | None = None, name: str = "k"):
     return analysis, fn
 
 
+def se_columns(lanes, order=None):
+    """Production SE log of hand-built ``{iteration: LaneSpecState}`` lanes.
+
+    Buffered values take float64, the dtype of a storage sized to the
+    largest cell each array touches; ``order`` defaults to the mapping's
+    own iteration order.
+    """
+    from repro.ir.columnar import ColumnarLanes
+
+    sizes: dict[str, int] = {}
+    for state in lanes.values():
+        for rec in state.reads + state.writes:
+            sizes[rec.array] = max(sizes.get(rec.array, 0), rec.flat + 1)
+    storage = ArrayStorage({name: np.zeros(k) for name, k in sizes.items()})
+    return ColumnarLanes.from_states(
+        lanes, list(lanes) if order is None else order, storage
+    )
+
+
 VEC_SRC = """
 class Vec {
   static void run(double[] a, double[] b, double[] c, int n) {

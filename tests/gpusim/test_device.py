@@ -52,7 +52,7 @@ class TestLaunch:
         device.memory.alloc("b", (64,), np.float64)
         res = device.launch(fn, range(64), {"n": 64}, storage, mode="buffered")
         assert np.array_equal(storage.arrays["b"], np.zeros(64))
-        device.commit_lanes(res.lanes, storage, range(64))
+        res.lanes.commit(storage, range(64))
         assert np.array_equal(storage.arrays["b"], storage.arrays["a"] + 1)
 
     def test_missing_allocation_faults(self, device, fn):
@@ -105,7 +105,7 @@ class TestLaunch:
             f2, range(10), {"n": 10}, storage, mode="buffered",
             check_allocations=False,
         )
-        device.commit_lanes(res.lanes, storage, range(10))
+        res.lanes.commit(storage, range(10))
         assert storage.arrays["out"][0] == 9.0
 
     def test_coalescing_slows_kernel(self, device, fn):

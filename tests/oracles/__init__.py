@@ -1,0 +1,25 @@
+"""Scalar oracles of the SE-log analyses, the commit and the DC volume.
+
+Production reads one speculative-log format, :class:`repro.ir.columnar.
+ColumnarLanes`.  These are the original per-record implementations over
+``{iteration: LaneSpecState}`` mappings (the per-lane engines' own
+output, or a ``ColumnarLanes`` through its ``Mapping`` view), kept here
+so the equivalence suites can hold production to them.  They import
+only numpy and ``repro``: the host-perf bench runs them with numpy
+alone installed.
+"""
+
+from .coalesce import estimate_coalescing_scalar
+from .commit import commit_scalar, logged_accesses_scalar
+from .density import analyze_lanes_scalar
+from .depcheck import check_subloop_scalar
+from .strides import compression_ratio_scalar
+
+__all__ = [
+    "analyze_lanes_scalar",
+    "check_subloop_scalar",
+    "commit_scalar",
+    "compression_ratio_scalar",
+    "estimate_coalescing_scalar",
+    "logged_accesses_scalar",
+]

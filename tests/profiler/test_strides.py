@@ -13,6 +13,9 @@ from repro.profiler.strides import (
     patterns_intersect,
 )
 
+from ..conftest import se_columns
+from ..oracles import compression_ratio_scalar
+
 
 class TestCompression:
     def test_unit_stride_run(self):
@@ -134,7 +137,8 @@ class TestRatio:
         assert run.profile.compression_ratio > 10
 
     def test_empty_lanes(self):
-        assert compression_ratio({}) == 1.0
+        assert compression_ratio(se_columns({})) == 1.0
+        assert compression_ratio_scalar({}) == 1.0
 
     def test_compress_lane(self):
         trace = compress_lane([0, 1, 2, 3], [100])

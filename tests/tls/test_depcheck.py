@@ -1,4 +1,9 @@
-"""DC-phase tests with a brute-force oracle property."""
+"""DC-phase tests with a brute-force oracle property.
+
+Every case runs through production (``check_subloop`` on the lanes'
+``from_states`` columns) and the scalar oracle (on the dict itself), and
+the two must report the same violations.
+"""
 
 import numpy as np
 import pytest
@@ -6,6 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.ir.interpreter import AccessRecord, LaneSpecState
 from repro.tls.depcheck import check_subloop
+
+from ..conftest import se_columns
+from ..oracles import check_subloop_scalar
 
 
 def lane(reads=(), writes=()):
@@ -21,17 +29,26 @@ def lane(reads=(), writes=()):
     return state
 
 
+def check(lanes, order):
+    """Production DC result for ``lanes``, held equal to the scalar oracle."""
+    dc = check_subloop(se_columns(lanes, order))
+    oracle = check_subloop_scalar(lanes, order)
+    assert dc.violations == oracle.violations
+    assert dc.first_violation_pos == oracle.first_violation_pos
+    return dc
+
+
 class TestCheck:
     def test_clean_subloop(self):
         lanes = {i: lane(writes=[("x", i)]) for i in range(8)}
-        assert check_subloop(lanes, list(range(8))).ok
+        assert check(lanes, list(range(8))).ok
 
     def test_raw_violation_found(self):
         lanes = {
             0: lane(writes=[("x", 3)]),
             1: lane(reads=[("x", 3)]),
         }
-        dc = check_subloop(lanes, [0, 1])
+        dc = check(lanes, [0, 1])
         assert not dc.ok
         v = dc.violations[0]
         assert (v.iteration, v.src_iteration) == (1, 0)
@@ -43,11 +60,11 @@ class TestCheck:
             0: lane(reads=[("x", 3)]),
             1: lane(writes=[("x", 3)]),
         }
-        assert check_subloop(lanes, [0, 1]).ok
+        assert check(lanes, [0, 1]).ok
 
     def test_waw_is_not_a_violation(self):
         lanes = {i: lane(writes=[("x", 0)]) for i in range(4)}
-        assert check_subloop(lanes, list(range(4))).ok
+        assert check(lanes, list(range(4))).ok
 
     def test_earliest_violation_position(self):
         lanes = {
@@ -56,7 +73,7 @@ class TestCheck:
             2: lane(reads=[("x", 5)]),
             3: lane(reads=[("x", 0)]),
         }
-        dc = check_subloop(lanes, [0, 1, 2, 3])
+        dc = check(lanes, [0, 1, 2, 3])
         assert dc.first_violation_pos == 2
         assert dc.violating_iterations == {2, 3}
 
@@ -65,7 +82,7 @@ class TestCheck:
             0: lane(writes=[("x", 0), ("x", 1)]),
             1: lane(reads=[("x", 0), ("x", 1)]),
         }
-        dc = check_subloop(lanes, [0, 1])
+        dc = check(lanes, [0, 1])
         assert len(dc.violations) == 1
 
     def test_position_zero_cannot_violate(self):
@@ -75,14 +92,14 @@ class TestCheck:
             8: lane(writes=[("x", 0)]),
         }
         # order is [7, 8]: 7 reads before 8 writes -> fine
-        assert check_subloop(lanes, [7, 8]).ok
+        assert check(lanes, [7, 8]).ok
 
     def test_order_is_what_matters_not_ids(self):
         lanes = {
             7: lane(reads=[("x", 0)]),
             8: lane(writes=[("x", 0)]),
         }
-        dc = check_subloop(lanes, [8, 7])  # 8 writes first in order
+        dc = check(lanes, [8, 7])  # 8 writes first in order
         assert not dc.ok
         assert dc.violations[0].iteration == 7
 
@@ -105,7 +122,7 @@ def test_violations_match_oracle(n, seed):
         for i in range(j):
             if writes_of[i] & reads_of[j]:
                 oracle.add(j)
-    dc = check_subloop(lanes, list(range(n)))
+    dc = check(lanes, list(range(n)))
     assert dc.violating_iterations == oracle
     if oracle:
         assert dc.first_violation_pos == min(oracle)

@@ -88,22 +88,20 @@ class TestClamping:
 
 class TestBuffers:
     def test_metadata_and_bytes_helpers(self):
+        # the DC volume and the commit's byte count come off the SE log
         import numpy as np
 
+        from repro.ir.columnar import ColumnarLanes
         from repro.ir.interpreter import AccessRecord, ArrayStorage, LaneSpecState
-        from repro.tls.buffers import (
-            buffered_bytes,
-            buffered_cells,
-            metadata_entries,
-        )
 
         storage = ArrayStorage({"x": np.zeros(8)})
         s = LaneSpecState()
         s.reads.append(AccessRecord(0, "R", "x", 0))
         s.writes.append(AccessRecord(1, "W", "x", 1))
         s.buffer[("x", 1)] = 2.0
-        lanes = {0: s}
-        assert metadata_entries(lanes) == 2
-        assert buffered_cells(lanes) == 1
-        assert buffered_bytes(lanes, storage) == 8
-        assert buffered_bytes(lanes, storage, iterations=[5]) == 0
+        lanes = ColumnarLanes.from_states({0: s}, [0], storage)
+        assert lanes.logged_accesses() == 2
+        assert lanes.commit(storage, [5]) == (0, 0)
+        assert storage.arrays["x"][1] == 0.0
+        assert lanes.commit(storage, [0]) == (1, 8)
+        assert storage.arrays["x"][1] == 2.0
