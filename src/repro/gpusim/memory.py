@@ -6,12 +6,18 @@ GPU.  Functional array state lives in the host :class:`ArrayStorage`
 back), but every kernel launch is checked against this allocation table —
 a kernel touching an array that was never ``copyin``'d or ``create``'d
 faults, exactly like dereferencing an unallocated device pointer.
+
+This module is also the one place that decides which bytes move when a
+loop (re-)enters a device: :meth:`DeviceMemory.stage` makes a loop's
+operands resident and :meth:`DeviceMemory.copy_back` charges its
+results' way home.  Every scheduler calls them on the device it runs
+on, so each transfer probes the fault plane with that device's id.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Mapping, Optional
 
 import numpy as np
 
@@ -23,6 +29,9 @@ from ..faults.plane import (
 )
 from ..faults.resilience import FaultRuntime
 from ..obs.metrics import NULL_INSTRUMENTATION, Instrumentation
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from ..translate.datamove import DataPlan
 
 
 @dataclass
@@ -149,11 +158,9 @@ class DeviceMemory:
         allocation = self.allocations.get(name)
         if allocation is None:
             allocation = self.alloc(name, shape, dtype)
-        moved = allocation.nbytes if nbytes is None else nbytes
-        if self._faults_on():
-            moved = self.faults.charge_transfer(
-                SITE_TRANSFER_H2D, moved, self.device_id
-            )
+        moved = self._charge(
+            SITE_TRANSFER_H2D, allocation.nbytes if nbytes is None else nbytes
+        )
         allocation.valid = True
         self.stats.h2d_bytes += moved
         self.stats.h2d_count += 1
@@ -162,20 +169,71 @@ class DeviceMemory:
         m.counter("transfer.h2d.count").inc()
         return moved
 
-    def copyout(self, name: str, nbytes: Optional[int] = None) -> int:
-        """Device -> host copy. Returns bytes (including re-issues)."""
-        allocation = self.require(name, for_read=False)
-        moved = allocation.nbytes if nbytes is None else nbytes
-        if self._faults_on():
-            moved = self.faults.charge_transfer(
-                SITE_TRANSFER_D2H, moved, self.device_id
-            )
-        self.stats.d2h_bytes += moved
-        self.stats.d2h_count += 1
-        m = self.obs.metrics
-        m.counter("transfer.d2h.bytes").inc(moved)
-        m.counter("transfer.d2h.count").inc()
+    def copy_back(self, nbytes: float) -> float:
+        """Device -> host copy of ``nbytes``; returns the bytes moved.
+
+        One transfer, probed with this device's id; under fault injection
+        the returned count (which callers convert into simulated transfer
+        time) includes every re-issue.  Accounted only when bytes moved.
+        """
+        moved = self._charge(SITE_TRANSFER_D2H, nbytes)
+        if moved:
+            self.stats.d2h_bytes += moved
+            self.stats.d2h_count += 1
+            m = self.obs.metrics
+            m.counter("transfer.d2h.bytes").inc(moved)
+            m.counter("transfer.d2h.count").inc()
         return moved
+
+    def stage(
+        self,
+        plan: DataPlan,
+        arrays: Mapping[str, np.ndarray],
+        env: Mapping[str, object],
+    ) -> tuple[float, int]:
+        """Make a loop's operands resident; return ``(in_bytes, out_bytes)``.
+
+        The communication optimizer keeps arrays resident across loop
+        dispatches: a first touch copies the planned section in, and a
+        resident copy moves only its *stale fraction* (the share a CPU
+        write or a rollback invalidated since the last transfer).  This
+        is the paper's cyclic-communication removal.  ``create`` and
+        ``copyout`` arrays are allocated; ``out_bytes`` is what copying
+        every ``copyout`` section back would move.
+        """
+        b_in = 0.0
+        for move in plan.copyin:
+            arr = arrays[move.array]
+            nbytes = move.nbytes(env, arr)
+            alloc = self.allocations.get(move.array)
+            if alloc is None:
+                # copyin's return already includes any fault re-issues
+                b_in += self.copyin(move.array, arr.shape, arr.dtype, nbytes)
+                alloc = self.allocations[move.array]
+            else:
+                refreshed = self._charge(
+                    SITE_TRANSFER_H2D, nbytes * alloc.stale_fraction
+                )
+                b_in += refreshed
+                if refreshed:
+                    self.stats.h2d_bytes += refreshed
+                    self.stats.h2d_count += 1
+                    m = self.obs.metrics
+                    m.counter("transfer.h2d.bytes").inc(refreshed)
+                    m.counter("transfer.h2d.count").inc()
+                alloc.valid = True
+            alloc.stale_fraction = 0.0
+        for move in plan.create + plan.copyout:
+            if move.array not in self.allocations:
+                arr = arrays[move.array]
+                self.alloc(move.array, arr.shape, arr.dtype)
+        return b_in, plan.total_out_bytes(env, arrays)
+
+    def _charge(self, site: str, nbytes: float) -> float:
+        """Bytes one transfer costs, re-issues included (device-probed)."""
+        if self._faults_on():
+            return self.faults.charge_transfer(site, nbytes, self.device_id)
+        return nbytes
 
     def revalidate(self, names) -> int:
         """Re-validate corrupted table entries; returns bytes re-moved.

@@ -3,14 +3,19 @@
 A pool is N simulated :class:`~repro.gpusim.device.GpuDevice` instances
 with (mildly) heterogeneous clocks and memory bandwidths, as found in
 real multi-GPU boxes where card bins and PCIe topology differ.  Device 0
-is the *primary* device — the same object single-device code paths use —
-so a pool of size 1 is behaviourally identical to the seed runtime:
-identical cost model, identical fault-probe order, identical timeline.
+is the *primary* device: the context's own device, which profiling and
+the TLS / privatized engines also run on.  A single GPU is a pool of
+one — the schedulers run the same code at every pool size, so a pool of
+size 1 is the seed runtime by construction: identical cost model,
+identical fault-probe order, identical timeline.
 
 The pool is deliberately dumb: it owns the devices, their per-device
 cost models, and liveness bookkeeping (a device killed by the fault
-plane is marked dead and excluded from placement until revived).  All
-placement policy lives in :mod:`repro.scheduler.sharding`.
+plane is marked dead and excluded from placement until revived).
+Placement lives in the schedulers: the sharing pipeline in
+:mod:`repro.scheduler.sharing` (over the pure helpers of
+:mod:`repro.scheduler.sharding`) and the per-device queues of
+:mod:`repro.scheduler.stealing`.
 """
 
 from __future__ import annotations
@@ -50,8 +55,9 @@ class DevicePool:
 
     ``primary`` and ``primary_cost`` are the context's existing device-0
     objects: reusing them (rather than building a parallel device 0)
-    keeps every single-device code path — profiling, TLS, the mode-B/C/D
-    engines — bit-for-bit identical to the seed runtime.
+    means profiling and the mode-B/D engines, which run on the context's
+    device, share device 0's allocation table and fault-probe identity
+    with the pool pipeline.
     """
 
     def __init__(

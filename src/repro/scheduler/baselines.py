@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Optional
 
 from ..errors import RuntimeFaultError, UnrecoverableFaultError, WorkerFault
-from ..faults.plane import SITE_TRANSFER_D2H, SITE_TRANSFER_H2D
 from ..faults.resilience import (
     is_recoverable_fault,
     restore_arrays,
@@ -205,7 +204,8 @@ class GpuOnlyExecutor:
         tl = Timeline()
         # A hand-written GPU port keeps arrays resident for the whole
         # program (nothing else touches them), so only stale data moves.
-        b_in, b_out = self._register_resident(loop, storage, scalar_env)
+        mem = self.ctx.device.memory
+        b_in, b_out = mem.stage(loop.data_plan, storage.arrays, scalar_env)
         cyc = self.ctx.cost.cyclic_bytes  # GPU-alone moves extra bytes
 
         has_td = self._has_true_dep(loop, indices, scalar_env, storage)
@@ -271,13 +271,7 @@ class GpuOnlyExecutor:
             tl.schedule(LANE_GPU, launch.sim_time_s, label="kernel")
             counts = launch.counts
 
-        out_bytes = self.ctx.faults.charge_transfer(
-            SITE_TRANSFER_D2H, cyc(b_out)
-        )
-        if out_bytes:
-            m = self.ctx.obs.metrics
-            m.counter("transfer.d2h.bytes").inc(out_bytes)
-            m.counter("transfer.d2h.count").inc()
+        out_bytes = mem.copy_back(cyc(b_out))
         tl.schedule(
             LANE_DMA,
             self.ctx.cost.transfer_time(out_bytes, asynchronous=False),
@@ -288,43 +282,6 @@ class GpuOnlyExecutor:
             arrays=storage.arrays, sim_time_s=tl.makespan, counts=counts,
             timeline=tl, mode="gpu-only",
         )
-
-    def _register_resident(
-        self,
-        loop: TranslatedLoop,
-        storage: ArrayStorage,
-        scalar_env: dict[str, object],
-    ) -> tuple[float, float]:
-        """Allocate device copies; return (stale in-bytes, out-bytes)."""
-        mem = self.ctx.device.memory
-        b_in = 0.0
-        for move in loop.data_plan.copyin:
-            arr = storage.arrays[move.array]
-            alloc = mem.allocations.get(move.array)
-            nbytes = move.nbytes(scalar_env, arr)
-            if alloc is None:
-                # copyin's return already includes fault re-issues
-                b_in += mem.copyin(move.array, arr.shape, arr.dtype, nbytes)
-                alloc = mem.allocations[move.array]
-            else:
-                refreshed = self.ctx.faults.charge_transfer(
-                    SITE_TRANSFER_H2D, nbytes * alloc.stale_fraction
-                )
-                b_in += refreshed
-                if refreshed:
-                    m = self.ctx.obs.metrics
-                    m.counter("transfer.h2d.bytes").inc(refreshed)
-                    m.counter("transfer.h2d.count").inc()
-                alloc.valid = True
-            alloc.stale_fraction = 0.0
-        for move in loop.data_plan.create + loop.data_plan.copyout:
-            arr = storage.arrays[move.array]
-            if move.array not in mem.allocations:
-                mem.alloc(move.array, arr.shape, arr.dtype)
-        b_out = float(
-            loop.data_plan.total_out_bytes(scalar_env, storage.arrays)
-        )
-        return b_in, b_out
 
     def _has_true_dep(self, loop, indices, scalar_env, storage) -> bool:
         if loop.is_static_doall:

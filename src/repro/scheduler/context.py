@@ -22,6 +22,9 @@ from ..runtime.platform import Platform, paper_platform
 from ..tls.engine import TlsConfig
 from ..translate.translator import TranslatedLoop
 
+#: iterations the profiler instruments (a prefix sample of the loop)
+PROFILE_SAMPLE = 8192
+
 
 @dataclass
 class JaponicaConfig:
@@ -31,15 +34,8 @@ class JaponicaConfig:
     dd_threshold: float = DEFAULT_DD_THRESHOLD
     #: CPU worker threads ("we set the number of threads as 16")
     cpu_threads: int = 16
-    #: GPU chunks the sharing scheme pipelines ("uniform chunks of
-    #: moderate size ... executed on GPU in an ascending order")
-    sharing_chunks: int = 4
     #: TLS engine configuration (mode B)
     tls: TlsConfig = field(default_factory=lambda: TlsConfig(warps_per_subloop=32))
-    #: iterations the profiler instruments (prefix sample)
-    profile_sample: int = 8192
-    #: charge profiling time to the simulated clock
-    include_profile_time: bool = True
     #: override the sharing boundary (None = paper formula)
     boundary_override: Optional[float] = None
     #: disable the async-prefetch pipeline (ablation)
@@ -49,7 +45,7 @@ class JaponicaConfig:
     byte_scale: float = 1.0
     iter_scale: float = 1.0
     link_scale: float = 1.0
-    #: simulated GPUs in the device pool (1 = the seed single-GPU path)
+    #: simulated GPUs in the device pool (a single GPU is a pool of one)
     devices: int = 1
     #: native kernel backend: run every kernel as generated
     #: type-specialized source from its first launch.  Semantics are
@@ -104,8 +100,8 @@ class ExecutionContext:
             self.platform.gpu, self.cost, faults=self.faults, obs=self.obs,
             kernels=self.kernels,
         )
-        # the pool wraps the primary device; pool size 1 adds no devices
-        # and no behaviour, so the seed single-GPU path is untouched
+        # the pool wraps the primary device as its device 0, so a pool of
+        # one runs the same pipeline as any larger pool
         self.pool = DevicePool(
             self.device,
             self.cost,
@@ -164,9 +160,7 @@ class ExecutionContext:
     def boundary(self) -> float:
         if self.config.boundary_override is not None:
             return self.config.boundary_override
-        if self.pool.size > 1:
-            return self.pool.sharing_boundary()
-        return self.platform.sharing_boundary()
+        return self.pool.sharing_boundary()
 
     def ensure_profile(
         self,
@@ -188,9 +182,9 @@ class ExecutionContext:
         key = None
         if self.cache is not None and not self.faults.enabled:
             try:
-                sample = indices[: max(1, self.config.profile_sample)]
+                sample = indices[:PROFILE_SAMPLE]
             except TypeError:
-                sample = list(indices)[: max(1, self.config.profile_sample)]
+                sample = list(indices)[:PROFILE_SAMPLE]
             key = profile_key(
                 loop.fn,
                 sample,
@@ -214,7 +208,7 @@ class ExecutionContext:
                 indices,
                 scalar_env,
                 storage,
-                max_sample=self.config.profile_sample,
+                max_sample=PROFILE_SAMPLE,
             )
             profile = run.profile
             sp.annotate(

@@ -6,16 +6,33 @@ uniform chunks with data prefetched "in advance and asynchronously with
 the kernel execution to avoid cyclic communication and to hide some
 latency"; the right part runs on the CPU in descending order.  The
 execution mode (A/B/C/D/D') decides what "runs on" means on each side.
+
+Modes A and D' run on the device pool, and a single GPU is a pool of
+one: the GPU part is weight-partitioned across the alive devices
+(:func:`~repro.scheduler.sharding.partition_weighted`), each shard runs
+the same chunked DMA/kernel pipeline on its device's ``gpu{k}``/
+``dma{k}`` lanes (device 0 keeps ``gpu``/``dma``), and with one device
+the partition is the whole GPU part, so the seed single-GPU schedule
+falls out of the same code.  Which bytes move is decided by
+:meth:`~repro.gpusim.memory.DeviceMemory.stage` and
+:meth:`~repro.gpusim.memory.DeviceMemory.copy_back` on the device that
+runs the work.
+
+Device death: in a pool of two or more, a device whose launches exhaust
+the retry budget is marked dead and its unexecuted chunks *drain* to
+the survivors (launch faults fire before any lane executes, so a failed
+shard leaves no partial writes), then to the CPU thread pool when every
+device is dead.  In a pool of one the launch fault goes to the
+degradation ladder instead: rollback, then ``A->cpu-mt``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from ..cpusim.threads import block_partition, descending
 from ..errors import RuntimeFaultError, UnrecoverableFaultError
-from ..faults.plane import SITE_TRANSFER_D2H, SITE_TRANSFER_H2D
+from ..faults.plane import SITE_GPU_LAUNCH
 from ..faults.resilience import (
     is_recoverable_fault,
     restore_arrays,
@@ -24,7 +41,15 @@ from ..faults.resilience import (
 from ..ir.interpreter import N_COUNTERS, ArrayStorage, Counts
 from ..obs.tracer import PHASE_SCHEDULE
 from ..profiler.report import DependencyProfile
-from ..runtime.clock import LANE_CPU, LANE_DMA, LANE_GPU, Timeline
+from ..runtime.clock import (
+    LANE_CPU,
+    LANE_DMA,
+    LANE_GPU,
+    Event,
+    Timeline,
+    dma_lane,
+    gpu_lane,
+)
 from ..runtime.result import ExecutionResult
 from ..tls.engine import GpuTlsEngine
 from ..tls.privatize import run_privatized
@@ -32,17 +57,13 @@ from ..translate.translator import TranslatedLoop
 from .boundary import split_at_boundary
 from .context import ExecutionContext
 from .modes import RUNG_CPU_MT, RUNG_CPU_SEQ, ExecMode, decide_mode, downgrade_ladder
+from .sharding import partition_weighted, seeded_pick
 from .task import Task
 
-
-@dataclass
-class ShareOutcome:
-    """Per-side bookkeeping of a shared execution (for tests/reports)."""
-
-    mode: ExecMode
-    gpu_iterations: int
-    cpu_iterations: int
-    profile: Optional[DependencyProfile]
+#: GPU chunks each device shard pipelines: the left part is "divided
+#: into uniform chunks of moderate size ... executed on GPU in an
+#: ascending order"
+SHARING_CHUNKS = 4
 
 
 class TaskSharingScheduler:
@@ -126,8 +147,7 @@ class TaskSharingScheduler:
                     detail="profiling failed; falling back to sequential",
                 )
                 return None, ExecMode.C
-            if self.ctx.config.include_profile_time:
-                tl.schedule(LANE_GPU, profile.profile_time_s, label="profiling")
+            tl.schedule(LANE_GPU, profile.profile_time_s, label="profiling")
         return profile, decide_mode(loop, profile, self.ctx.config.dd_threshold)
 
     # -- degradation ladder ------------------------------------------------
@@ -237,66 +257,6 @@ class TaskSharingScheduler:
                 if alloc is not None:
                     alloc.stale_fraction = 1.0
 
-    # -- transfer helpers -------------------------------------------------
-
-    def _register_device_data(
-        self,
-        loop: TranslatedLoop,
-        storage: ArrayStorage,
-        scalar_env: dict[str, object],
-    ) -> tuple[float, int]:
-        """Allocate/refresh device copies; return (in_bytes, out_bytes).
-
-        The communication optimizer keeps arrays resident across loop
-        dispatches: only the *stale fraction* of each copyin operand is
-        actually moved (stale = never transferred, or partially
-        overwritten by the CPU side of an earlier dispatch).  This is the
-        paper's cyclic-communication removal; the GPU-alone baseline has
-        no such tracking and re-pays full transfers every time.
-        """
-        mem = self.ctx.device.memory
-        faults = self.ctx.faults
-        b_in = 0.0
-        for move in loop.data_plan.copyin:
-            arr = storage.arrays[move.array]
-            alloc = mem.allocations.get(move.array)
-            if alloc is None:
-                nbytes = move.nbytes(scalar_env, arr)
-                # copyin's return already includes any fault re-issues
-                b_in += mem.copyin(move.array, arr.shape, arr.dtype, nbytes)
-                alloc = mem.allocations[move.array]
-            else:
-                nbytes = move.nbytes(scalar_env, arr)
-                refreshed = faults.charge_transfer(
-                    SITE_TRANSFER_H2D, nbytes * alloc.stale_fraction
-                )
-                b_in += refreshed
-                if refreshed:
-                    m = self.ctx.obs.metrics
-                    m.counter("transfer.h2d.bytes").inc(refreshed)
-                    m.counter("transfer.h2d.count").inc()
-                alloc.valid = True
-            alloc.stale_fraction = 0.0
-        for move in loop.data_plan.create:
-            arr = storage.arrays[move.array]
-            if move.array not in mem.allocations:
-                mem.alloc(move.array, arr.shape, arr.dtype)
-        b_out = 0
-        for move in loop.data_plan.copyout:
-            arr = storage.arrays[move.array]
-            if move.array not in mem.allocations:
-                mem.alloc(move.array, arr.shape, arr.dtype)
-            b_out += move.nbytes(scalar_env, arr)
-        return b_in, b_out
-
-    def _count_d2h(self, nbytes: float) -> None:
-        """Device->host bytes leave through charge_transfer here (not
-        DeviceMemory.copyout), so mirror them into the metrics."""
-        if nbytes:
-            m = self.ctx.obs.metrics
-            m.counter("transfer.d2h.bytes").inc(nbytes)
-            m.counter("transfer.d2h.count").inc()
-
     def _cpu_wrote(self, loop: TranslatedLoop, fraction: float) -> None:
         """The CPU side wrote ``fraction`` of the loop's output arrays:
         that share of any device copy (on any pool device) is now stale."""
@@ -321,115 +281,107 @@ class TaskSharingScheduler:
         storage: ArrayStorage,
         tl: Timeline,
         coalescing: float,
-        buffered: bool = False,
     ) -> ExecutionResult:
-        """DOALL (A) and profiled-clean (D'): PE on GPU + MT on CPU."""
-        if self.ctx.pool.size > 1:
-            from .sharding import run_sharded_mode_a
+        """DOALL (A) and profiled-clean (D'): PE on the GPU pool + MT on CPU.
 
-            return run_sharded_mode_a(
-                self, loop, indices, scalar_env, storage, tl, coalescing,
-                buffered=buffered,
-            )
-        cfg = self.ctx.config
-        gpu_idx, cpu_idx = split_at_boundary(indices, self.ctx.boundary())
-        b_in, b_out = self._register_device_data(loop, storage, scalar_env)
-        frac_gpu = len(gpu_idx) / max(1, len(indices))
+        The boundary is the pool-generalized ``sum(Ci*Fi) / (sum(Ci*Fi)
+        + Cc*Fc)``; the GPU part is weight-partitioned across the alive
+        devices, each running :meth:`_run_shard`.
+        """
+        ctx = self.ctx
+        pool = ctx.pool
+        gpu_idx, cpu_idx = split_at_boundary(indices, ctx.boundary())
+        n_total = max(1, len(indices))
+        n_gpu = len(gpu_idx)
+        frac_gpu = n_gpu / n_total
 
         raw = [0] * N_COUNTERS  # hot loop: accumulate raw, fold at the end
-        nchunks = max(1, min(cfg.sharing_chunks, len(gpu_idx)))
-        chunks = [c for c in block_partition(gpu_idx, nchunks) if c]
-
-        if cfg.async_prefetch:
-            # pipeline: DMA chunk k+1 overlaps kernel chunk k
-            per_chunk_in = (b_in * frac_gpu) / max(1, len(chunks))
-            kernel_events = []
-            for k, chunk in enumerate(chunks):
-                dma = tl.schedule(
-                    LANE_DMA,
-                    self.ctx.cost.transfer_time(per_chunk_in, asynchronous=True),
-                    label=f"h2d#{k}",
-                )
-                launch = self.ctx.device.launch(
-                    loop.fn,
-                    chunk,
-                    scalar_env,
-                    storage,
-                    mode="buffered" if buffered else "direct",
-                    coalescing=coalescing,
-                    elem_bytes=loop.elem_bytes,
-                    block_size=loop.annotation.threads,
-                )
-                if buffered:
-                    launch.lanes.commit(storage, sorted(chunk))
-                launch.counts.add_to_raw(raw)
-                kernel_events.append(
-                    tl.schedule(
-                        LANE_GPU, launch.sim_time_s, after=[dma],
-                        label=f"kernel#{k}",
-                    )
-                )
-            if kernel_events:
-                out_bytes = self.ctx.faults.charge_transfer(
-                    SITE_TRANSFER_D2H, b_out * frac_gpu
-                )
-                self._count_d2h(out_bytes)
-                tl.schedule(
-                    LANE_DMA,
-                    self.ctx.cost.transfer_time(out_bytes, asynchronous=True),
-                    after=[kernel_events[-1]],
-                    label="d2h",
-                )
+        per_device: dict[int, int] = {}  # iterations executed per device id
+        pending: list[int] = []
+        alive = pool.alive_ids()
+        if alive:
+            shards = partition_weighted(gpu_idx, [pool.weight(k) for k in alive])
         else:
-            # no prefetch: one synchronous in, kernels, synchronous out
-            dma_in = tl.schedule(
-                LANE_DMA,
-                self.ctx.cost.transfer_time(b_in * frac_gpu, asynchronous=False),
-                label="h2d-sync",
-            )
-            last = dma_in
-            for k, chunk in enumerate(chunks):
-                launch = self.ctx.device.launch(
-                    loop.fn,
-                    chunk,
-                    scalar_env,
-                    storage,
-                    mode="buffered" if buffered else "direct",
-                    coalescing=coalescing,
-                    elem_bytes=loop.elem_bytes,
-                    block_size=loop.annotation.threads,
+            # the whole pool died in an earlier dispatch of this run: the
+            # GPU part goes straight to the CPU drain below
+            shards, pending = [], gpu_idx
+        # the shards own the GPU part from here on: holding the full list
+        # as well would keep a second copy of it alive in a pool of one
+        del gpu_idx
+        for k, shard in zip(alive, shards):
+            if shard:
+                pending += self._run_shard(
+                    k, shard, n_total, loop, scalar_env, storage, tl,
+                    coalescing, raw, per_device,
                 )
-                if buffered:
-                    launch.lanes.commit(storage, sorted(chunk))
-                launch.counts.add_to_raw(raw)
-                last = tl.schedule(
-                    LANE_GPU, launch.sim_time_s, after=[last],
-                    label=f"kernel#{k}",
-                )
-            out_bytes = self.ctx.faults.charge_transfer(
-                SITE_TRANSFER_D2H, b_out * frac_gpu
+
+        # drain dead devices' shards to survivors (seeded tie-break between
+        # devices whose compute lanes free up at the same instant)
+        drained = rounds = 0
+        while pending and pool.alive_ids():
+            survivors = pool.alive_ids()
+            free = {k: tl.barrier([gpu_lane(k)]) for k in survivors}
+            best = min(free.values())
+            ties = [k for k in survivors if free[k] == best]
+            k = ties[
+                seeded_pick(ctx.scheduler_seed, ("drain", loop.id, rounds),
+                            len(ties))
+            ]
+            batch = pending
+            pending = self._run_shard(
+                k, batch, n_total, loop, scalar_env, storage, tl,
+                coalescing, raw, per_device, tag=f"-drain{rounds}",
             )
-            self._count_d2h(out_bytes)
-            tl.schedule(
-                LANE_DMA,
-                self.ctx.cost.transfer_time(out_bytes, asynchronous=False),
-                after=[last],
-                label="d2h-sync",
+            drained += len(batch) - len(pending)
+            rounds += 1
+
+        if pending:
+            # every device is dead: the leftover runs on the CPU thread pool
+            # (the rung the degradation ladder would use)
+            ctx.faults.degraded(
+                SITE_GPU_LAUNCH,
+                "pool->cpu-mt",
+                detail=f"all devices dead; {len(pending)} iterations to CPU",
             )
+            run = ctx.cpu.run_parallel(
+                loop.fn,
+                storage,
+                scalar_env,
+                pending,
+                threads=ctx.config.cpu_threads,
+                elem_bytes=loop.elem_bytes,
+            )
+            run.counts.add_to_raw(raw)
+            tl.schedule(LANE_CPU, run.sim_time_s, label="cpu-mt-drain")
+            self._cpu_wrote(loop, len(pending) / n_total)
 
         # CPU side: the right part, multithreaded, walked descending
         if cpu_idx:
-            cpu_run = self.ctx.cpu.run_parallel(
+            cpu_run = ctx.cpu.run_parallel(
                 loop.fn,
                 storage,
                 scalar_env,
                 descending(cpu_idx),
-                threads=cfg.cpu_threads,
+                threads=ctx.config.cpu_threads,
                 elem_bytes=loop.elem_bytes,
             )
             cpu_run.counts.add_to_raw(raw)
             tl.schedule(LANE_CPU, cpu_run.sim_time_s, label="cpu-mt")
             self._cpu_wrote(loop, 1.0 - frac_gpu)
+
+        if pool.size > 1:
+            m = ctx.obs.metrics
+            for k, n_iter in per_device.items():
+                m.counter(f"scheduler.shard.iterations.d{k}").inc(n_iter)
+            if drained:
+                m.counter("scheduler.shard.drained").inc(drained)
+            if rounds:
+                # drain rounds run under fault recovery; the insight
+                # plane's bucket attribution keys off the "-drainN" event
+                # labels and this counter reconciles the two views
+                m.counter("scheduler.shard.drain_batches").inc(rounds)
+            if pending:
+                m.counter("scheduler.shard.drained_to_cpu").inc(len(pending))
 
         return ExecutionResult(
             arrays=storage.arrays,
@@ -437,10 +389,114 @@ class TaskSharingScheduler:
             counts=Counts.from_raw(raw),
             timeline=tl,
             detail={
-                "gpu_iterations": len(gpu_idx),
-                "cpu_iterations": len(cpu_idx),
+                "gpu_iterations": n_gpu - len(pending),
+                "cpu_iterations": len(cpu_idx) + len(pending),
             },
         )
+
+    def _run_shard(
+        self,
+        device_id: int,
+        shard: list[int],
+        n_total: int,
+        loop: TranslatedLoop,
+        scalar_env: dict[str, object],
+        storage: ArrayStorage,
+        tl: Timeline,
+        coalescing: float,
+        raw: list[int],
+        per_device: dict[int, int],
+        tag: str = "",
+    ) -> list[int]:
+        """Run one shard's chunked pipeline on one device; returns the
+        indices left unexecuted.
+
+        With prefetch on, the DMA of chunk k+1 overlaps kernel k; with
+        it off, one synchronous copy-in precedes every kernel.  An empty
+        return means the whole shard ran.  A non-empty one means the
+        device died mid-shard: it is already marked dead and the
+        degradation recorded, and because launch faults fire before any
+        lane executes the returned indices carry no partial writes.
+        """
+        ctx = self.ctx
+        pool = ctx.pool
+        dev = pool.device(device_id)
+        cost = pool.cost_of(device_id)
+        asynchronous = ctx.config.async_prefetch
+        glane, dlane = gpu_lane(device_id), dma_lane(device_id)
+
+        b_in, b_out = dev.memory.stage(loop.data_plan, storage.arrays, scalar_env)
+        frac = len(shard) / n_total
+        nchunks = max(1, min(SHARING_CHUNKS, len(shard)))
+        chunks = [c for c in block_partition(shard, nchunks) if c]
+        if asynchronous:
+            per_chunk_in = (b_in * frac) / max(1, len(chunks))
+        else:
+            sync_in = tl.schedule(
+                dlane,
+                cost.transfer_time(b_in * frac, asynchronous=False),
+                label=f"h2d-sync{tag}",
+            )
+
+        executed = 0
+        leftover: list[int] = []
+        last_kernel: Optional[Event] = None
+        for k, chunk in enumerate(chunks):
+            if asynchronous:
+                dma = tl.schedule(
+                    dlane,
+                    cost.transfer_time(per_chunk_in, asynchronous=True),
+                    label=f"h2d#{k}{tag}",
+                )
+            else:
+                dma = sync_in
+            try:
+                launch = dev.launch(
+                    loop.fn,
+                    chunk,
+                    scalar_env,
+                    storage,
+                    mode="direct",
+                    coalescing=coalescing,
+                    elem_bytes=loop.elem_bytes,
+                    block_size=loop.annotation.threads,
+                )
+            except RuntimeFaultError as err:
+                if pool.size == 1 or not is_recoverable_fault(err):
+                    # a pool of one has nowhere to drain: the ladder
+                    # rolls back and degrades to the CPU
+                    raise
+                pool.mark_dead(device_id)
+                ctx.faults.recorder.clock_s = tl.makespan
+                leftover = [i for c in chunks[k:] for i in c]
+                ctx.faults.degraded(
+                    err.site,
+                    f"gpu{device_id}->drain",
+                    detail=(
+                        f"device {device_id} died with {len(leftover)} "
+                        f"iterations pending: {err}"
+                    ),
+                )
+                frac = executed / n_total
+                break
+            launch.counts.add_to_raw(raw)
+            executed += len(chunk)
+            last_kernel = tl.schedule(
+                glane, launch.sim_time_s, after=[dma],
+                label=f"kernel#{k}{tag}",
+            )
+        per_device[device_id] = per_device.get(device_id, 0) + executed
+
+        # copy the executed fraction's outputs back after the last kernel
+        if last_kernel is not None and b_out * frac > 0:
+            out_bytes = dev.memory.copy_back(b_out * frac)
+            tl.schedule(
+                dlane,
+                cost.transfer_time(out_bytes, asynchronous=asynchronous),
+                after=[last_kernel],
+                label=f"{'d2h' if asynchronous else 'd2h-sync'}{tag}",
+            )
+        return leftover
 
     def _mode_b(
         self,
@@ -453,7 +509,8 @@ class TaskSharingScheduler:
         coalescing: float,
     ) -> ExecutionResult:
         """Low TD density: GPU-TLS across the loop, CPU handles violations."""
-        b_in, b_out = self._register_device_data(loop, storage, scalar_env)
+        mem = self.ctx.device.memory
+        b_in, b_out = mem.stage(loop.data_plan, storage.arrays, scalar_env)
         dma_in = tl.schedule(
             LANE_DMA,
             self.ctx.cost.transfer_time(b_in, asynchronous=True),
@@ -475,8 +532,7 @@ class TaskSharingScheduler:
             elem_bytes=loop.elem_bytes,
             timeline=tl,
         )
-        out_bytes = self.ctx.faults.charge_transfer(SITE_TRANSFER_D2H, b_out)
-        self._count_d2h(out_bytes)
+        out_bytes = mem.copy_back(b_out)
         tl.schedule(
             LANE_DMA,
             self.ctx.cost.transfer_time(out_bytes, asynchronous=True),
@@ -569,7 +625,8 @@ class TaskSharingScheduler:
         privatized variables end with the sequentially-last values.
         """
         gpu_idx, cpu_idx = split_at_boundary(indices, self.ctx.boundary())
-        b_in, b_out = self._register_device_data(loop, storage, scalar_env)
+        mem = self.ctx.device.memory
+        b_in, b_out = mem.stage(loop.data_plan, storage.arrays, scalar_env)
         frac_gpu = len(gpu_idx) / max(1, len(indices))
 
         dma_in = tl.schedule(
@@ -592,10 +649,7 @@ class TaskSharingScheduler:
             LANE_GPU, priv.kernel_time_s, after=[dma_in], label="pe(v)"
         )
         tl.schedule(LANE_GPU, priv.commit_time_s, label="commit")
-        out_bytes = self.ctx.faults.charge_transfer(
-            SITE_TRANSFER_D2H, b_out * frac_gpu
-        )
-        self._count_d2h(out_bytes)
+        out_bytes = mem.copy_back(b_out * frac_gpu)
         tl.schedule(
             LANE_DMA,
             self.ctx.cost.transfer_time(out_bytes, asynchronous=True),

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..errors import RuntimeFaultError, SchedulerError, UnrecoverableFaultError
-from ..faults.plane import SITE_TRANSFER_D2H
 from ..faults.resilience import (
     is_recoverable_fault,
     restore_arrays,
@@ -721,15 +720,9 @@ class TaskStealingScheduler:
             time_s += launch.sim_time_s
             counts = launch.counts
 
-        out_bytes = self.ctx.faults.charge_transfer(
-            SITE_TRANSFER_D2H,
-            loop.data_plan.total_out_bytes(scalar_env, storage.arrays) * frac,
-            dev_id,
+        out_bytes = mem.copy_back(
+            loop.data_plan.total_out_bytes(scalar_env, storage.arrays) * frac
         )
-        if out_bytes:
-            m = self.ctx.obs.metrics
-            m.counter("transfer.d2h.bytes").inc(out_bytes)
-            m.counter("transfer.d2h.count").inc()
         time_s += cost.transfer_time(out_bytes, asynchronous=True)
         for move in loop.data_plan.copyout:
             mem.mark_written(move.array)

@@ -168,12 +168,12 @@ class TestTransfers:
         assert report.faults_seen == 1
         assert report.events[1].action == "reissue"
 
-    def test_copyout_reissue(self):
+    def test_copy_back_reissue(self):
         faults = runtime(SiteRule("transfer.d2h", at=frozenset({1})))
         device, _ = gpu_rig(faults)
         arr = np.zeros(100)
         device.memory.copyin("a", arr.shape, arr.dtype)
-        assert device.memory.copyout("a") == 2 * arr.nbytes
+        assert device.memory.copy_back(arr.nbytes) == 2 * arr.nbytes
 
     def test_persistent_transfer_error_raises(self):
         faults = runtime(SiteRule("transfer.h2d", rate=1.0))
