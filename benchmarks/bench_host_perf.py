@@ -22,8 +22,11 @@ them to ``BENCH_HOSTPERF.json`` so the perf trajectory has data:
    where the simulated time goes, not just how much of it there is;
 5. **kernel tiers** — wall-clock of one hot kernel launch through the
    interpreter vs. the generated-source tier, with the tiers' outputs
-   checked bit-identical.
-   The source tier must clear 5x over the interpreter at the full size.
+   checked bit-identical: VectorAdd's straight-line kernel (direct), and
+   two control-flow kernels, Crypt's first (direct) and CFD's flux
+   kernel (buffered, its SE-log columns built and compared too).
+   The source tier must clear 5x over the interpreter on VectorAdd at
+   the full size.
 
 Run standalone (the CI ``perf-smoke`` job uses ``--n 32768``)::
 
@@ -73,8 +76,10 @@ def measure_profiling(n: int) -> dict:
     """Profile a straight-line kernel both ways; wall-clock each.
 
     ``columnar`` is ``profile_loop`` as shipped.  ``scalar`` is the same
-    profile built per record: the per-lane SE launch on the dispatcher
-    (a ``{index: LaneSpecState}`` dict), then the scalar oracles.
+    profile built per record: the per-lane SE launch on the dispatcher's
+    src tier, then the scalar oracles over the interpreter's own
+    ``{index: LaneSpecState}`` dict of the same launch (run untimed, and
+    checked column for column against the src tier's log).
     """
     import numpy as np
 
@@ -87,10 +92,12 @@ def measure_profiling(n: int) -> dict:
         profile_loop,
     )
     from repro.scheduler.context import ExecutionContext
+    from repro.ir.columnar import ColumnarLanes
     from tests.oracles import (
         analyze_lanes_scalar,
         compression_ratio_scalar,
         estimate_coalescing_scalar,
+        interpreter_lanes,
         logged_accesses_scalar,
     )
 
@@ -119,8 +126,9 @@ def measure_profiling(n: int) -> dict:
     ctx = ExecutionContext()
     device, warp = ctx.device, ctx.device.spec.warp_size
     stg = storage()
+    _pl, _counts, lanes = interpreter_lanes(fn, indices, env, stg)
     t0 = time.perf_counter()
-    per_lane, lanes = ctx.kernels.run_buffered(fn, indices, env, stg)
+    per_lane, cols = ctx.kernels.run_buffered(fn, indices, env, stg)
     kernel_s = device.cost.gpu_kernel_time(
         ctx.kernels.take_counts(fn), n,
         divergence=divergence_factor(per_lane, warp),
@@ -134,6 +142,9 @@ def measure_profiling(n: int) -> dict:
     )
     out["scalar_s"] = time.perf_counter() - t0
     out["scalar_profile_time_s"] = profile.profile_time_s
+    out["scalar_log_identical"] = not ColumnarLanes.from_states(
+        lanes, indices, stg
+    ).differing_columns(cols)
     out["speedup"] = out["scalar_s"] / out["columnar_s"]
     return out
 
@@ -288,6 +299,74 @@ def measure_kernel_tiers(n: int) -> dict:
         "src_s": src_s,
         "src_speedup": interp_s / src_s,
         "identical": c_interp.tobytes() == c_src.tobytes(),
+        "control_flow": {
+            "crypt_direct": measure_control_flow_tier(
+                "Crypt", "direct", lambda b: b["n"] // 4
+            ),
+            "cfd_buffered": measure_control_flow_tier(
+                "CFD", "buffered", lambda b: b["n"]
+            ),
+        },
+    }
+
+
+def measure_control_flow_tier(workload_name: str, flavor: str, count) -> dict:
+    """One launch of a workload's first kernel per tier, at its default
+    size over ``count(bindings)`` indices; wall-clock each and compare.
+
+    A ``buffered`` launch times the kernel with its SE log built as
+    columns (``from_states`` on the interpreter), and ``identical``
+    also covers every log column.
+    """
+    import numpy as np
+
+    from repro.api import Japonica
+    from repro.ir.interpreter import ArrayStorage
+    from repro.ir.native import KernelCache, KernelDispatcher
+    from repro.workloads import get
+
+    workload = get(workload_name)
+    program = Japonica().compile(workload.source)
+    fn = program.unit.methods[workload.method].loops[0].fn
+    binds = workload.bindings()
+    arrays = {k: v for k, v in binds.items() if isinstance(v, np.ndarray)}
+    env = {k: v for k, v in binds.items() if k not in arrays}
+    indices = list(range(count(binds)))
+
+    def timed(native: bool):
+        disp = KernelDispatcher(cache=KernelCache(), native=native)
+        run = getattr(disp, f"run_{flavor}")
+
+        def launch():
+            stg = ArrayStorage({k: v.copy() for k, v in arrays.items()})
+            t0 = time.perf_counter()
+            out = run(fn, indices, env, stg)
+            dt = time.perf_counter() - t0
+            return dt, out, disp.take_counts(fn), stg
+
+        launch()  # warm: compile
+        return launch()
+
+    interp_s, out_i, counts_i, st_i = timed(False)
+    src_s, out_n, counts_n, st_n = timed(True)
+    identical = counts_i == counts_n and all(
+        arr.tobytes() == st_n.arrays[name].tobytes()
+        for name, arr in st_i.arrays.items()
+    )
+    if flavor == "buffered":
+        (pl_i, cols_i), (pl_n, cols_n) = out_i, out_n
+        identical = identical and pl_i == pl_n
+        identical = identical and not cols_i.differing_columns(cols_n)
+    else:
+        identical = identical and out_i == out_n
+    return {
+        "workload": workload_name,
+        "flavor": flavor,
+        "indices": len(indices),
+        "interp_s": interp_s,
+        "src_s": src_s,
+        "src_speedup": interp_s / src_s,
+        "identical": identical,
     }
 
 
@@ -375,6 +454,10 @@ def main(argv=None) -> int:
     print(f"  src      {kernel_tiers['src_s']:8.3f}s  "
           f"({kernel_tiers['src_speedup']:.1f}x, "
           f"identical={kernel_tiers['identical']})")
+    for label, row in kernel_tiers["control_flow"].items():
+        print(f"  {label:13s} interp {row['interp_s']:7.3f}s  "
+              f"src {row['src_s']:7.3f}s  ({row['src_speedup']:.1f}x, "
+              f"{row['indices']} indices, identical={row['identical']})")
 
     print("trace insight: critical path and bottleneck lane per workload ...")
     insight = measure_insight()
@@ -410,6 +493,16 @@ def main(argv=None) -> int:
         return 1
     if not kernel_tiers["identical"]:
         print("FAIL: kernel tiers disagree on results", file=sys.stderr)
+        return 1
+    bad = [label for label, row in kernel_tiers["control_flow"].items()
+           if not row["identical"]]
+    if bad:
+        print(f"FAIL: kernel tiers disagree on {', '.join(bad)}",
+              file=sys.stderr)
+        return 1
+    if not profiling["scalar_log_identical"]:
+        print("FAIL: the src tier's SE log differs from the interpreter's",
+              file=sys.stderr)
         return 1
     min_kernel = args.min_kernel_speedup
     if min_kernel is None and args.n >= 256 * 1024:

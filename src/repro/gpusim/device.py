@@ -147,7 +147,7 @@ class GpuDevice:
         )
         result = LaunchResult(counts, sim_time, len(indices), warps, divergence=div)
         if mode == "buffered":
-            result.lanes = ColumnarLanes.from_states(aux, indices, storage)
+            result.lanes = aux
         else:
             result.traces = aux
         if check_allocations:

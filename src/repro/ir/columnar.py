@@ -14,11 +14,14 @@ its NumPy columns:
   dtype.
 
 Straight-line kernels produce the columns directly (the vectorized SE
-kernel); kernels with control flow run per lane on the src tier or the
-interpreter, whose ``{index: LaneSpecState}`` output
-:meth:`ColumnarLanes.from_states` converts.  The ``Mapping[int,
-LaneSpecState]`` protocol materializes a lane's state on demand; only
-the scalar test oracles read it.
+kernel); kernels with control flow run per lane on the src tier, whose
+buffered flavor appends its log to column lists that
+:meth:`ColumnarLanes.from_logs` turns into arrays.  Only the interpreter,
+the oracle, keeps the ``{index: LaneSpecState}`` dict of its
+``SpeculativeBackend``; :meth:`ColumnarLanes.from_states` is its adapter
+onto ``from_logs``.  The ``Mapping[int, LaneSpecState]`` protocol
+materializes a lane's state on demand; only the scalar test oracles
+read it.
 
 Invariant relied upon by the columnar analyses: within a lane the log
 lists are op-ascending (every engine appends with a monotonically
@@ -27,6 +30,7 @@ increasing op counter).
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -78,67 +82,109 @@ class ColumnarLanes(Mapping):
         iteration_order: Sequence[int],
         storage: ArrayStorage,
     ) -> "ColumnarLanes":
-        """Columns of a per-lane engine's ``{index: LaneSpecState}`` output.
-
-        Log lists must be op-ascending, and a lane's buffer keys must be
-        its written cells in first-write order: every engine appends the
-        write record before it sets the buffer key, so the deduplicated
-        write log names each buffered value's cell.
-        """
+        """Columns of the interpreter's ``{index: LaneSpecState}`` output:
+        its adapter to :meth:`from_logs`.  A position whose iteration has
+        no state is not ``present``.  Log lists must be op-ascending."""
         order = _as_order_array(iteration_order)
         n = len(order)
         present = np.zeros(n, dtype=bool)
-        names: list[str] = []
-        aid: dict[str, int] = {}
-        r_cols: tuple[list, list, list, list] = ([], [], [], [])
-        w_cols: tuple[list, list, list, list] = ([], [], [], [])
-        values: list = []
-        for p in range(n):
-            state = states.get(int(order[p]))
+        code: dict[str, int] = {}
+        reads: tuple[list, list, list, list] = ([], [], [], [])
+        writes: tuple[list, list, list, list] = ([], [], [], [])
+        lane_buffers: dict[int, list[dict]] = {}
+        for p, it in enumerate(order.tolist()):
+            state = states.get(it)
             if state is None:
                 continue
             present[p] = True
-            for rec in state.reads:
-                a = aid.get(rec.array)
-                if a is None:
-                    a = aid[rec.array] = len(names)
-                    names.append(rec.array)
-                r_cols[0].append(p)
-                r_cols[1].append(rec.op)
-                r_cols[2].append(a)
-                r_cols[3].append(rec.flat)
-            for rec in state.writes:
-                a = aid.get(rec.array)
-                if a is None:
-                    a = aid[rec.array] = len(names)
-                    names.append(rec.array)
-                w_cols[0].append(p)
-                w_cols[1].append(rec.op)
-                w_cols[2].append(a)
-                w_cols[3].append(rec.flat)
-            values.extend(state.buffer.values())
+            for cols, log in ((reads, state.reads), (writes, state.writes)):
+                for rec in log:
+                    cols[0].append(p)
+                    cols[1].append(rec.op)
+                    cols[2].append(code.setdefault(rec.array, len(code)))
+                    cols[3].append(rec.flat)
+            cells: dict[int, dict] = {}
+            for (name, flat), value in state.buffer.items():
+                cells.setdefault(code[name], {})[flat] = value
+            for c, lane_cells in cells.items():
+                lanes = lane_buffers.get(c)
+                if lanes is None:  # one shared, never-written empty dict
+                    lanes = lane_buffers[c] = [{}] * n
+                lanes[p] = lane_cells
+        return cls.from_logs(
+            order, list(code), reads, writes, lane_buffers, storage, present
+        )
 
-        def cols(raw):
-            return tuple(np.array(c, dtype=np.int64) for c in raw)
+    @classmethod
+    def from_logs(
+        cls,
+        iteration_order: Sequence[int],
+        arrays: Sequence[str],
+        reads: tuple[list, list, list, list],
+        writes: tuple[list, list, list, list],
+        lane_buffers: dict[int, list[dict]],
+        storage: ArrayStorage,
+        present: Optional[np.ndarray] = None,
+    ) -> "ColumnarLanes":
+        """Columns of a per-lane engine's log: the src tier's buffered
+        flavor, or the interpreter's through :meth:`from_states`.
 
-        # the scan is position-major and each lane's list op-ascending,
-        # so the columns are already (pos, op)-sorted
-        reads, writes = cols(r_cols), cols(w_cols)
-        w_pos, w_op, w_arr, w_flat = writes
-        m = int(w_flat.max()) + 1 if len(w_flat) else 1
-        # first write per (lane, cell) in (pos, op) order: the buffer
-        # keys, in the order ``values`` lists them
-        b_pos, _op, b_key = dedup_first(w_pos, w_op, w_arr * m + w_flat)
-        b_val = np.array(values, dtype=object)
-        b_arr = b_key // m
+        ``reads``/``writes`` are ``(pos, op, code, flat)`` lists in
+        (pos, op) order, where ``code`` indexes ``arrays``;
+        ``lane_buffers[code]`` holds every lane's ``{flat: value}`` write
+        buffer of that array, in position order.  ``present`` defaults
+        to every lane having run.
+        """
+        order = _as_order_array(iteration_order)
+        n = len(order)
+        r_pos, r_op, r_code, r_flat = (
+            np.array(c, dtype=np.int64) for c in reads
+        )
+        w_pos, w_op, w_code, w_flat = (
+            np.array(c, dtype=np.int64) for c in writes
+        )
+        # array ids in first-seen order: lane by lane, its reads, then
+        # its writes
+        first: dict[int, tuple[int, int, int]] = {}
+        for kind, pos, code in ((0, r_pos, r_code), (1, w_pos, w_code)):
+            codes, rows = np.unique(code, return_index=True)
+            for c, row in zip(codes.tolist(), rows.tolist()):
+                seen = (int(pos[row]), kind, row)
+                if c not in first or seen < first[c]:
+                    first[c] = seen
+        by_seen = sorted(first, key=first.__getitem__)
+        names = [arrays[c] for c in by_seen]
+        ids = np.zeros(len(arrays), dtype=np.int64)
+        ids[by_seen] = np.arange(len(by_seen))
+        # final buffered cells sorted by (pos, flat), values cast through
+        # an object array to the array's dtype
         buffers: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        for a in np.unique(b_arr):
-            sel = b_arr == a
-            pos, flat = b_pos[sel], b_key[sel] % m
+        for code, lanes in lane_buffers.items():
+            sizes = np.fromiter(map(len, lanes), dtype=np.int64, count=n)
+            rows = int(sizes.sum())
+            if rows == 0:
+                continue
+            pos = np.repeat(np.arange(n, dtype=np.int64), sizes)
+            flat = np.fromiter(
+                chain.from_iterable(lanes), dtype=np.int64, count=rows
+            )
+            values = np.array(
+                list(chain.from_iterable(b.values() for b in lanes)),
+                dtype=object,
+            )
             s = np.lexsort((flat, pos))
-            dtype = storage.arrays[names[a]].dtype
-            buffers[int(a)] = (pos[s], flat[s], b_val[sel][s].astype(dtype))
-        return cls(order, present, names, reads, writes, buffers)
+            dtype = storage.arrays[arrays[code]].dtype
+            buffers[int(ids[code])] = (
+                pos[s], flat[s], values[s].astype(dtype)
+            )
+        return cls(
+            order,
+            np.ones(n, dtype=bool) if present is None else present,
+            names,
+            (r_pos, r_op, ids[r_code], r_flat),
+            (w_pos, w_op, ids[w_code], w_flat),
+            dict(sorted(buffers.items())),
+        )
 
     # -- Mapping protocol ------------------------------------------------
 
@@ -199,6 +245,35 @@ class ColumnarLanes(Mapping):
     @property
     def n_present(self) -> int:
         return int(self.present.sum())
+
+    def differing_columns(self, other: "ColumnarLanes") -> list[str]:
+        """Names of the columns in which ``other`` differs, bitwise."""
+
+        def same(a: np.ndarray, b: np.ndarray) -> bool:
+            return (
+                a.dtype == b.dtype
+                and a.shape == b.shape
+                and a.tobytes() == b.tobytes()
+            )
+
+        out = [
+            name
+            for name in ("order", "present", "r_pos", "r_op", "r_arr",
+                         "r_flat", "w_pos", "w_op", "w_arr", "w_flat")
+            if not same(getattr(self, name), getattr(other, name))
+        ]
+        if self.names != other.names:
+            out.append("names")
+        if list(self.buffers) != list(other.buffers):
+            out.append("buffers")
+            return out
+        for a_id, cols in self.buffers.items():
+            for label, mine, theirs in zip(
+                ("pos", "flat", "value"), cols, other.buffers[a_id]
+            ):
+                if not same(mine, theirs):
+                    out.append(f"buffers[{a_id}].{label}")
+        return out
 
     def logged_accesses(self) -> int:
         """Total logged reads + writes (the DD/DC analysis input volume)."""

@@ -68,21 +68,6 @@ def wrap_long(value: int) -> int:
     return value - 0x10000000000000000 if value >= 0x8000000000000000 else value
 
 
-def java_div_int(a: int, b: int) -> int:
-    """Integer division truncating toward zero; raises on division by zero."""
-    if b == 0:
-        raise ZeroDivisionError("/ by zero")
-    q = abs(a) // abs(b)
-    return q if (a >= 0) == (b >= 0) else -q
-
-
-def java_rem_int(a: int, b: int) -> int:
-    """Remainder with the dividend's sign (Java ``%``)."""
-    if b == 0:
-        raise ZeroDivisionError("% by zero")
-    return a - java_div_int(a, b) * b
-
-
 def default_value(jtype: JType):
     """Java default field value for a type (0 / 0.0 / false)."""
     if jtype is BOOL:
@@ -98,19 +83,31 @@ def default_value(jtype: JType):
 
 
 def _divi(a, b):
-    return wrap_int(java_div_int(a, b))
+    # Java int /: truncating; only MIN_VALUE / -1 overflows (to itself)
+    if b == 0:
+        raise ZeroDivisionError("/ by zero")
+    q = abs(a) // abs(b)
+    if (a < 0) != (b < 0):
+        return -q
+    return q if q != 0x80000000 else -0x80000000
 
 
 def _divl(a, b):
-    return wrap_long(java_div_int(a, b))
+    if b == 0:
+        raise ZeroDivisionError("/ by zero")
+    q = abs(a) // abs(b)
+    if (a < 0) != (b < 0):
+        return -q
+    return q if q != 0x8000000000000000 else -0x8000000000000000
 
 
-def _remi(a, b):
-    return wrap_int(java_rem_int(a, b))
-
-
-def _reml(a, b):
-    return wrap_long(java_rem_int(a, b))
+def _rem(a, b):
+    # Java int and long %: the dividend's sign; |a % b| < |b| never
+    # overflows, so one function serves both types
+    if b == 0:
+        raise ZeroDivisionError("% by zero")
+    r = abs(a) % abs(b)
+    return -r if a < 0 else r
 
 
 def _fdiv(a: float, b: float) -> float:
@@ -315,8 +312,15 @@ def _bin_rules() -> dict[tuple[str, JType], Rule]:
              _a_ushr(NP_TYPE[jt], unsigned, bits)),
         ):
             rules[op, jt] = Rule(_wrap_expr(core, jt), fn)
-        rules["/", jt] = Rule(f"_div{sfx}({{a}}, {{b}})", _a_idiv)
-        rules["%", jt] = Rule(f"_rem{sfx}({{a}}, {{b}})", _a_irem)
+        # a non-negative dividend over a positive divisor: Python's
+        # floor // and % are Java's truncating ones and cannot overflow
+        for op, py, helper, fn in (("/", "//", f"_div{sfx}", _a_idiv),
+                                   ("%", "%", f"_rem{sfx}", _a_irem)):
+            rules[op, jt] = Rule(
+                f"({{a}} {py} {{b}} if {{a}} >= 0 < {{b}} "
+                f"else {helper}({{a}}, {{b}}))",
+                fn,
+            )
     return rules
 
 
@@ -598,8 +602,8 @@ SRC_GLOBALS = {
     "_rf": _round_float,
     "_divi": _divi,
     "_divl": _divl,
-    "_remi": _remi,
-    "_reml": _reml,
+    "_remi": _rem,
+    "_reml": _rem,
     "_c_fi": _c_fi,
     "_c_fl": _c_fl,
     "_c_lf": _c_lf,

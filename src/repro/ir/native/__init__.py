@@ -7,12 +7,13 @@ adds a faster tier that preserves its observable behaviour exactly:
 
 ``src``
     :mod:`repro.ir.native.codegen` compiles an :class:`IRFunction` into
-    type-specialized Python source — registers become locals, branches
-    become a block-dispatch loop, Java numeric semantics are the inline
-    expressions of the :mod:`repro.ir.java_ops` table, and work counters
-    are folded statically per basic block.  The source is
-    ``compile()``+``exec()``'d once per (fingerprint, flavor) and is
-    stateless/reentrant.
+    type-specialized Python source — registers become locals, loops and
+    branches become ``while``/``if`` with the shape of the source, Java
+    numeric semantics are the inline expressions of the
+    :mod:`repro.ir.java_ops` table, work counters are folded statically
+    per basic block, and a buffered launch writes its SE log as columns.
+    The source is ``compile()``+``exec()``'d once per (fingerprint,
+    flavor) and is stateless/reentrant.
 
 :class:`repro.ir.native.dispatch.KernelDispatcher` fronts the tiers:
 with the backend on, a kernel runs on src from its first launch; the

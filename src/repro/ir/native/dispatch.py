@@ -30,6 +30,7 @@ import numpy as np
 from ...errors import NativeMismatch
 from ...obs.metrics import NULL_INSTRUMENTATION, Instrumentation
 from ...obs.tracer import PLANE_HOST
+from ..columnar import ColumnarLanes
 from ..instructions import IRFunction
 from ..interpreter import (
     ArrayStorage,
@@ -224,7 +225,9 @@ class KernelDispatcher:
     ):
         """SE-phase run: per-lane write buffers + read/write logs.
 
-        Returns ``(per_lane, {index: LaneSpecState})``.
+        Returns ``(per_lane, ColumnarLanes)`` on either tier: the src
+        kernel writes the columns itself, the interpreter's
+        ``{index: LaneSpecState}`` dict goes through ``from_states``.
         """
         return self._run(fn, "buffered", indices, scalar_env, storage)
 
@@ -274,7 +277,9 @@ class KernelDispatcher:
             # and partial counts survive exceptions
             kern.take_counts().add_to_raw(self.counters(fn))
         if flavor == "buffered":
-            return per_lane, backend.lanes
+            return per_lane, ColumnarLanes.from_states(
+                backend.lanes, indices, storage
+            )
         if flavor == "tracing":
             return per_lane, backend.traces
         return per_lane
@@ -354,8 +359,14 @@ class KernelDispatcher:
                     or not np.array_equal(arr, other)
                 ):
                     diffs.append(f"array {name!r} differs")
-            if flavor != "direct" and native_aux != interp_aux:
-                diffs.append(f"{flavor} lane state differs")
+            if flavor == "buffered":
+                columns = interp_aux.differing_columns(native_aux)
+                if columns:
+                    diffs.append(
+                        "buffered log columns differ: " + ", ".join(columns)
+                    )
+            elif flavor == "tracing" and native_aux != interp_aux:
+                diffs.append("tracing lane state differs")
         if diffs:
             self.obs.metrics.counter(
                 "kernel.crosscheck.mismatch", PLANE_HOST

@@ -177,13 +177,14 @@ def _outcome(form, args, result_type):
     try:
         with np.errstate(all="ignore"):
             return _bits(form(*args), result_type)
-    except Exception as exc:  # noqa: BLE001 - compared by type
-        return type(exc)
+    except Exception as exc:  # noqa: BLE001 - compared with its message
+        return type(exc), str(exc)
 
 
 def _agree(forms, operands, result_type):
     """The scalar, emitted and array forms give bitwise-equal results, or
-    raise the same exception type, on each operand tuple."""
+    raise the same exception type with the same message, on each operand
+    tuple."""
     scalar, emitted, array = forms
     for args in operands:
         values = [v for v, _t in args]

@@ -1,5 +1,7 @@
 """Native src-tier codegen: semantics vs the interpreter, per flavor."""
 
+import ast
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,14 @@ from repro.ir import (
     SpeculativeBackend,
     TracingBackend,
 )
+from repro.ir.columnar import ColumnarLanes
 from repro.ir.interpreter import C_TOTAL, Counts, N_COUNTERS
-from repro.ir.native.codegen import FLAVORS, NativeKernel, generate_source
+from repro.ir.native.codegen import (
+    FLAVORS,
+    NativeKernel,
+    generate,
+    generate_source,
+)
 
 from ..conftest import lowered
 
@@ -75,6 +83,14 @@ def _native(fn, flavor, indices, env, storage, fuel=None):
     return per_lane, Counts.from_raw(raw), aux, err
 
 
+def assert_same_log(cols, interp_lanes, indices, storage):
+    """The src tier's buffered columns equal, column for column and
+    bitwise, ``from_states`` of the interpreter's own lanes dict."""
+    assert isinstance(cols, ColumnarLanes)
+    want = ColumnarLanes.from_states(interp_lanes, indices, storage)
+    assert want.differing_columns(cols) == []
+
+
 def _storage():
     return ArrayStorage(
         {"a": np.arange(-2, 6, dtype=np.int32), "b": np.zeros(8)}
@@ -92,7 +108,10 @@ class TestFlavors:
         assert e1 is None and e2 is None
         assert pl1 == pl2
         assert c1 == c2
-        assert aux1 == aux2
+        if flavor == "buffered":
+            assert_same_log(aux2, aux1, list(range(8)), s1)
+        else:
+            assert aux1 == aux2
         for name in s1.arrays:
             assert np.array_equal(s1.arrays[name], s2.arrays[name])
             assert s1.arrays[name].dtype == s2.arrays[name].dtype
@@ -183,8 +202,10 @@ class TestSource:
         _, fn = lowered(BRANCHY)
         direct = generate_source(fn, "direct")
         buffered = generate_source(fn, "buffered")
-        assert "_buf" not in direct
-        assert "_buf" in buffered
+        # the lane's buffer of array "b" and the log's column appends
+        for name in ("_buf1", "_r_flat(", "_w_flat(", "_Cols("):
+            assert name not in direct
+            assert name in buffered
 
     def test_unknown_flavor_rejected(self):
         _, fn = lowered(BRANCHY)
@@ -198,3 +219,48 @@ class TestSource:
         src = generate_source(fn)
         assert "_c7" in src
         assert "_raw[7] += _c7 + _t" in src
+
+
+# one instance of every opcode, every java_ops helper (``_rf``, ``_divi``
+# and the rest of SRC_GLOBALS), an intrinsic, 1-D and 2-D arrays and a
+# load and store of the same cell in one lane
+EVERY_OPCODE = """
+class T { static void f(float[] x, int[] y, long[] z, double[][] m,
+                        double s, int n) {
+  /* acc parallel */
+  for (int i = 0; i < n; i++) {
+    float v = x[i] * 0.5f + (float) s;
+    int q = y[i] / 3 + y[i] % 5 - (-y[i]) + ~y[i];
+    long w = z[i] / 7L + z[i] % 9L + (long) v;
+    boolean b = !(q > 2) && v < 1.0f || q == 4;
+    double d = Math.sqrt(s) + (double) w / 2.0 + s % 3.0;
+    m[i % 2][i % 3] = b ? d : -d;
+    m[i % 2][i % 3] = m[i % 2][i % 3] + (double) (int) d;
+    x[i] = v;
+    y[i] = q;
+    z[i] = w;
+  }
+} }
+"""
+
+
+class TestNames:
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_generated_locals_never_shadow_a_global(self, flavor):
+        _, fn = lowered(EVERY_OPCODE)
+        ops = {i.op for blk in fn.blocks for i in blk.instrs}
+        assert len(ops) == 11  # every Opcode
+        source, globals_ = generate(fn, flavor)
+        tree = ast.parse(source)
+        assigned = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+        }
+        assigned |= {
+            arg.arg for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) for arg in node.args.args
+        }
+        assert "_rf" in globals_ and any(k.startswith("_K") for k in globals_)
+        assert any(k.startswith("_in") for k in globals_)
+        assert assigned & set(globals_) == set()

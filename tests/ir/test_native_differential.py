@@ -12,11 +12,20 @@ identical, :class:`Counts` equal, per-lane instruction counts and
 speculative lane state equal, and exceptions of the same type (the
 interpreter and the src tier also agree on the message and the point of
 fuel exhaustion).
+
+A second generator builds random *structured* CFGs — nested loops,
+loops that exit from a ``&&``/``||``/``?:`` join block, if without
+else, diamonds inside a loop body and as its last statement (joining
+at the loop header), empty loop bodies, float32 registers and a store
+and load of one cell in a lane — and holds the src tier to the
+interpreter in all three flavors; the buffered columns must equal
+``from_states`` of the interpreter's own lanes dict, column for column.
 """
 
 import struct
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +33,7 @@ from repro.ir import ArrayStorage, IRBuilder, JType
 from repro.ir.specvec import VectorizedSpecKernel
 from repro.ir.vectorizer import VectorizedKernel
 
-from .test_native_codegen import _interp, _native
+from .test_native_codegen import _interp, _native, assert_same_log
 
 N = 8
 
@@ -416,3 +425,296 @@ class TestDifferential:
         assert pl1 == pl2
         assert c1 == c2
         _same_arrays(s1, s2)
+
+
+# ---------------------------------------------------------------------------
+# Structured control flow: every flavor of the src tier
+# ---------------------------------------------------------------------------
+
+LOOP_CONDS = ("plain", "and", "or", "sel")
+FLT_OPS = ["+", "-", "*", "/", "%"]
+INT_ACC_OPS = ["+", "-", "*", "^", ">>>", "/", "%"]
+
+_leaf = st.one_of(
+    st.tuples(st.just("dacc"), st.sampled_from(DBL_OPS), _idx),
+    st.tuples(st.just("facc"), st.sampled_from(FLT_OPS), _idx),
+    st.tuples(st.just("iacc"), st.sampled_from(INT_ACC_OPS), _idx),
+    st.tuples(st.just("mem"), st.integers(0, N - 1)),
+)
+
+
+def _stmts(depth):
+    """A statement list: leaves, and ifs/loops nesting ``depth`` deep.
+
+    ``("if", cmp, x, y, then, else_or_None, join_direct)``;
+    ``("loop", mask, cond_kind, inc_in_head, body)``.
+    """
+    if depth == 0:
+        return st.lists(_leaf, max_size=3)
+    inner = _stmts(depth - 1)
+    compound = st.one_of(
+        st.tuples(
+            st.just("if"), st.sampled_from(CMP_OPS), _idx, _idx, inner,
+            st.none() | inner, st.booleans(),
+        ),
+        st.tuples(
+            st.just("loop"), st.integers(0, 3), st.sampled_from(LOOP_CONDS),
+            st.booleans(), inner,
+        ),
+    )
+    return st.lists(st.one_of(_leaf, compound), max_size=3)
+
+
+def build_structured(stmts):
+    """Lower a statement tree the way ``ir/lower.py`` shapes a CFG,
+    plus the shapes only a builder makes: a diamond or if-without-else
+    that is a loop body's last statement branches straight to the loop
+    header (``join_direct``), and a loop that counts in its header has
+    an empty body block when its statement list is empty."""
+    b = IRBuilder("sk")
+    i = b.declare_index("i")
+    sn = b.declare_scalar("n", JType.INT)
+    ss = b.declare_scalar("s", JType.DOUBLE)
+    for name, jt in (("ai", JType.INT), ("ad", JType.DOUBLE),
+                     ("oi", JType.INT), ("od", JType.DOUBLE),
+                     ("of", JType.FLOAT), ("ts", JType.DOUBLE)):
+        b.declare_array(name, jt, 1)
+    b.set_insert(b.new_block("entry"))
+    iacc = b.new_reg(JType.INT, "iacc")
+    dacc = b.new_reg(JType.DOUBLE, "dacc")
+    facc = b.new_reg(JType.FLOAT, "facc")
+    b.mov(iacc, b.load("ai", (i,), JType.INT))
+    b.mov(dacc, b.load("ad", (i,), JType.DOUBLE))
+    b.mov(facc, b.cast(ss, JType.FLOAT))
+    ints = [i, sn, iacc]
+    dbls = [ss, dacc]
+    one = b.const(1, JType.INT)
+    mask = b.const(N - 1, JType.INT)
+
+    def leaf(stmt):
+        kind = stmt[0]
+        if kind == "dacc":
+            _, op, x = stmt
+            b.mov(dacc, b.bin(op, dacc, _pick(dbls, x), JType.DOUBLE))
+        elif kind == "facc":
+            _, op, x = stmt
+            rhs = b.cast(_pick(dbls, x), JType.FLOAT)
+            b.mov(facc, b.bin(op, facc, rhs, JType.FLOAT))
+        elif kind == "iacc":
+            _, op, x = stmt
+            rhs = _pick(ints, x)
+            if op in ("/", "%"):  # `| 1`: only fuel can fault
+                rhs = b.bin("|", rhs, one, JType.INT)
+            b.mov(iacc, b.bin(op, iacc, rhs, JType.INT))
+        else:  # store a cell, then load this lane's own cell back
+            _, off = stmt
+            cell = b.bin(
+                "&", b.bin("+", i, b.const(off, JType.INT), JType.INT),
+                mask, JType.INT,
+            )
+            b.store("ts", (cell,), dacc)
+            got = b.load("ts", (i,), JType.DOUBLE)
+            b.mov(dacc, b.bin("+", dacc, got, JType.DOUBLE))
+
+    def loop(stmt):
+        _, lmask, kind, inc_in_head, body = stmt
+        k = b.new_reg(JType.INT, "k")
+        b.mov(k, b.const(0, JType.INT))
+        bound = b.bin("&", i, b.const(lmask, JType.INT), JType.INT)
+        head = b.new_block("head")
+        b.br(head)
+        b.set_insert(head)
+        if inc_in_head:
+            b.mov(k, b.bin("+", k, one, JType.INT))
+        first = b.bin("<=" if inc_in_head else "<", k, bound, JType.BOOL)
+        if kind == "plain":
+            cond = first
+        else:
+            res = b.new_reg(JType.BOOL)
+            k1 = b.bin("+", k, one, JType.INT)
+            if kind == "sel":
+                parity = b.bin(
+                    "==", b.bin("&", k, one, JType.INT),
+                    b.const(0, JType.INT), JType.BOOL,
+                )
+                sel_t, sel_f = b.new_block("sel_t"), b.new_block("sel_f")
+                end = b.new_block("sel_end")
+                b.cbr(parity, sel_t, sel_f)
+                b.set_insert(sel_t)
+                b.mov(res, first)
+                b.br(end)
+                b.set_insert(sel_f)
+                b.mov(res, b.bin("<", k1, b.bin("+", bound, one, JType.INT),
+                                 JType.BOOL))
+                b.br(end)
+            else:
+                b.mov(res, first)
+                rhs_blk, end = b.new_block("sc_rhs"), b.new_block("sc_end")
+                if kind == "and":
+                    b.cbr(first, rhs_blk, end)
+                else:
+                    b.cbr(first, end, rhs_blk)
+                b.set_insert(rhs_blk)
+                second = b.bin("<", k1, bound, JType.BOOL)
+                b.mov(res, second if kind == "and" else
+                      b.bin("&", second, first, JType.BOOL))
+                b.br(end)
+            b.set_insert(end)
+            cond = res
+        body_blk, done = b.new_block("body"), b.new_block("done")
+        b.cbr(cond, body_blk, done)
+        b.set_insert(body_blk)
+        if inc_in_head:
+            lower(body, head)
+        else:
+            lower(body, None)
+            b.mov(k, b.bin("+", k, one, JType.INT))
+            b.br(head)
+        b.set_insert(done)
+
+    def branch(stmt, cont):
+        _, op, x, y, then, els, join_direct = stmt
+        cond = b.bin(op, _pick(ints, x), _pick(ints, y), JType.BOOL)
+        then_blk = b.new_block("then")
+        else_blk = b.new_block("else") if els is not None else None
+        if cont is not None and join_direct:
+            b.cbr(cond, then_blk, else_blk or cont)
+            for blk, arm in ((then_blk, then), (else_blk, els)):
+                if blk is not None:
+                    b.set_insert(blk)
+                    lower(arm, cont)
+            return True
+        join = b.new_block("join")
+        b.cbr(cond, then_blk, else_blk or join)
+        for blk, arm in ((then_blk, then), (else_blk, els)):
+            if blk is not None:
+                b.set_insert(blk)
+                lower(arm, join)
+        b.set_insert(join)
+        return False
+
+    def lower(stmts, cont):
+        """Lower ``stmts``; with ``cont``, end by branching to it."""
+        for k, stmt in enumerate(stmts):
+            last = k == len(stmts) - 1
+            if stmt[0] == "if":
+                if branch(stmt, cont if last else None):
+                    return
+            elif stmt[0] == "loop":
+                loop(stmt)
+            else:
+                leaf(stmt)
+        if cont is not None:
+            b.br(cont)
+
+    lower(stmts, None)
+    b.store("oi", (i,), iacc)
+    b.store("od", (i,), dacc)
+    b.store("of", (i,), facc)
+    b.ret()
+    return b.finish()
+
+
+def _structured_storage(ai, ad):
+    return ArrayStorage(
+        {
+            "ai": np.array(ai, dtype=np.int32),
+            "ad": np.array(ad, dtype=np.float64),
+            "oi": np.zeros(N, dtype=np.int32),
+            "od": np.zeros(N, dtype=np.float64),
+            "of": np.zeros(N, dtype=np.float32),
+            "ts": np.arange(N, dtype=np.float64),
+        }
+    )
+
+
+def assert_src_flavors_match(fn, env, ai, ad, fuel=None):
+    """The src tier reproduces the interpreter in every flavor: arrays,
+    Counts, per-lane totals, fuel faults and the flavor's log."""
+    indices = list(range(N))
+    for flavor in ("direct", "buffered", "tracing"):
+        s1 = _structured_storage(ai, ad)
+        s2 = _structured_storage(ai, ad)
+        pl1, c1, aux1, e1 = _interp(fn, flavor, indices, env, s1, fuel)
+        pl2, c2, aux2, e2 = _native(fn, flavor, indices, env, s2, fuel)
+        assert type(e1) is type(e2), flavor
+        assert str(e1) == str(e2), flavor
+        assert pl1 == pl2, flavor
+        assert c1 == c2, flavor
+        _same_arrays(s1, s2)
+        if e1 is not None:
+            continue
+        if flavor == "buffered":
+            assert_same_log(aux2, aux1, indices, s1)
+        elif flavor == "tracing":
+            assert aux1 == aux2
+
+
+def _loop(body, cond="plain", inc_in_head=False, mask=3):
+    return ("loop", mask, cond, inc_in_head, body)
+
+
+def _if(then, els=None, join_direct=False, op="<", x=2, y=0):
+    return ("if", op, x, y, then, els, join_direct)
+
+
+_D = ("dacc", "+", 1)
+_F = ("facc", "*", 0)
+_I = ("iacc", "%", 0)
+
+#: one kernel per shape the structurer must handle
+SHAPES = {
+    "nested_loops": [_loop([_D, _loop([_I, _F])])],
+    "and_exit": [_loop([_D], cond="and")],
+    "or_exit": [_loop([_I], cond="or")],
+    "sel_exit": [_loop([_F], cond="sel")],
+    "if_without_else": [_if([_D, _I])],
+    "diamond_in_loop": [_loop([_if([_D], [_F]), _I])],
+    "diamond_last_in_body": [
+        _loop([_I, _if([_D], [_F], join_direct=True)], inc_in_head=True)
+    ],
+    "if_without_else_last_in_body": [
+        _loop([_if([_D], join_direct=True)], inc_in_head=True)
+    ],
+    "empty_loop_body": [_loop([], inc_in_head=True), _loop([], cond="and")],
+    "float_registers": [_F, ("facc", "/", 1), ("facc", "%", 0)],
+    "store_then_load": [("mem", 0), _loop([("mem", 1), ("mem", 0)])],
+    "deep_mix": [
+        _loop([
+            _if([_loop([_D, ("mem", 0)], cond="sel")], [_I]),
+            _loop([_if([_F], join_direct=True)], cond="or", inc_in_head=True),
+        ], cond="and"),
+    ],
+}
+
+_AI = [5, -3, 0, 7, 2**31 - 1, -(2**31), 12, 1]
+_AD = [0.5, -1.25, 3.0, float("nan"), -0.0, 1e300, 2.5, -7.0]
+
+
+class TestStructuredFlavors:
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_shape_matches_interpreter(self, shape):
+        fn = build_structured(SHAPES[shape])
+        assert_src_flavors_match(fn, {"n": N, "s": 1.5}, _AI, _AD)
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_shape_fuel_fault_matches_interpreter(self, shape):
+        fn = build_structured(SHAPES[shape])
+        assert_src_flavors_match(fn, {"n": N, "s": 1.5}, _AI, _AD, fuel=40)
+
+    @given(stmts=_stmts(2), ai=_i32, ad=_f64, s=st.floats(width=64))
+    @settings(max_examples=60, **COMMON)
+    def test_random_structured_kernels(self, stmts, ai, ad, s):
+        fn = build_structured(stmts)
+        assert_src_flavors_match(fn, {"n": N, "s": s}, ai, ad)
+
+    @given(
+        stmts=_stmts(2),
+        ai=_i32,
+        ad=_f64,
+        fuel=st.integers(5, 150),
+    )
+    @settings(max_examples=30, **COMMON)
+    def test_random_structured_fuel_faults(self, stmts, ai, ad, fuel):
+        fn = build_structured(stmts)
+        assert_src_flavors_match(fn, {"n": N, "s": 0.5}, ai, ad, fuel)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import JaponicaError, NativeMismatch
 from repro.ir import ArrayStorage
+from repro.ir.columnar import ColumnarLanes
 from repro.ir.native import KernelCache, KernelDispatcher, codegen
 from repro.obs import Instrumentation
 
@@ -120,6 +121,39 @@ class TestCompileFailure:
         assert counters["kernel.tier.interp"] == 4
         assert "kernel.tier.src" not in counters
 
+    def test_nesting_beyond_python_limits_runs_on_interpreter(self):
+        # 25 nested loops: CPython compiles at most 20 statically nested
+        # blocks, so the structured source fails to compile
+        depth = 25
+        heads = "".join(
+            f"for (int k{d} = 0; k{d} < 1; k{d}++) {{ " for d in range(depth)
+        )
+        src = (
+            "class T { static void f(int[] a, int n) {\n"
+            "  /* acc parallel */\n"
+            "  for (int i = 0; i < n; i++) { "
+            + heads + "a[i] = a[i] + i + k24; " + "} " * depth
+            + "}\n} }\n"
+        )
+        fn = lowered(src)[1]
+        with pytest.raises(SyntaxError, match="nested blocks"):
+            compile(codegen.generate_source(fn), "<nested>", "exec")
+        runs = {}
+        for native in (False, True):
+            obs = Instrumentation.recording()
+            d = KernelDispatcher(cache=KernelCache(), native=native, obs=obs)
+            storage = ArrayStorage({"a": np.arange(3, dtype=np.int32)})
+            per_lane = d.run_direct(fn, [0, 1, 2], {}, storage)
+            runs[native] = (per_lane, d.take_counts(fn), storage, obs)
+        assert runs[True][:2] == runs[False][:2]
+        assert (
+            runs[True][2].arrays["a"].tobytes()
+            == runs[False][2].arrays["a"].tobytes()
+        )
+        counters = _counters(runs[True][3])
+        assert counters["kernel.compile.failed"] == 1
+        assert counters["kernel.tier.interp"] == 1
+
     def test_crosscheck_runs_interpreter_alone(self, attempts):
         obs = Instrumentation.recording()
         d = KernelDispatcher(cache=KernelCache(), crosscheck=True, obs=obs)
@@ -174,7 +208,15 @@ class TestTierEquivalence:
             runs[native] = (out, d.take_counts(fn), storage)
         out_i, counts_i, st_i = runs[False]
         out_n, counts_n, st_n = runs[True]
-        assert out_i == out_n
+        if flavor == "buffered":
+            # the interpreter's lanes dict goes through from_states; the
+            # src kernel writes the columns itself
+            (pl_i, cols_i), (pl_n, cols_n) = out_i, out_n
+            assert pl_i == pl_n
+            assert isinstance(cols_n, ColumnarLanes)
+            assert cols_i.differing_columns(cols_n) == []
+        else:
+            assert out_i == out_n
         assert counts_i == counts_n
         for name in st_i.arrays:
             assert np.array_equal(st_i.arrays[name], st_n.arrays[name])
@@ -204,6 +246,24 @@ class TestCrosscheck:
         d.cache._src[(fn.fingerprint(), "direct")] = Broken()
         with pytest.raises(NativeMismatch, match="diverged"):
             d.run_direct(fn, list(range(16)), {}, _storage())
+
+    def test_dropped_logged_read_raises_mismatch(self):
+        d = KernelDispatcher(cache=KernelCache(), crosscheck=True)
+        fn = _fn()
+        real = d.cache.src(fn, "buffered")
+
+        class DropsARead:
+            def run(self, indices, env, storage, raw, per_lane):
+                cols = real.run(indices, env, storage, raw, per_lane)
+                for name in ("r_pos", "r_op", "r_arr", "r_flat"):
+                    setattr(cols, name, getattr(cols, name)[1:])
+                return cols
+
+        d.cache._src[(fn.fingerprint(), "buffered")] = DropsARead()
+        with pytest.raises(
+            NativeMismatch, match="r_pos, r_op, r_arr, r_flat"
+        ):
+            d.run_buffered(fn, list(range(16)), {}, _storage())
 
     def test_interpreter_effects_win(self):
         d = KernelDispatcher(cache=KernelCache(), crosscheck=True)

@@ -2,8 +2,9 @@
 
 Production reads one speculative-log format, :class:`repro.ir.columnar.
 ColumnarLanes`.  These are the original per-record implementations over
-``{iteration: LaneSpecState}`` mappings (the per-lane engines' own
-output, or a ``ColumnarLanes`` through its ``Mapping`` view), kept here
+``{iteration: LaneSpecState}`` mappings (the interpreter's own output,
+:func:`interpreter_lanes`, or a ``ColumnarLanes`` through its
+``Mapping`` view), kept here
 so the equivalence suites can hold production to them.  They import
 only numpy and ``repro``: the host-perf bench runs them with numpy
 alone installed.
@@ -13,6 +14,7 @@ from .coalesce import estimate_coalescing_scalar
 from .commit import commit_scalar, logged_accesses_scalar
 from .density import analyze_lanes_scalar
 from .depcheck import check_subloop_scalar
+from .lanes import interpreter_lanes
 from .strides import compression_ratio_scalar
 
 __all__ = [
@@ -21,5 +23,6 @@ __all__ = [
     "commit_scalar",
     "compression_ratio_scalar",
     "estimate_coalescing_scalar",
+    "interpreter_lanes",
     "logged_accesses_scalar",
 ]

@@ -3,7 +3,7 @@
 Every buffered launch returns one speculative-log format,
 :class:`~repro.ir.columnar.ColumnarLanes`: straight-line kernels build it
 with the vectorized SE kernel, kernels with control flow run per lane on
-the src tier and convert with ``from_states``.  The hard contract is that
+the src tier, which writes the columns itself.  The hard contract is that
 production is *observationally identical* to the per-record oracles in
 ``tests/oracles`` run on the interpreter's own ``{index: LaneSpecState}``
 output: a ``DependencyProfile`` equal field for field, the same TLS
@@ -11,7 +11,8 @@ violations, the same logged-access volume, and bit-identical memory
 after committing the speculative buffers.
 
 The suite drives randomized parametrized kernels (hypothesis) through
-both sides, and pins the ``from_states`` conversion with directed cases.
+both sides, and pins ``from_states``, the interpreter's adapter to the
+columns, with directed cases.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from repro.gpusim.warp import divergence_factor
 from repro.ir import ArrayStorage
 from repro.ir.columnar import ColumnarLanes
 from repro.ir.interpreter import AccessRecord, LaneSpecState
-from repro.ir.native import KernelDispatcher
 from repro.ir.vectorizer import can_vectorize
 from repro.profiler.coalesce import estimate_coalescing
 from repro.profiler.density import analyze_lanes
@@ -46,6 +46,7 @@ from ..oracles import (
     commit_scalar,
     compression_ratio_scalar,
     estimate_coalescing_scalar,
+    interpreter_lanes,
     logged_accesses_scalar,
 )
 
@@ -54,7 +55,7 @@ from ..oracles import (
 # modular addressing keeps every access in bounds while letting
 # collisions produce RAW/WAR/WAW patterns across iterations.  Templates
 # 0-4 are straight-line (vectorized SE kernel); 5-6 have control flow
-# (per-lane engine + ``from_states``).
+# (the src tier's buffered flavor).
 # ---------------------------------------------------------------------------
 
 RAW_CHAIN = """
@@ -214,9 +215,10 @@ def assert_equivalent(src, arrays, env, n):
     assert isinstance(lanes, ColumnarLanes)
     assert prod.vectorized == (can_vectorize(fn) and n > 0)
     # oracle side: the interpreter's own {index: LaneSpecState} dict
-    interp = KernelDispatcher(native=False)
-    per_lane, oracle_lanes = interp.run_buffered(fn, indices, env, st_oracle)
-    assert prod.counts == interp.take_counts(fn)
+    per_lane, counts, oracle_lanes = interpreter_lanes(
+        fn, indices, env, st_oracle
+    )
+    assert prod.counts == counts
     assert prod.sim_time_s == ctx.device.cost.gpu_kernel_time(
         prod.counts, n,
         divergence=divergence_factor(per_lane, ctx.device.spec.warp_size),
@@ -300,8 +302,7 @@ class TestProfileLoopEndToEnd:
         run = profile_loop(
             device, fn, range(80), env, _copy(arrays), max_sample=64
         )
-        interp = KernelDispatcher(native=False)
-        per_lane, oracle_lanes = interp.run_buffered(
+        per_lane, counts, oracle_lanes = interpreter_lanes(
             fn, range(64), env, _copy(arrays)
         )
         expected = analyze_lanes_scalar(oracle_lanes, range(64), 32)
@@ -310,7 +311,7 @@ class TestProfileLoopEndToEnd:
         )
         expected.compression_ratio = compression_ratio_scalar(oracle_lanes)
         kernel_s = device.cost.gpu_kernel_time(
-            interp.take_counts(fn), 64,
+            counts, 64,
             divergence=divergence_factor(per_lane, 32),
         )
         expected.profile_time_s = (
@@ -322,7 +323,7 @@ class TestProfileLoopEndToEnd:
 
 
 # ---------------------------------------------------------------------------
-# ``from_states``: the conversion every control-flow launch goes through
+# ``from_states``: the interpreter's adapter to the columns
 # ---------------------------------------------------------------------------
 
 
