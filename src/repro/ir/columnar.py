@@ -138,10 +138,10 @@ class ColumnarLanes(Mapping):
         order = _as_order_array(iteration_order)
         n = len(order)
         r_pos, r_op, r_code, r_flat = (
-            np.array(c, dtype=np.int64) for c in reads
+            np.fromiter(c, np.int64, count=len(c)) for c in reads
         )
         w_pos, w_op, w_code, w_flat = (
-            np.array(c, dtype=np.int64) for c in writes
+            np.fromiter(c, np.int64, count=len(c)) for c in writes
         )
         # array ids in first-seen order: lane by lane, its reads, then
         # its writes

@@ -259,16 +259,26 @@ class Rule:
 
 
 def _wrap_expr(core: str, jt: JType) -> str:
-    """Two's-complement wrap of ``core`` as a branch-free expression.
+    """Two's-complement wrap of ``core``, with an in-range fast path.
 
-    ``((x & MASK) ^ SIGN) - SIGN`` equals :func:`wrap_int` /
-    :func:`wrap_long` for every integer ``x``.
+    ``core`` is evaluated once into ``_v``; a value already in range is
+    the result, and any other goes through ``((x & MASK) ^ SIGN) -
+    SIGN``.  Both equal :func:`wrap_int` / :func:`wrap_long` for every
+    integer ``x``.  The walrus stays parenthesized: :attr:`Rule.scalar`
+    compiles this text as a lambda body.
     """
     if jt is INT:
-        return f"((({core}) & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000"
+        lo, hi, mask, sign = (
+            "-0x80000000", "0x7FFFFFFF", "0xFFFFFFFF", "0x80000000"
+        )
+    else:
+        lo, hi, mask, sign = (
+            "-0x8000000000000000", "0x7FFFFFFFFFFFFFFF",
+            "0xFFFFFFFFFFFFFFFF", "0x8000000000000000",
+        )
     return (
-        f"((({core}) & 0xFFFFFFFFFFFFFFFF) ^ 0x8000000000000000)"
-        f" - 0x8000000000000000"
+        f"(_v if {lo} <= (_v := {core}) <= {hi} "
+        f"else ((_v & {mask}) ^ {sign}) - {sign})"
     )
 
 

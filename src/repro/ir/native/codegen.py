@@ -17,7 +17,9 @@ memory-backend flavor:
   intrinsics are pre-bound as globals,
 * loads/stores inline the bounds check against hoisted shapes and fall
   back to :meth:`ArrayStorage.flat` on failure so every error message is
-  byte-identical to the interpreter's,
+  byte-identical to the interpreter's; a load indexes a flat view of
+  its array hoisted once per launch (:func:`_load_view`), a store
+  assigns through ``ndarray.flat``,
 * dynamic work counters are folded statically per basic block and the
   fuel check runs after every block — including RET — exactly like
   :class:`repro.ir.interpreter.CompiledKernel`.
@@ -66,12 +68,43 @@ from ..interpreter import (
 
 FLAVORS = ("direct", "buffered", "tracing")
 
+
+class _ItemLoads:
+    """``arr.item`` behind ``[]``: the loads of an array that is not
+    C-contiguous (a strided view, a Fortran-ordered array)."""
+
+    __slots__ = ("_item",)
+
+    def __init__(self, arr):
+        self._item = arr.item
+
+    def __getitem__(self, flat: int):
+        return self._item(flat)
+
+
+def _load_view(arr):
+    """What a launch's loads of ``arr`` index: ``view[f]`` is
+    ``arr.item(f)``, the same Python type and value.
+
+    A C-contiguous array gets a ``memoryview`` of its flat reshape, O(1)
+    to make and live, so a direct launch reads its own stores, also
+    those through another view of the same buffer.  ``None`` is an
+    unbound array, whose accesses fault before they load.
+    """
+    if arr is None:
+        return None
+    if arr.flags.c_contiguous:
+        return memoryview(arr.reshape(-1))
+    return _ItemLoads(arr)
+
+
 #: Names injected into every generated function's globals.
 _BASE_GLOBALS = {
     "_JErr": JaponicaError,
     "_Fuel": FuelExhausted,
     "_AR": AccessRecord,
     "_Cols": ColumnarLanes.from_logs,
+    "_lview": _load_view,
     "_NAN": float("nan"),
     **java_ops.SRC_GLOBALS,
 }
@@ -476,7 +509,7 @@ def generate(
             e.emit(1, "else:")
             e.emit(2, f"{av}_f0 = {av}_f1 = -1")
         if name in plan.arrays_loaded:
-            e.emit(1, f"{av}_item = {av}.item if {av} is not None else None")
+            e.emit(1, f"{av}_ld = _lview({av})")
         if name in plan.arrays_stored and not buffered:
             e.emit(1, f"{av}_fl = {av}.flat if {av} is not None else None")
     # -- scalar binds (interpreter order and error message) -------------
@@ -634,7 +667,7 @@ def _emit_instr(
     if op is Opcode.LOAD:
         dst = f"r{instr.dst.id}"
         if flavor == "direct":
-            e.emit(indent, f"{dst} = {av}_item(_f)")
+            e.emit(indent, f"{dst} = {av}_ld[_f]")
         elif flavor == "buffered":
             # only this kernel's stores fill a buffer: loads of arrays it
             # never stores skip the probe
@@ -645,12 +678,12 @@ def _emit_instr(
                 e.emit(indent, "else:")
                 log = indent + 1
             e.emit(log, _LOG_ACCESS.format(w="r", code=code))
-            e.emit(log, f"{dst} = {av}_item(_f)")
+            e.emit(log, f"{dst} = {av}_ld[_f]")
             e.emit(indent, "_op += 1")
         else:  # tracing
             e.emit(indent, f"_tr.append(_AR(_op, 'R', {instr.array!r}, _f))")
             e.emit(indent, "_op += 1")
-            e.emit(indent, f"{dst} = {av}_item(_f)")
+            e.emit(indent, f"{dst} = {av}_ld[_f]")
         return
     if op is Opcode.STORE:
         src = f"r{instr.a.id}"

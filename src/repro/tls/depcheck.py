@@ -55,11 +55,18 @@ def check_subloop(lanes: ColumnarLanes) -> DcResult:
     first violating read per iteration is kept (logs are (pos,
     op)-sorted, and a cell's violation status is op-independent, so
     first-occurrence dedup preserves which read reports the violation).
+    Reads of an array that no lane writes can match no write, so they
+    are dropped before the dedup; the SE log itself stays whole.
     """
     result = DcResult()
+    if len(lanes.w_pos) == 0:
+        return result
     r_keys, w_keys, m = cell_keys(lanes)
-    rp, _ro, rk = dedup_first(lanes.r_pos, lanes.r_op, r_keys)
-    if len(rp) == 0 or len(lanes.w_pos) == 0:
+    written = np.isin(lanes.r_arr, np.unique(lanes.w_arr))
+    rp, _ro, rk = dedup_first(
+        lanes.r_pos[written], lanes.r_op[written], r_keys[written]
+    )
+    if len(rp) == 0:
         return result
     ws_ord = np.lexsort((lanes.w_pos, w_keys))
     Wk, Wp = w_keys[ws_ord], lanes.w_pos[ws_ord]

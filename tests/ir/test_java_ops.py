@@ -260,3 +260,140 @@ class TestTable:
             operands,
             jtype,
         )
+
+
+# -- the wrap's in-range fast path at the edges of the range ----------------
+#
+# Every rule that wraps returns its core's exact result when it is in
+# range and wraps it otherwise.  Operands are drawn so that the exact
+# result lands on MIN - 1, MIN, MAX or MAX + 1 of the result type, where
+# in-range operands can reach it: bitwise ops, ``>>`` and the narrowing-
+# free casts never leave the range, and an int never reaches a long
+# bound, so (INT, LONG) and the BOOL casts have no edge to test.
+
+_WIDTH = {JType.INT: 32, JType.LONG: 64}
+_COUNT_LO, _COUNT_HI = -(2**31), 2**31 - 1  # shift counts are ints
+
+_EXACT = {
+    "+": lambda a, b, n: a + b,
+    "-": lambda a, b, n: a - b,
+    "*": lambda a, b, n: a * b,
+    "&": lambda a, b, n: a & b,
+    "|": lambda a, b, n: a | b,
+    "^": lambda a, b, n: a ^ b,
+    "<<": lambda a, b, n: a << (b & n - 1),
+    ">>": lambda a, b, n: a >> (b & n - 1),
+    ">>>": lambda a, b, n: (a & (1 << n) - 1) >> (b & n - 1),
+}
+
+
+def _bounds(n):
+    return -(1 << n - 1), (1 << n - 1) - 1
+
+
+def _factor_pairs(t, n):
+    lo, hi = _bounds(n)
+    pairs = []
+    for d in range(1, 1 << 12):
+        if t % d == 0:
+            for a in (d, -d):
+                if lo <= t // a <= hi:
+                    pairs.append((a, t // a))
+                    pairs.append((t // a, a))
+    return pairs
+
+
+def _shifted_onto(op, t, n):
+    """``(a, count)`` of a shift whose exact result is ``t``."""
+    lo, hi = _bounds(n)
+    cases = []
+    for k in range(n):
+        if op == "<<":
+            if lo <= t >> k <= hi and (t >> k) << k == t:
+                cases.append((st.just(t >> k), k))
+        else:  # every low bits the shift drops land on t too
+            base = t << k
+            top = base + (1 << k) - 1
+            if op == ">>" and lo <= base and top <= hi:
+                cases.append((st.integers(base, top), k))
+            if op == ">>>" and 0 <= base and top < 1 << n:
+                wrap = J.wrap_int if n == 32 else J.wrap_long
+                cases.append((st.integers(base, top).map(wrap), k))
+    # any count whose low bits are k
+    return [
+        st.tuples(a, st.integers(
+            -((-_COUNT_LO + k) // n), (_COUNT_HI - k) // n,
+        ).map(lambda j, k=k: k + n * j))
+        for a, k in cases
+    ]
+
+
+def _landing(op, t, n):
+    """Strategies of BIN operands at width ``n`` whose exact result is
+    ``t`` (empty: in-range operands cannot reach it)."""
+    lo, hi = _bounds(n)
+    word = st.integers(lo, hi)
+    if op == "+":
+        return [st.integers(max(lo, t - hi), min(hi, t - lo))
+                .map(lambda a: (a, t - a))]
+    if op == "-":
+        return [st.integers(max(lo, t + lo), min(hi, t + hi))
+                .map(lambda a: (a, a - t))]
+    if op == "*":
+        return [st.sampled_from(_factor_pairs(t, n))]
+    if op in ("&", "|", "^"):
+        if not lo <= t <= hi:
+            return []
+        return [word.map({
+            "&": lambda r: (t | r, t | ~r),
+            "|": lambda r: (t & r, t & ~r),
+            "^": lambda r: (r, t ^ r),
+        }[op])]
+    return _shifted_onto(op, t, n)
+
+
+def _wrapping_cases():
+    """``(label, rule, result type, exact, strategies by edge)``."""
+    cases = []
+    for jt, n in _WIDTH.items():
+        lo, hi = _bounds(n)
+        edges = (lo - 1, lo, hi, hi + 1)
+        for op, exact in _EXACT.items():
+            lands = [s.map(lambda ab, t=t: (t, ab))
+                     for t in edges for s in _landing(op, t, n)]
+            cases.append((f"{op} {jt.value}", J.BIN_RULES[op, jt], jt,
+                          lambda a, b, f=exact, n=n: f(a, b, n), lands))
+        for op, exact, solve in (("-", lambda a: -a, lambda t: -t),
+                                 ("~", lambda a: ~a, lambda t: ~t)):
+            lands = [st.just((t, (solve(t),)))
+                     for t in edges if lo <= solve(t) <= hi]
+            cases.append((f"un{op} {jt.value}", J.UN_RULES[op, jt], jt,
+                          exact, lands))
+    for src, dst in ((JType.INT, JType.INT), (JType.LONG, JType.INT),
+                     (JType.LONG, JType.LONG)):
+        lo, hi = _bounds(_WIDTH[dst])
+        s_lo, s_hi = _bounds(_WIDTH[src])
+        lands = [st.just((t, (t,))) for t in (lo - 1, lo, hi, hi + 1)
+                 if s_lo <= t <= s_hi]
+        cases.append((f"({dst.value}) {src.value}", J.CAST_RULES[src, dst],
+                      dst, lambda a: a, lands))
+    return cases
+
+
+_WRAPPING = _wrapping_cases()
+
+
+@pytest.mark.parametrize(
+    "rule,jtype,exact,lands", [c[1:] for c in _WRAPPING],
+    ids=[c[0] for c in _WRAPPING],
+)
+@given(data=st.data())
+def test_wrap_fast_path_at_range_edges(rule, jtype, exact, lands, data):
+    assert lands, "every wrapping rule here reaches an edge"
+    t, args = data.draw(st.one_of(lands))
+    assert exact(*args) == t
+    wrap = J.wrap_int if jtype is JType.INT else J.wrap_long
+    for form in (rule.scalar, _emitted(rule.expr)):
+        got = form(*args)
+        assert type(got) is int
+        assert got == wrap(t)

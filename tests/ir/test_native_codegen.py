@@ -19,6 +19,7 @@ from repro.ir.interpreter import C_TOTAL, Counts, N_COUNTERS
 from repro.ir.native.codegen import (
     FLAVORS,
     NativeKernel,
+    _load_view,
     generate,
     generate_source,
 )
@@ -264,3 +265,94 @@ class TestNames:
         assert "_rf" in globals_ and any(k.startswith("_K") for k in globals_)
         assert any(k.startswith("_in") for k in globals_)
         assert assigned & set(globals_) == set()
+
+
+# loads and stores over every array layout a load view can meet: "m" is
+# Fortran-ordered, "s" a strided view, "ro" read-only and only loaded,
+# and "dst" and "src" are views of one buffer, so each lane of a direct
+# (or tracing) launch reads the cell the lane before it stored
+LAYOUTS = """
+class T { static void f(double[][] m, int[] s, double[] ro, double[] src,
+                        double[] dst, int n) {
+  /* acc parallel */
+  for (int i = 0; i < n; i++) {
+    m[i % 2][i % 3] = m[(i + 1) % 2][(i + 2) % 3] + ro[i];
+    s[i] = s[i] * 3 + s[(i + 1) % n] + (int) ro[i];
+    dst[i + 1] = src[i] + m[i % 2][1];
+  }
+} }
+"""
+
+
+def _layouts():
+    buf = np.arange(1.0, 8.0)
+    ro = np.linspace(-1.5, 2.5, 6)
+    ro.setflags(write=False)
+    return ArrayStorage({
+        "m": np.asfortranarray(np.arange(6.0).reshape(2, 3) - 2.5),
+        "s": np.arange(-6, 6, dtype=np.int32)[::2],
+        "ro": ro,
+        "src": buf[:6],
+        "dst": buf.reshape(1, 7)[0],
+    })
+
+
+class TestLayouts:
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_every_layout_matches_interpreter(self, flavor):
+        _, fn = lowered(LAYOUTS)
+        env = {"n": 6}
+        s1, s2 = _layouts(), _layouts()
+        arrays = s2.arrays
+        assert not arrays["m"].flags.c_contiguous
+        assert arrays["m"].flags.f_contiguous
+        assert not arrays["s"].flags.c_contiguous
+        assert not arrays["ro"].flags.writeable
+        assert np.shares_memory(arrays["src"], arrays["dst"])
+        pl1, c1, aux1, e1 = _interp(fn, flavor, range(6), env, s1)
+        pl2, c2, aux2, e2 = _native(fn, flavor, list(range(6)), env, s2)
+        assert e1 is None and e2 is None
+        assert pl1 == pl2
+        assert c1 == c2
+        if flavor == "buffered":
+            assert_same_log(aux2, aux1, list(range(6)), s1)
+        else:
+            assert aux1 == aux2
+        for name in s1.arrays:
+            a, b = s1.arrays[name], s2.arrays[name]
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        if flavor != "buffered":  # the stores chained through the alias
+            assert s2.arrays["src"][1] != _layouts().arrays["src"][1]
+
+    def test_contiguous_loads_index_a_memoryview(self):
+        # no per-load ndarray.item call on a C-contiguous array
+        _, fn = lowered(LAYOUTS)
+        for flavor in FLAVORS:
+            assert ".item" not in generate_source(fn, flavor)
+        arrays = _layouts().arrays
+        for name in ("ro", "src", "dst"):
+            assert isinstance(_load_view(arrays[name]), memoryview)
+        for name in ("m", "s"):
+            view = _load_view(arrays[name])
+            assert not isinstance(view, memoryview)
+            a = arrays[name]
+            assert [view[f] for f in range(a.size)] == [
+                a.item(f) for f in range(a.size)
+            ]
+
+    @pytest.mark.parametrize(
+        "dtype", [np.int32, np.int64, np.float32, np.float64, np.bool_]
+    )
+    def test_view_loads_are_item_loads(self, dtype):
+        bits = np.array([0, 1, -1, 2**31 - 1, -(2**31), 7], dtype=np.int64)
+        a = bits.astype(dtype)
+        if dtype is np.float32:
+            # NaN payloads, signed zeros and subnormals survive unchanged
+            a = np.array([0x7FC12345, 0xFF800001, 0x80000000, 1, 0x7F800000,
+                          0x3F800000], dtype=np.uint32).view(np.float32)
+        view = _load_view(a)
+        for f in range(a.size):
+            got, want = view[f], a.item(f)
+            assert type(got) is type(want)
+            assert np.array(got).tobytes() == np.array(want).tobytes()

@@ -107,6 +107,9 @@ class TestCheck:
 @given(n=st.integers(2, 20), seed=st.integers(0, 99_999))
 @settings(max_examples=50, deadline=None)
 def test_violations_match_oracle(n, seed):
+    # beside the written array "m", each lane reads array "ro", which no
+    # lane writes, at the same flats before and after its reads of "m":
+    # "ro" is seen first, so it takes array id 0 and "m" id 1
     rng = np.random.default_rng(seed)
     cells = 5
     lanes = {}
@@ -115,14 +118,20 @@ def test_violations_match_oracle(n, seed):
         r = {("m", int(c)) for c in rng.integers(0, cells, rng.integers(0, 3))}
         w = {("m", int(c)) for c in rng.integers(0, cells, rng.integers(0, 3))}
         reads_of[i], writes_of[i] = r, w
-        lanes[i] = lane(reads=sorted(r), writes=sorted(w))
+        ro = [("ro", c) for _m, c in sorted(r)]
+        lanes[i] = lane(reads=ro + sorted(r) + ro[::-1], writes=sorted(w))
 
     oracle = set()
     for j in range(n):
         for i in range(j):
             if writes_of[i] & reads_of[j]:
                 oracle.add(j)
-    dc = check(lanes, list(range(n)))
+    order = list(range(n))
+    dc = check(lanes, order)
+    scalar = check_subloop_scalar(lanes, order)
+    assert dc.violations == scalar.violations
+    assert dc.first_violation_pos == scalar.first_violation_pos
+    assert all(v.array == "m" for v in dc.violations)
     assert dc.violating_iterations == oracle
     if oracle:
         assert dc.first_violation_pos == min(oracle)
