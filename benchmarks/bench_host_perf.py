@@ -20,11 +20,12 @@ them to ``BENCH_HOSTPERF.json`` so the perf trajectory has data:
    path, slack, bottleneck lane) over the full suite, the same numbers
    ``python -m repro report`` emits, so the perf trajectory records
    where the simulated time goes, not just how much of it there is;
-5. **kernel tiers** — wall-clock of one hot kernel launch through the
-   interpreter vs. the generated-source tier, with the tiers' outputs
-   checked bit-identical: VectorAdd's straight-line kernel (direct), and
-   two control-flow kernels, Crypt's first (direct) and CFD's flux
-   kernel (buffered, its SE-log columns built and compared too).
+5. **kernel tiers** — median wall-clock of three hot kernel launches
+   (after a compile launch) through the interpreter vs. the
+   generated-source tier, with the tiers' outputs checked bit-identical:
+   VectorAdd's straight-line kernel (direct), and two control-flow
+   kernels, Crypt's first (direct) and CFD's flux kernel (buffered,
+   its SE-log columns built and compared too).
    The source tier must clear 5x over the interpreter on VectorAdd at
    the full size.
 
@@ -44,6 +45,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 import tempfile
 import time
@@ -256,11 +258,26 @@ def measure_insight() -> dict:
     return out
 
 
+#: Timed launches per kernel-tier leg, after the compile launch; the leg
+#: reports their median wall-clock.
+TIMED_LAUNCHES = 3
+
+
+def median_launch(launch) -> tuple[float, object]:
+    """Run ``launch()`` once to pay the compile, then ``TIMED_LAUNCHES``
+    times; return the median wall-clock and the last timed launch's
+    output.  ``launch`` returns ``(seconds, output)``."""
+    launch()  # warm: compile
+    runs = [launch() for _ in range(TIMED_LAUNCHES)]
+    return statistics.median(dt for dt, _ in runs), runs[-1][1]
+
+
 def measure_kernel_tiers(n: int) -> dict:
-    """One hot launch per tier; wall-clock each and compare outputs.
+    """Hot launches per tier; the median wall-clock of each, and the
+    outputs of a timed launch compared.
 
     The dispatcher is driven directly, so each leg runs entirely in one
-    tier: a warm launch first to pay the compile, then the timed launch.
+    tier: a warm launch first to pay the compile, then the timed ones.
     """
     import numpy as np
 
@@ -289,8 +306,7 @@ def measure_kernel_tiers(n: int) -> dict:
             disp.take_counts(fn)
             return dt, stg.arrays["c"]
 
-        launch()  # warm: compile
-        return launch()
+        return median_launch(launch)
 
     interp_s, c_interp = timed(False)
     src_s, c_src = timed(True)
@@ -311,8 +327,9 @@ def measure_kernel_tiers(n: int) -> dict:
 
 
 def measure_control_flow_tier(workload_name: str, flavor: str, count) -> dict:
-    """One launch of a workload's first kernel per tier, at its default
-    size over ``count(bindings)`` indices; wall-clock each and compare.
+    """Launches of a workload's first kernel per tier, at its default
+    size over ``count(bindings)`` indices; the median wall-clock of
+    each, and the outputs of a timed launch compared.
 
     A ``buffered`` launch times the kernel with its SE log built as
     columns (``from_states`` on the interpreter), and ``identical``
@@ -342,10 +359,10 @@ def measure_control_flow_tier(workload_name: str, flavor: str, count) -> dict:
             t0 = time.perf_counter()
             out = run(fn, indices, env, stg)
             dt = time.perf_counter() - t0
-            return dt, out, disp.take_counts(fn), stg
+            return dt, (out, disp.take_counts(fn), stg)
 
-        launch()  # warm: compile
-        return launch()
+        dt, (out, counts, stg) = median_launch(launch)
+        return dt, out, counts, stg
 
     interp_s, out_i, counts_i, st_i = timed(False)
     src_s, out_n, counts_n, st_n = timed(True)
@@ -448,7 +465,8 @@ def main(argv=None) -> int:
               f"({row['speedup_at_max']:.2f}x at {DEVICE_COUNTS[-1]} "
               f"devices){flag}")
 
-    print(f"kernel tiers: hot launch, n={args.n} ...")
+    print(f"kernel tiers: median of {TIMED_LAUNCHES} hot launches, "
+          f"n={args.n} ...")
     kernel_tiers = measure_kernel_tiers(args.n)
     print(f"  interp   {kernel_tiers['interp_s']:8.3f}s")
     print(f"  src      {kernel_tiers['src_s']:8.3f}s  "

@@ -18,7 +18,7 @@ from .ast_nodes import (
     strip_annotations,
     walk,
 )
-from .lexer import Lexer, tokenize
+from .lexer import tokenize
 from .parser import Parser, parse_program
 from .pretty import fmt_class, fmt_expr, fmt_method, fmt_stmt, format_annotation
 from .tokens import Pos, TokKind, Token
@@ -28,7 +28,6 @@ __all__ = [
     "ArraySection",
     "ClassDecl",
     "For",
-    "Lexer",
     "Method",
     "Parser",
     "Pos",

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from ..errors import AnnotationError
+from ..errors import AnalysisError, AnnotationError, LexError, ParseError
 from .tokens import Pos, TokKind
 
 SCHEMES = ("sharing", "stealing")
@@ -53,10 +53,22 @@ class ArraySection:
         return self.low is None and self.high is None
 
     def bounds(self, env: Mapping[str, int]) -> Optional[tuple[int, int]]:
-        """Evaluate ``(low, high_inclusive)`` against ``env``; None if whole."""
+        """Evaluate ``(low, high_inclusive)`` against ``env``; None if whole.
+
+        A bound is any loop-invariant integer expression a loop bound may
+        be, evaluated the same way (Java integer semantics, so an integer
+        division by zero raises ``ZeroDivisionError("/ by zero")``).
+        """
         if self.whole:
             return None
-        return (_eval_int(self.low, env), _eval_int(self.high, env))
+        from ..analysis.consteval import eval_int
+
+        try:
+            return (eval_int(self.low, env), eval_int(self.high, env))
+        except AnalysisError as exc:
+            raise AnnotationError(
+                f"bad annotation bound in section of {self.name!r}: {exc}"
+            ) from None
 
 
 @dataclass
@@ -146,69 +158,16 @@ def annotation_equal(a: Annotation, b: Annotation) -> bool:
     )
 
 
-def _eval_int(expr, env: Mapping[str, int]) -> int:
-    """Evaluate an annotation bound expression to an int."""
-    from . import ast_nodes as A
-
-    if isinstance(expr, A.IntLit):
-        return expr.value
-    if isinstance(expr, A.LongLit):
-        return expr.value
-    if isinstance(expr, A.VarRef):
-        try:
-            return int(env[expr.name])
-        except KeyError:
-            raise AnnotationError(
-                f"annotation bound refers to unknown scalar {expr.name!r}"
-            ) from None
-    if isinstance(expr, A.Length):
-        from ..ir.lower import length_param
-
-        key = length_param(expr.array.name, expr.axis)
-        try:
-            return int(env[key])
-        except KeyError:
-            raise AnnotationError(
-                f"annotation bound refers to unknown length {key!r}"
-            ) from None
-    if isinstance(expr, A.Unary) and expr.op == "-":
-        return -_eval_int(expr.operand, env)
-    if isinstance(expr, A.Binary):
-        left = _eval_int(expr.left, env)
-        right = _eval_int(expr.right, env)
-        ops = {
-            "+": lambda a, b: a + b,
-            "-": lambda a, b: a - b,
-            "*": lambda a, b: a * b,
-            "/": lambda a, b: _java_div(a, b),
-            "%": lambda a, b: _java_rem(a, b),
-        }
-        if expr.op not in ops:
-            raise AnnotationError(
-                f"operator {expr.op!r} not allowed in annotation bounds"
-            )
-        return ops[expr.op](left, right)
-    raise AnnotationError(
-        f"unsupported expression in annotation bound: {type(expr).__name__}"
-    )
-
-
-def _java_div(a: int, b: int) -> int:
-    """Integer division truncating toward zero (Java semantics)."""
-    q = abs(a) // abs(b)
-    return q if (a >= 0) == (b >= 0) else -q
-
-
-def _java_rem(a: int, b: int) -> int:
-    """Remainder with the sign of the dividend (Java semantics)."""
-    return a - _java_div(a, b) * b
+_LIST_CLAUSES = ("private", "copyin", "copyout", "create")
 
 
 def parse_annotation(text: str, pos: Pos) -> Annotation:
     """Parse the payload of an ``/* acc ... */`` comment.
 
     ``text`` is the comment body with the surrounding ``/*`` ``*/`` already
-    stripped, starting with the word ``acc``.
+    stripped, starting with the word ``acc``.  The clause list is parsed
+    by the mini-Java :class:`~repro.lang.parser.Parser`, so section bounds
+    are ordinary expressions with payload-relative positions.
     """
     from .lexer import tokenize
     from .parser import Parser
@@ -223,38 +182,32 @@ def parse_annotation(text: str, pos: Pos) -> Annotation:
             f"malformed acc directive at {pos}: expected 'acc' followed "
             f"by whitespace, got {body.split(None, 1)[0]!r}"
         )
-    payload = body[len("acc") :].strip()
-
     try:
-        toks = tokenize(payload)
-    except Exception as exc:
-        raise AnnotationError(f"cannot lex acc directive at {pos}: {exc}") from exc
+        return _clauses(Parser(tokenize(body[len("acc") :].strip())), pos)
+    except (LexError, ParseError) as exc:
+        raise AnnotationError(f"malformed acc directive at {pos}: {exc}") from exc
 
+
+def _clauses(p, pos: Pos) -> Annotation:
+    """``clause ([,] clause)*`` up to the end of the payload."""
     ann = Annotation(pos=pos)
-    i = 0
-
-    def peek(k: int = 0):
-        return toks[min(i + k, len(toks) - 1)]
-
     seen: set[str] = set()
-    while peek().kind is not TokKind.EOF:
-        tok = peek()
-        if tok.kind is TokKind.COMMA:
-            i += 1
+    while not p._check(TokKind.EOF):
+        if p._accept(TokKind.COMMA):
             continue
+        tok = p._next()
         if tok.kind not in (TokKind.IDENT, TokKind.KEYWORD):
             raise AnnotationError(
                 f"expected clause name in acc directive at {pos}, "
                 f"found {tok.value!r}"
             )
         name = str(tok.value)
-        i += 1
         # list-valued clauses may repeat: their operands merge (below).
         # Scalar-valued clauses (threads, scheme) and the bare 'parallel'
         # keyword must appear at most once — repeating them would either
         # silently last-write-win or be a user typo, so it is an error
         # that names the loop position.
-        if name in seen and name not in ("private", "copyin", "copyout", "create"):
+        if name in seen and name not in _LIST_CLAUSES:
             raise AnnotationError(
                 f"duplicate clause {name!r} in acc directive at {pos}"
             )
@@ -262,45 +215,24 @@ def parse_annotation(text: str, pos: Pos) -> Annotation:
 
         if name == "parallel":
             ann.parallel = True
-            continue
-
-        if peek().kind is not TokKind.LPAREN:
-            raise AnnotationError(f"clause {name!r} requires a parenthesized list")
-        # Collect the argument token span up to the matching ')'.
-        depth = 0
-        start = i
-        while True:
-            t = peek()
-            if t.kind is TokKind.EOF:
-                raise AnnotationError(f"unterminated clause {name!r} at {pos}")
-            if t.kind is TokKind.LPAREN:
-                depth += 1
-            elif t.kind is TokKind.RPAREN:
-                depth -= 1
-                if depth == 0:
-                    break
-            i += 1
-        arg_toks = toks[start + 1 : i]
-        i += 1  # consume ')'
-
-        if name == "private":
-            for var in _parse_name_list(arg_toks, pos):
+        elif name == "private":
+            for var in _list(p, _name):
                 if var not in ann.private:
                     ann.private.append(var)
-        elif name in ("copyin", "copyout", "create"):
+        elif name in _LIST_CLAUSES:
             existing = getattr(ann, name)
-            for section in _parse_sections(arg_toks, pos):
+            for section in _list(p, _section):
                 # repeated clauses merge; an identical section listed
                 # twice contributes one transfer, not two
                 if not any(section_equal(section, s) for s in existing):
                     existing.append(section)
         elif name == "threads":
-            value = _parse_single_int(arg_toks, pos, "threads")
+            value = _single(p, _int_literal)
             if value <= 0:
                 raise AnnotationError(f"threads({value}) must be positive")
             ann.threads = value
         elif name == "scheme":
-            scheme = _parse_single_name(arg_toks, pos, "scheme")
+            scheme = _single(p, _name)
             if scheme not in SCHEMES:
                 raise AnnotationError(
                     f"unknown scheme {scheme!r}; expected one of {SCHEMES}"
@@ -315,97 +247,39 @@ def parse_annotation(text: str, pos: Pos) -> Annotation:
     return ann
 
 
-def _split_commas(toks, pos: Pos) -> list[list]:
-    """Split a token span on top-level commas."""
-    groups: list[list] = [[]]
-    depth = 0
-    for t in toks:
-        if t.kind is TokKind.LPAREN or t.kind is TokKind.LBRACKET:
-            depth += 1
-        elif t.kind is TokKind.RPAREN or t.kind is TokKind.RBRACKET:
-            depth -= 1
-        if t.kind is TokKind.COMMA and depth == 0:
-            groups.append([])
-        else:
-            groups[-1].append(t)
-    if any(not g for g in groups):
-        raise AnnotationError(f"empty list element in acc directive at {pos}")
-    return groups
+def _list(p, item) -> list:
+    """``'(' item (',' item)* ')'``."""
+    p._expect(TokKind.LPAREN)
+    items = [item(p)]
+    while p._accept(TokKind.COMMA):
+        items.append(item(p))
+    p._expect(TokKind.RPAREN)
+    return items
 
 
-def _parse_name_list(toks, pos: Pos) -> list[str]:
-    names = []
-    for group in _split_commas(toks, pos):
-        if len(group) != 1 or group[0].kind is not TokKind.IDENT:
-            raise AnnotationError(f"expected a variable name at {pos}")
-        names.append(str(group[0].value))
-    return names
+def _single(p, item):
+    """``'(' item ')'``."""
+    p._expect(TokKind.LPAREN)
+    value = item(p)
+    p._expect(TokKind.RPAREN)
+    return value
 
 
-def _parse_sections(toks, pos: Pos) -> list[ArraySection]:
-    from .lexer import tokenize
-    from .parser import Parser
-    from .tokens import Token
-
-    sections = []
-    for group in _split_commas(toks, pos):
-        if group[0].kind is not TokKind.IDENT:
-            raise AnnotationError(f"expected array name at {pos}")
-        name = str(group[0].value)
-        if len(group) == 1:
-            sections.append(ArraySection(name))
-            continue
-        if (
-            group[1].kind is not TokKind.LBRACKET
-            or group[-1].kind is not TokKind.RBRACKET
-        ):
-            raise AnnotationError(
-                f"malformed array section for {name!r} at {pos}; "
-                f"expected {name}[low:high]"
-            )
-        inner = group[2:-1]
-        colon_at = None
-        depth = 0
-        for k, t in enumerate(inner):
-            if t.kind in (TokKind.LPAREN, TokKind.LBRACKET):
-                depth += 1
-            elif t.kind in (TokKind.RPAREN, TokKind.RBRACKET):
-                depth -= 1
-            elif t.kind is TokKind.COLON and depth == 0:
-                colon_at = k
-                break
-        if colon_at is None:
-            raise AnnotationError(
-                f"array section for {name!r} at {pos} needs a ':' "
-                f"separating low and high"
-            )
-        low = _parse_expr_span(inner[:colon_at], pos)
-        high = _parse_expr_span(inner[colon_at + 1 :], pos)
-        sections.append(ArraySection(name, low, high))
-    return sections
+def _name(p) -> str:
+    return str(p._expect(TokKind.IDENT, "a name").value)
 
 
-def _parse_expr_span(toks, pos: Pos):
-    from .parser import Parser
-    from .tokens import Token
-
-    if not toks:
-        raise AnnotationError(f"missing bound in array section at {pos}")
-    span = list(toks) + [Token(TokKind.EOF, None, pos)]
-    parser = Parser(span)
-    expr = parser._expr()
-    if parser._peek().kind is not TokKind.EOF:
-        raise AnnotationError(f"trailing tokens in array-section bound at {pos}")
-    return expr
+def _int_literal(p) -> int:
+    return int(p._expect(TokKind.INT_LIT, "an integer literal").value)
 
 
-def _parse_single_int(toks, pos: Pos, clause: str) -> int:
-    if len(toks) != 1 or toks[0].kind is not TokKind.INT_LIT:
-        raise AnnotationError(f"{clause}(...) expects one integer literal at {pos}")
-    return int(toks[0].value)
-
-
-def _parse_single_name(toks, pos: Pos, clause: str) -> str:
-    if len(toks) != 1 or toks[0].kind is not TokKind.IDENT:
-        raise AnnotationError(f"{clause}(...) expects one identifier at {pos}")
-    return str(toks[0].value)
+def _section(p) -> ArraySection:
+    """``name`` or ``name '[' expr ':' expr ']'``."""
+    name = _name(p)
+    if not p._accept(TokKind.LBRACKET):
+        return ArraySection(name)
+    low = p._expr()
+    p._expect(TokKind.COLON, f"':' between the bounds of {name!r}")
+    high = p._expr()
+    p._expect(TokKind.RBRACKET)
+    return ArraySection(name, low, high)

@@ -9,7 +9,8 @@ Grammar (informal)::
     stmt        := block | if | while | for | return | decl ';'
                  | simple ';'
     simple      := assign | incdec | expr
-    expr        := ternary with standard Java precedence
+    expr        := ternary over binary operators climbed by precedence
+                   (tokens.BINARY_PRECEDENCE)
 
 Annotation comments (``/* acc ... */``) lexed as ANNOTATION tokens attach
 to the next ``for`` statement; an annotation not followed by a ``for`` is a
@@ -24,7 +25,9 @@ from typing import Optional
 from ..errors import ParseError
 from . import ast_nodes as A
 from .annotations import parse_annotation
-from .tokens import COMPOUND_ASSIGN_OPS, TokKind, Token
+from .tokens import BINARY_PRECEDENCE, COMPOUND_ASSIGN_OPS, TokKind, Token
+
+_BINARY_PREC = {TokKind(op): prec for op, prec in BINARY_PRECEDENCE.items()}
 
 
 class Parser:
@@ -262,7 +265,7 @@ class Parser:
         return self._ternary()
 
     def _ternary(self) -> A.Expr:
-        cond = self._or()
+        cond = self._binary(1)
         if self._check(TokKind.QUESTION):
             q = self._next()
             then = self._expr()
@@ -271,56 +274,18 @@ class Parser:
             return A.Ternary(q.pos, cond, then, other)
         return cond
 
-    def _binary_level(self, sub, kinds: dict[TokKind, str]) -> A.Expr:
-        left = sub()
-        while self._peek().kind in kinds:
-            tok = self._next()
-            right = sub()
-            left = A.Binary(tok.pos, kinds[tok.kind], left, right)
-        return left
-
-    def _or(self) -> A.Expr:
-        return self._binary_level(self._and, {TokKind.OR_OR: "||"})
-
-    def _and(self) -> A.Expr:
-        return self._binary_level(self._bitor, {TokKind.AND_AND: "&&"})
-
-    def _bitor(self) -> A.Expr:
-        return self._binary_level(self._bitxor, {TokKind.PIPE: "|"})
-
-    def _bitxor(self) -> A.Expr:
-        return self._binary_level(self._bitand, {TokKind.CARET: "^"})
-
-    def _bitand(self) -> A.Expr:
-        return self._binary_level(self._equality, {TokKind.AMP: "&"})
-
-    def _equality(self) -> A.Expr:
-        return self._binary_level(
-            self._relational, {TokKind.EQ: "==", TokKind.NE: "!="}
-        )
-
-    def _relational(self) -> A.Expr:
-        return self._binary_level(
-            self._shift,
-            {TokKind.LT: "<", TokKind.LE: "<=", TokKind.GT: ">", TokKind.GE: ">="},
-        )
-
-    def _shift(self) -> A.Expr:
-        return self._binary_level(
-            self._additive,
-            {TokKind.SHL: "<<", TokKind.SHR: ">>", TokKind.USHR: ">>>"},
-        )
-
-    def _additive(self) -> A.Expr:
-        return self._binary_level(
-            self._multiplicative, {TokKind.PLUS: "+", TokKind.MINUS: "-"}
-        )
-
-    def _multiplicative(self) -> A.Expr:
-        return self._binary_level(
-            self._unary,
-            {TokKind.STAR: "*", TokKind.SLASH: "/", TokKind.PERCENT: "%"},
-        )
+    def _binary(self, floor: int) -> A.Expr:
+        """Precedence climbing over operators that bind at ``floor`` or
+        tighter; every level is left-associative."""
+        left = self._unary()
+        while True:
+            tok = self._peek()
+            prec = _BINARY_PREC.get(tok.kind, 0)
+            if prec < floor:
+                return left
+            self._next()
+            right = self._binary(prec + 1)
+            left = A.Binary(tok.pos, tok.value, left, right)
 
     _CASTABLE = ("int", "long", "float", "double", "boolean")
 
@@ -331,8 +296,7 @@ class Parser:
             operand = self._unary()
             if tok.kind is TokKind.PLUS:
                 return operand
-            op = {"-": "-", "!": "!", "~": "~"}[str(tok.value)]
-            return A.Unary(tok.pos, op, operand)
+            return A.Unary(tok.pos, tok.value, operand)
         # Primitive cast: '(' type ')' unary — unambiguous because type
         # names are keywords in this subset.
         if (

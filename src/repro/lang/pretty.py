@@ -8,30 +8,9 @@ would inspect) and by the parser round-trip property tests
 from __future__ import annotations
 
 from . import ast_nodes as A
+from .tokens import BINARY_PRECEDENCE
 
-_PRECEDENCE = {
-    "||": 1,
-    "&&": 2,
-    "|": 3,
-    "^": 4,
-    "&": 5,
-    "==": 6,
-    "!=": 6,
-    "<": 7,
-    "<=": 7,
-    ">": 7,
-    ">=": 7,
-    "<<": 8,
-    ">>": 8,
-    ">>>": 8,
-    "+": 9,
-    "-": 9,
-    "*": 10,
-    "/": 10,
-    "%": 10,
-}
-
-_UNARY_PREC = 11
+_UNARY_PREC = max(BINARY_PRECEDENCE.values()) + 1
 
 
 def fmt_type(t: A.Type) -> str:
@@ -77,7 +56,7 @@ def _expr(expr: A.Expr) -> tuple[str, int]:
         inner = fmt_expr(expr.operand, _UNARY_PREC + 1)
         return f"({expr.target.name}) {inner}", _UNARY_PREC
     if isinstance(expr, A.Binary):
-        prec = _PRECEDENCE[expr.op]
+        prec = BINARY_PRECEDENCE[expr.op]
         left = fmt_expr(expr.left, prec)
         right = fmt_expr(expr.right, prec + 1)  # left-assoc
         return f"{left} {expr.op} {right}", prec

@@ -4,6 +4,10 @@ Japonica consumes sequential Java source annotated with OpenACC-style
 directives.  This module defines the token vocabulary for the Java subset
 that the paper's benchmarks exercise (scalar and array arithmetic, control
 flow, bitwise operations for Crypt/IDEA, and ``Math.*`` intrinsics).
+
+It is also the front end's one operator table: each operator kind's value
+is its spelling, which the lexer matches, and :data:`BINARY_PRECEDENCE`
+ranks the binary ones for the parser and the pretty-printer.
 """
 
 from __future__ import annotations
@@ -107,16 +111,21 @@ KEYWORDS = frozenset(
 
 #: Compound-assignment token kinds mapped to the underlying binary operator.
 COMPOUND_ASSIGN_OPS = {
-    TokKind.PLUS_ASSIGN: "+",
-    TokKind.MINUS_ASSIGN: "-",
-    TokKind.STAR_ASSIGN: "*",
-    TokKind.SLASH_ASSIGN: "/",
-    TokKind.PERCENT_ASSIGN: "%",
-    TokKind.AMP_ASSIGN: "&",
-    TokKind.PIPE_ASSIGN: "|",
-    TokKind.CARET_ASSIGN: "^",
-    TokKind.SHL_ASSIGN: "<<",
-    TokKind.SHR_ASSIGN: ">>",
+    k: k.value[:-1] for k in TokKind if k.name.endswith("_ASSIGN")
+}
+
+#: Binary operators by spelling (each a :class:`TokKind` value) mapped to
+#: their Java precedence level, loosest first.  Every level is
+#: left-associative.  The parser climbs this table and the pretty-printer
+#: parenthesizes by it.
+BINARY_PRECEDENCE = {
+    op: level
+    for level, ops in enumerate(
+        ["||", "&&", "|", "^", "&", "== !=", "< <= > >=", "<< >> >>>",
+         "+ -", "* / %"],
+        start=1,
+    )
+    for op in ops.split()
 }
 
 

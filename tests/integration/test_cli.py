@@ -46,6 +46,21 @@ class TestCli:
     def test_translate_missing_file(self, capsys):
         assert main(["translate", "/nonexistent.java"]) == 2
 
+    def test_translate_hex_literal_without_digits_is_frontend_error(
+        self, tmp_path, capsys
+    ):
+        src = tmp_path / "demo.java"
+        src.write_text(
+            "class Demo {\n"
+            "  static void f(int[] a, int n) {\n"
+            "    for (int i = 0; i < n; i++) { a[i] = a[i] & 0x; }\n"
+            "  }\n"
+            "}\n"
+        )
+        assert main(["translate", str(src)]) == 3  # EXIT_FRONTEND
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'0x'" in err and "at 3:49" in err
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.analysis.loopinfo import extract_loop_info
 from repro.errors import AnnotationError
+from repro.lang import annotated_loops, parse_program
 from repro.lang.annotations import parse_annotation
 from repro.lang.tokens import Pos
 
@@ -139,3 +141,45 @@ class TestErrors:
         # Java division truncates toward zero
         assert ann.copyin[0].bounds({"n": 10}) == (0, 2)
         assert ann.copyin[0].bounds({"n": -10}) == (0, -2)
+
+    def test_parse_error_inside_clause_names_directive(self):
+        with pytest.raises(AnnotationError, match=r"acc directive at 7:9"):
+            parse_annotation("acc parallel copyin(a[0:])", Pos(7, 9))
+
+    def test_lex_error_inside_clause_names_directive(self):
+        with pytest.raises(AnnotationError, match=r"acc directive at 7:9"):
+            parse_annotation("acc parallel copyin(a[0:0x])", Pos(7, 9))
+
+    def test_non_integer_bound_at_eval(self):
+        ann = parse("acc parallel copyin(a[0:n < 4])")
+        with pytest.raises(AnnotationError, match="section of 'a'"):
+            ann.copyin[0].bounds({"n": 4})
+
+
+class TestBoundsAsLoopBounds:
+    """A section bound evaluates exactly as a loop bound does."""
+
+    SRC = """
+    class K {
+      static void f(int[] a, int n) {
+        /* acc parallel copyin(a[0:(n>>1)-1]) */
+        for (int i = 0; i <= (n >> 1) - 1; i++) { a[i] = 0; }
+      }
+    }
+    """
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 10, -7, 2**31 - 1])
+    def test_shift_bound_matches_loop_bound(self, n):
+        (loop,) = annotated_loops(parse_program(self.SRC).methods[0])
+        start, stop, _ = extract_loop_info(loop).bounds({"n": n})
+        assert loop.annotation.copyin[0].bounds({"n": n}) == (start, stop - 1)
+
+    def test_division_by_zero_is_java_message(self):
+        ann = parse("acc parallel copyin(a[0:n/z])")
+        with pytest.raises(ZeroDivisionError, match=r"^/ by zero$"):
+            ann.copyin[0].bounds({"n": 8, "z": 0})
+
+    def test_remainder_by_zero_is_java_message(self):
+        ann = parse("acc parallel copyin(a[0:n%z])")
+        with pytest.raises(ZeroDivisionError, match=r"^% by zero$"):
+            ann.copyin[0].bounds({"n": 8, "z": 0})

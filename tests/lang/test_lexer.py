@@ -1,11 +1,15 @@
-"""Lexer unit tests."""
+"""Lexer unit tests, and a differential against the hand-written lexer."""
+
+import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import LexError
 from repro.lang.lexer import tokenize
 from repro.lang.tokens import TokKind
+from repro.workloads import ALL_WORKLOADS
+from tests.oracles import tokenize_oracle
 
 
 def kinds(src):
@@ -85,6 +89,16 @@ class TestNumbers:
     def test_long_suffix_on_float_rejected(self):
         with pytest.raises(LexError):
             tokenize("1.5L")
+
+    @pytest.mark.parametrize("src,where", [
+        ("0x", "'0x' has no digits at 1:1"),
+        ("0XL", "'0XL' has no digits at 1:1"),
+        ("a[i] & 0x;", "'0x' has no digits at 1:8"),
+        ("n\n  + 0xl", "'0xl' has no digits at 2:5"),
+    ])
+    def test_hex_prefix_without_digits_rejected(self, src, where):
+        with pytest.raises(LexError, match=where):
+            tokenize(src)
 
     def test_dot_after_number_not_consumed_twice(self):
         # "1.2.3" -> 1.2 then .3
@@ -192,3 +206,90 @@ def test_double_literal_roundtrip(value):
     toks = tokenize(text)
     assert toks[0].kind is TokKind.DOUBLE_LIT
     assert toks[0].value == float(text)
+
+
+class TestNonAscii:
+    def test_letters_form_identifiers(self):
+        assert values("café x\u00e9y") == ["café", "x\u00e9y"]
+
+    def test_numeric_characters_continue_identifiers(self):
+        assert values("a½ b²") == ["a½", "b²"]
+
+    @pytest.mark.parametrize("char", ["½", "²", "٣", "\u00a0"])
+    def test_nothing_else_starts_a_token(self, char):
+        # '½' and the no-break space were rejected before too; the
+        # non-ASCII digits '²' and '٣' once lexed as the start of a
+        # number (int('٣') is 3, int('²') a bare ValueError) and are now
+        # unexpected characters like any other non-ASCII non-letter
+        message = f"unexpected character {char!r} at 1:3"
+        with pytest.raises(LexError, match=re.escape(message)):
+            tokenize(f"a {char}")
+
+    def test_digit_after_number_is_not_part_of_it(self):
+        with pytest.raises(LexError, match="unexpected character '٣' at 1:2"):
+            tokenize("1٣")
+
+
+# ---------------------------------------------------------------------------
+# Differential: the hand-written lexer is the oracle
+# ---------------------------------------------------------------------------
+
+OPERATORS = [k.value for k in TokKind if not k.value.isidentifier()]
+
+FRAGMENTS = OPERATORS + [
+    "/*", "*/", "//", "acc", " acc ", "acc\t", "0x", "0X", ">>>=",
+    "0", "1", "7", "9", "e", "E", "f", "F", "d", "D", "l", "L", ".",
+    "1e3", "2.5", "e+", "e-", "0x1F",
+    "x", "_", "n1", "int", "true", "parallel",
+    " ", "\t", "\r", "\n", "#", '"',
+]
+
+#: Inputs at the edges of the number and comment alternatives.
+DIRECTED = [
+    "/*/", "/**/", "/* acc */", "/*acc parallel*/", "/* acc", "a /* b\n c */ d",
+    "// x\ny", "1.5L", "x + 1e5L", "1e5", "1e+5f", "1E-2d", "1e", "1e+",
+    "1.e5", ".5e-3F", "1.2.3", "1..2", "007", "0x1fL", "0xg", "00x1", "0xL",
+    "x>>>=1", "a>>>b", "a>> >b", "\r\n\t x", "\x0bx", "\x0c", "$a",
+]
+
+
+def outcome(lex, src):
+    """A token list, or the exception's type and message."""
+    try:
+        return lex(src)
+    except Exception as exc:  # noqa: BLE001 - the outcome is compared
+        return type(exc), str(exc)
+
+
+def assert_same_as_oracle(src):
+    want = outcome(tokenize_oracle, src)
+    got = outcome(tokenize, src)
+    if isinstance(want, tuple) and want[0] is ValueError:
+        # the oracle's int('0x', 16): a hex prefix without digits
+        assert isinstance(got, tuple) and got[0] is LexError, (src, got)
+        assert "has no digits" in got[1]
+        return
+    assert got == want, src
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.lists(st.sampled_from(FRAGMENTS), max_size=16).map("".join))
+def test_matches_oracle_on_java_fragments(src):
+    assert_same_as_oracle(src)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(st.characters(max_codepoint=127), max_size=24))
+def test_matches_oracle_on_ascii_text(src):
+    assert_same_as_oracle(src)
+
+
+@pytest.mark.parametrize("src", DIRECTED)
+def test_matches_oracle_on_directed_inputs(src):
+    assert_same_as_oracle(src)
+
+
+@pytest.mark.parametrize("workload", ALL_WORKLOADS, ids=lambda w: w.name)
+def test_matches_oracle_on_workload_sources(workload):
+    assert_same_as_oracle(workload.source)
+    assert_same_as_oracle(workload.stripped_source())

@@ -1,4 +1,5 @@
-"""Scalar oracles of the SE-log analyses, the commit and the DC volume.
+"""Scalar oracles of the SE-log analyses, the commit and the DC volume,
+and the hand-written lexer (:func:`tokenize_oracle`).
 
 Production reads one speculative-log format, :class:`repro.ir.columnar.
 ColumnarLanes`.  These are the original per-record implementations over
@@ -15,6 +16,7 @@ from .commit import commit_scalar, logged_accesses_scalar
 from .density import analyze_lanes_scalar
 from .depcheck import check_subloop_scalar
 from .lanes import interpreter_lanes
+from .lexer import tokenize_oracle
 from .strides import compression_ratio_scalar
 
 __all__ = [
@@ -25,4 +27,5 @@ __all__ = [
     "estimate_coalescing_scalar",
     "interpreter_lanes",
     "logged_accesses_scalar",
+    "tokenize_oracle",
 ]
