@@ -21,11 +21,12 @@ them to ``BENCH_HOSTPERF.json`` so the perf trajectory has data:
    ``python -m repro report`` emits, so the perf trajectory records
    where the simulated time goes, not just how much of it there is;
 5. **kernel tiers** — median wall-clock of three hot kernel launches
-   (after a compile launch) through the interpreter vs. the
-   generated-source tier, with the tiers' outputs checked bit-identical:
-   VectorAdd's straight-line kernel (direct), and two control-flow
-   kernels, Crypt's first (direct) and CFD's flux kernel (buffered,
-   its SE-log columns built and compared too).
+   (after a compile launch) through the interpreter vs. the native
+   tiers, with the tiers' outputs checked bit-identical: VectorAdd's
+   straight-line kernel run lane by lane (direct, the generated-source
+   tier), and two control-flow kernels on the lock-step tier, Crypt's
+   first (a lane-parallel direct launch) and CFD's flux kernel
+   (buffered, its SE-log columns built and compared too).
    The source tier must clear 5x over the interpreter on VectorAdd at
    the full size.
 
@@ -54,7 +55,7 @@ _ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path.insert(0, os.path.join(_ROOT, "src"))
 sys.path.insert(0, _ROOT)  # tests.oracles: the scalar profiling leg
 
-SCHEMA = "repro.hostperf/v4"
+SCHEMA = "repro.hostperf/v5"
 
 #: Saturated DOALL workloads whose makespan must improve with pool size.
 MULTIDEVICE_WORKLOADS = ("VectorAdd", "BFS", "MVT")
@@ -78,10 +79,10 @@ def measure_profiling(n: int) -> dict:
     """Profile a straight-line kernel both ways; wall-clock each.
 
     ``columnar`` is ``profile_loop`` as shipped.  ``scalar`` is the same
-    profile built per record: the per-lane SE launch on the dispatcher's
-    src tier, then the scalar oracles over the interpreter's own
-    ``{index: LaneSpecState}`` dict of the same launch (run untimed, and
-    checked column for column against the src tier's log).
+    profile built per record: the SE launch through the dispatcher, then
+    the scalar oracles over the interpreter's own ``{index:
+    LaneSpecState}`` dict of the same launch (run untimed, and checked
+    column for column against the dispatcher's log).
     """
     import numpy as np
 
@@ -278,6 +279,7 @@ def measure_kernel_tiers(n: int) -> dict:
 
     The dispatcher is driven directly, so each leg runs entirely in one
     tier: a warm launch first to pay the compile, then the timed ones.
+    VectorAdd's launch is lane-sequential, so it runs on the src tier.
     """
     import numpy as np
 
@@ -328,8 +330,9 @@ def measure_kernel_tiers(n: int) -> dict:
 
 def measure_control_flow_tier(workload_name: str, flavor: str, count) -> dict:
     """Launches of a workload's first kernel per tier, at its default
-    size over ``count(bindings)`` indices; the median wall-clock of
-    each, and the outputs of a timed launch compared.
+    size over ``count(bindings)`` indices, lane-parallel, so the native
+    leg runs on the lock-step tier; the median wall-clock of each, and
+    the outputs of a timed launch compared.
 
     A ``buffered`` launch times the kernel with its SE log built as
     columns (``from_states`` on the interpreter), and ``identical``
@@ -353,11 +356,12 @@ def measure_control_flow_tier(workload_name: str, flavor: str, count) -> dict:
     def timed(native: bool):
         disp = KernelDispatcher(cache=KernelCache(), native=native)
         run = getattr(disp, f"run_{flavor}")
+        kwargs = {"parallel": True} if flavor == "direct" else {}
 
         def launch():
             stg = ArrayStorage({k: v.copy() for k, v in arrays.items()})
             t0 = time.perf_counter()
-            out = run(fn, indices, env, stg)
+            out = run(fn, indices, env, stg, **kwargs)
             dt = time.perf_counter() - t0
             return dt, (out, disp.take_counts(fn), stg)
 
@@ -365,7 +369,7 @@ def measure_control_flow_tier(workload_name: str, flavor: str, count) -> dict:
         return dt, out, counts, stg
 
     interp_s, out_i, counts_i, st_i = timed(False)
-    src_s, out_n, counts_n, st_n = timed(True)
+    native_s, out_n, counts_n, st_n = timed(True)
     identical = counts_i == counts_n and all(
         arr.tobytes() == st_n.arrays[name].tobytes()
         for name, arr in st_i.arrays.items()
@@ -380,9 +384,10 @@ def measure_control_flow_tier(workload_name: str, flavor: str, count) -> dict:
         "workload": workload_name,
         "flavor": flavor,
         "indices": len(indices),
+        "tier": "lockstep",
         "interp_s": interp_s,
-        "src_s": src_s,
-        "src_speedup": interp_s / src_s,
+        "native_s": native_s,
+        "native_speedup": interp_s / native_s,
         "identical": identical,
     }
 
@@ -474,7 +479,8 @@ def main(argv=None) -> int:
           f"identical={kernel_tiers['identical']})")
     for label, row in kernel_tiers["control_flow"].items():
         print(f"  {label:13s} interp {row['interp_s']:7.3f}s  "
-              f"src {row['src_s']:7.3f}s  ({row['src_speedup']:.1f}x, "
+              f"{row['tier']} {row['native_s']:7.3f}s  "
+              f"({row['native_speedup']:.1f}x, "
               f"{row['indices']} indices, identical={row['identical']})")
 
     print("trace insight: critical path and bottleneck lane per workload ...")
@@ -519,7 +525,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 1
     if not profiling["scalar_log_identical"]:
-        print("FAIL: the src tier's SE log differs from the interpreter's",
+        print("FAIL: the dispatcher's SE log differs from the interpreter's",
               file=sys.stderr)
         return 1
     min_kernel = args.min_kernel_speedup

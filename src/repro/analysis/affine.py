@@ -54,9 +54,6 @@ class LinForm:
             self.const * factor,
         )
 
-    def same_syms(self, other: "LinForm") -> bool:
-        return self.syms == other.syms
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         parts = []
         if self.coeff:

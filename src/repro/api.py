@@ -45,7 +45,6 @@ from .faults.schedule import FaultSchedule
 from .ir.interpreter import ArrayStorage
 from .ir.lower import length_param
 from .lang import ast_nodes as A
-from .lang.ast_nodes import ClassDecl
 from .obs.metrics import (
     NULL_INSTRUMENTATION,
     Instrumentation,
@@ -473,12 +472,4 @@ class Japonica:
             scheme=scheme,
             devices=devices,
             enabled=enabled,
-        )
-
-    def compile_class(self, cls: ClassDecl) -> CompiledProgram:
-        unit = self.translator.translate(cls)
-        if not unit.methods:
-            raise JaponicaError("no annotated loops found in the class")
-        return CompiledProgram(
-            unit, self.platform, self.config, obs=self.obs, cache=self.cache
         )

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from ..errors import WorkerFault
 from ..faults.plane import SITE_CPU_WORKER
 from ..faults.resilience import (
@@ -74,8 +72,8 @@ class CpuExecutor:
     ) -> CpuRunResult:
         """Run a DOALL index set with the CPU thread pool.
 
-        ``allow_vectorized`` lets callers force the scalar interpreter
-        (needed when iteration order must be respected).
+        ``allow_vectorized`` lets the lanes run in lock-step; callers
+        withhold it when iteration order must be respected.
         """
         threads = threads if threads is not None else self.spec.worker_threads
         indices = list(indices)
@@ -99,11 +97,8 @@ class CpuExecutor:
         """Run iterations sequentially, in the given order, on one thread.
 
         Sequential execution must respect iteration order (it is the mode
-        C fallback for loops carrying true dependencies), so the scalar
-        interpreter is always used for correctness... unless the kernel is
-        straight-line, in which case ascending-order vectorized execution
-        coincides with sequential semantics only for DOALL loops — hence
-        no vectorization here.
+        C fallback for loops carrying true dependencies), so the lanes
+        run one after another, never in lock-step.
         """
         indices = list(indices)
         counts, extra_s = self._execute(
@@ -197,17 +192,16 @@ class CpuExecutor:
         directive = (
             faults.probe(SITE_CPU_WORKER) if faults is not None else None
         )
-        if allow_vectorized and can_vectorize(fn) and indices:
-            if directive is not None:
-                # the worker dies before the chunk starts: nothing ran
-                raise WorkerFault(
-                    "injected worker failure (before chunk)",
-                    completed=0,
-                    site=SITE_CPU_WORKER,
-                    injected=True,
-                )
-            return self.kernels.cache.vectorized(fn).run_range(
-                storage, scalar_env, np.asarray(indices, dtype=np.int64)
+        if directive is not None and (
+            allow_vectorized and can_vectorize(fn) and indices
+        ):
+            # a straight-line chunk runs all at once: the worker dies
+            # before it starts, and nothing ran
+            raise WorkerFault(
+                "injected worker failure (before chunk)",
+                completed=0,
+                site=SITE_CPU_WORKER,
+                injected=True,
             )
         dies_at = (
             int(directive.fraction * len(indices))
@@ -218,7 +212,8 @@ class CpuExecutor:
             # the worker executes its prefix, then dies mid-chunk; the
             # partial counts stay accumulated (wasted work costs time)
             self.kernels.run_direct(
-                fn, indices[:dies_at], scalar_env, storage
+                fn, indices[:dies_at], scalar_env, storage,
+                parallel=allow_vectorized,
             )
             raise WorkerFault(
                 f"injected worker failure mid-chunk at "
@@ -227,7 +222,9 @@ class CpuExecutor:
                 site=SITE_CPU_WORKER,
                 injected=True,
             )
-        self.kernels.run_direct(fn, indices, scalar_env, storage)
+        self.kernels.run_direct(
+            fn, indices, scalar_env, storage, parallel=allow_vectorized
+        )
         if dies_at is not None:
             # fraction rounded to the chunk end: the worker died right
             # after its last iteration, before reporting completion

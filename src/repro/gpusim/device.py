@@ -16,16 +16,18 @@ to the three device-side execution styles in the paper:
     Direct writes to the real storage plus a per-lane address trace
     (:class:`TracingBackend`), returned in ``LaunchResult.traces``.
 ``direct``
-    Straight execution; uses the vectorized fast path when the kernel is
-    straight-line.  Only safe for loops proven DOALL.
+    Straight execution of a DOALL launch: the dispatcher runs it in
+    lock-step when it is straight-line or wide, checked for lanes that
+    touch one another's cells (then it reruns lane by lane).
+
+``LaunchResult.vectorized`` marks a straight-line kernel's non-empty
+buffered or direct launch, whose lanes are uniform (divergence 1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
-
-import numpy as np
 
 from ..errors import (
     DeviceMemoryFault,
@@ -123,11 +125,6 @@ class GpuDevice:
                 block_size=block_size, penalty_s=penalty_s,
             )
         if mode == "buffered":
-            if can_vectorize(fn) and indices:
-                return self._launch_buffered_vectorized(
-                    fn, indices, scalar_env, storage, warps, coalescing,
-                    elem_bytes, check_allocations, block_size, penalty_s,
-                )
             per_lane, aux = self.kernels.run_buffered(
                 fn, indices, scalar_env, storage
             )
@@ -139,54 +136,23 @@ class GpuDevice:
             raise LaunchError(f"unknown launch mode {mode!r}")
 
         counts = self.kernels.take_counts(fn)
-        div = divergence_factor(per_lane, self.spec.warp_size)
-        div *= self._block_padding(block_size)
-        sim_time = penalty_s + self.cost.gpu_kernel_time(
-            counts, len(indices), coalescing=coalescing,
-            elem_bytes=elem_bytes, divergence=div,
-        )
-        result = LaunchResult(counts, sim_time, len(indices), warps, divergence=div)
-        if mode == "buffered":
-            result.lanes = aux
-        else:
-            result.traces = aux
-        if check_allocations:
-            self._mark_writes(fn)
-        self._record_launch(mode, len(indices), div, sim_time, False)
-        return result
-
-    def _launch_buffered_vectorized(
-        self,
-        fn: IRFunction,
-        indices: list[int],
-        scalar_env: dict[str, object],
-        storage: ArrayStorage,
-        warps: list[Warp],
-        coalescing: float,
-        elem_bytes: float,
-        check_allocations: bool,
-        block_size: Optional[int],
-        penalty_s: float,
-    ) -> LaunchResult:
-        """Speculative (SE-phase) launch of a straight-line kernel, all
-        lanes at once.  Straight-line bodies have uniform per-lane work,
-        so the measured divergence factor is exactly 1."""
-        counts, lanes = self.kernels.cache.specvec(fn).run_buffered(
-            storage, scalar_env, np.asarray(indices, dtype=np.int64)
-        )
-        div = self._block_padding(block_size)
+        vectorized = mode == "buffered" and can_vectorize(fn) and bool(indices)
+        div = self._divergence(per_lane, vectorized, block_size)
         sim_time = penalty_s + self.cost.gpu_kernel_time(
             counts, len(indices), coalescing=coalescing,
             elem_bytes=elem_bytes, divergence=div,
         )
         result = LaunchResult(
             counts, sim_time, len(indices), warps, divergence=div,
-            vectorized=True,
+            vectorized=vectorized,
         )
-        result.lanes = lanes
+        if mode == "buffered":
+            result.lanes = aux
+        else:
+            result.traces = aux
         if check_allocations:
             self._mark_writes(fn)
-        self._record_launch("buffered", len(indices), div, sim_time, True)
+        self._record_launch(mode, len(indices), div, sim_time, vectorized)
         return result
 
     def _launch_direct(
@@ -202,20 +168,12 @@ class GpuDevice:
         block_size: Optional[int] = None,
         penalty_s: float = 0.0,
     ) -> LaunchResult:
-        div = self._block_padding(block_size)
-        if can_vectorize(fn) and indices:
-            # straight-line bodies have uniform lanes: divergence = 1
-            counts = self.kernels.cache.vectorized(fn).run_range(
-                storage, scalar_env, np.asarray(indices, dtype=np.int64)
-            )
-            vectorized = True
-        else:
-            per_lane = self.kernels.run_direct(
-                fn, indices, scalar_env, storage
-            )
-            counts = self.kernels.take_counts(fn)
-            div *= divergence_factor(per_lane, self.spec.warp_size)
-            vectorized = False
+        per_lane = self.kernels.run_direct(
+            fn, indices, scalar_env, storage, parallel=True
+        )
+        counts = self.kernels.take_counts(fn)
+        vectorized = can_vectorize(fn) and bool(indices)
+        div = self._divergence(per_lane, vectorized, block_size)
         sim_time = penalty_s + self.cost.gpu_kernel_time(
             counts, len(indices), coalescing=coalescing,
             elem_bytes=elem_bytes, divergence=div,
@@ -227,6 +185,14 @@ class GpuDevice:
             counts, sim_time, len(indices), warps, vectorized=vectorized,
             divergence=div,
         )
+
+    def _divergence(self, per_lane, vectorized: bool, block_size) -> float:
+        """The launch's divergence factor, padding included; a
+        straight-line kernel's lanes are uniform, so it is exactly 1."""
+        div = self._block_padding(block_size)
+        if not vectorized:
+            div *= divergence_factor(per_lane, self.spec.warp_size)
+        return div
 
     def _record_launch(
         self, mode: str, n: int, div: float, sim_time: float, vectorized: bool

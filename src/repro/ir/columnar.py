@@ -13,15 +13,13 @@ its NumPy columns:
   final buffered cell, sorted by ``(pos, flat)``, values at the array's
   dtype.
 
-Straight-line kernels produce the columns directly (the vectorized SE
-kernel); kernels with control flow run per lane on the src tier, whose
-buffered flavor appends its log to column lists that
-:meth:`ColumnarLanes.from_logs` turns into arrays.  Only the interpreter,
-the oracle, keeps the ``{index: LaneSpecState}`` dict of its
-``SpeculativeBackend``; :meth:`ColumnarLanes.from_states` is its adapter
-onto ``from_logs``.  The ``Mapping[int, LaneSpecState]`` protocol
-materializes a lane's state on demand; only the scalar test oracles
-read it.
+The lock-step SE kernel (:mod:`repro.ir.specvec`) produces the columns
+of every buffered launch directly.  Only the interpreter, the oracle,
+keeps the ``{index: LaneSpecState}`` dict of its ``SpeculativeBackend``;
+:meth:`ColumnarLanes.from_states` is its adapter.  Both end in
+:meth:`ColumnarLanes.from_columns`.  The ``Mapping[int, LaneSpecState]``
+protocol materializes a lane's state on demand; only the scalar test
+oracles read it.
 
 Invariant relied upon by the columnar analyses: within a lane the log
 lists are op-ascending (every engine appends with a monotonically
@@ -30,7 +28,6 @@ increasing op counter).
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -47,7 +44,7 @@ def _as_order_array(iteration_order) -> np.ndarray:
 class ColumnarLanes(Mapping):
     """The SE log of one buffered launch, as the columns listed above.
 
-    Built by the vectorized SE kernel or by :meth:`from_states`; read by
+    Built by the lock-step SE kernel or by :meth:`from_states`; read by
     the profiler's analyses, the TLS dependency check, :meth:`commit`
     and :meth:`logged_accesses`.
     """
@@ -82,16 +79,15 @@ class ColumnarLanes(Mapping):
         iteration_order: Sequence[int],
         storage: ArrayStorage,
     ) -> "ColumnarLanes":
-        """Columns of the interpreter's ``{index: LaneSpecState}`` output:
-        its adapter to :meth:`from_logs`.  A position whose iteration has
-        no state is not ``present``.  Log lists must be op-ascending."""
+        """Columns of the interpreter's ``{index: LaneSpecState}`` output,
+        the oracle's SE log.  A position whose iteration has no state is
+        not ``present``.  Log lists must be op-ascending."""
         order = _as_order_array(iteration_order)
-        n = len(order)
-        present = np.zeros(n, dtype=bool)
+        present = np.zeros(len(order), dtype=bool)
         code: dict[str, int] = {}
         reads: tuple[list, list, list, list] = ([], [], [], [])
         writes: tuple[list, list, list, list] = ([], [], [], [])
-        lane_buffers: dict[int, list[dict]] = {}
+        cells: tuple[list, list, list, list] = ([], [], [], [])
         for p, it in enumerate(order.tolist()):
             state = states.get(it)
             if state is None:
@@ -103,87 +99,71 @@ class ColumnarLanes(Mapping):
                     cols[1].append(rec.op)
                     cols[2].append(code.setdefault(rec.array, len(code)))
                     cols[3].append(rec.flat)
-            cells: dict[int, dict] = {}
             for (name, flat), value in state.buffer.items():
-                cells.setdefault(code[name], {})[flat] = value
-            for c, lane_cells in cells.items():
-                lanes = lane_buffers.get(c)
-                if lanes is None:  # one shared, never-written empty dict
-                    lanes = lane_buffers[c] = [{}] * n
-                lanes[p] = lane_cells
-        return cls.from_logs(
-            order, list(code), reads, writes, lane_buffers, storage, present
+                for col, item in zip(cells, (p, code[name], flat, value)):
+                    col.append(item)
+        pos, c_code, flat = (np.array(c, dtype=np.int64) for c in cells[:3])
+        values = np.array(cells[3], dtype=object)
+        buffers = {}
+        for c, name in enumerate(code):
+            rows = np.flatnonzero(c_code == c)
+            if len(rows):
+                rows = rows[np.lexsort((flat[rows], pos[rows]))]
+                buffers[c] = (
+                    pos[rows], flat[rows],
+                    values[rows].astype(storage.arrays[name].dtype),
+                )
+        return cls.from_columns(
+            order, list(code),
+            tuple(np.array(col, dtype=np.int64) for col in reads),
+            tuple(np.array(col, dtype=np.int64) for col in writes),
+            buffers, present,
         )
 
     @classmethod
-    def from_logs(
+    def from_columns(
         cls,
-        iteration_order: Sequence[int],
+        order: np.ndarray,
         arrays: Sequence[str],
-        reads: tuple[list, list, list, list],
-        writes: tuple[list, list, list, list],
-        lane_buffers: dict[int, list[dict]],
-        storage: ArrayStorage,
+        reads: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+        writes: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+        buffers: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]],
         present: Optional[np.ndarray] = None,
+        op_total: Optional[int] = None,
     ) -> "ColumnarLanes":
-        """Columns of a per-lane engine's log: the src tier's buffered
-        flavor, or the interpreter's through :meth:`from_states`.
+        """An SE log whose array column holds codes into ``arrays``:
+        the interpreter's (:meth:`from_states`) or the lock-step
+        engine's.
 
-        ``reads``/``writes`` are ``(pos, op, code, flat)`` lists in
-        (pos, op) order, where ``code`` indexes ``arrays``;
-        ``lane_buffers[code]`` holds every lane's ``{flat: value}`` write
-        buffer of that array, in position order.  ``present`` defaults
-        to every lane having run.
+        ``reads``/``writes`` are ``(pos, op, code, flat)`` int64 columns
+        in (pos, op) order; ``buffers[code]`` the array's final buffered
+        cells as ``(pos, flat, value)`` sorted by (pos, flat), values at
+        its dtype.  Array ids are numbered in first-seen order: lane by
+        lane, its reads, then its writes.  ``present`` defaults to every
+        lane having run.
         """
-        order = _as_order_array(iteration_order)
-        n = len(order)
-        r_pos, r_op, r_code, r_flat = (
-            np.fromiter(c, np.int64, count=len(c)) for c in reads
-        )
-        w_pos, w_op, w_code, w_flat = (
-            np.fromiter(c, np.int64, count=len(c)) for c in writes
-        )
-        # array ids in first-seen order: lane by lane, its reads, then
-        # its writes
+        r_pos, r_op, r_code, r_flat = reads
+        w_pos, w_op, w_code, w_flat = writes
         first: dict[int, tuple[int, int, int]] = {}
         for kind, pos, code in ((0, r_pos, r_code), (1, w_pos, w_code)):
-            codes, rows = np.unique(code, return_index=True)
-            for c, row in zip(codes.tolist(), rows.tolist()):
-                seen = (int(pos[row]), kind, row)
-                if c not in first or seen < first[c]:
-                    first[c] = seen
+            for c in range(len(arrays)):
+                hit = code == c
+                if hit.any():
+                    row = int(hit.argmax())
+                    seen = (int(pos[row]), kind, row)
+                    first[c] = min(first.get(c, seen), seen)
         by_seen = sorted(first, key=first.__getitem__)
-        names = [arrays[c] for c in by_seen]
         ids = np.zeros(len(arrays), dtype=np.int64)
         ids[by_seen] = np.arange(len(by_seen))
-        # final buffered cells sorted by (pos, flat), values cast through
-        # an object array to the array's dtype
-        buffers: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        for code, lanes in lane_buffers.items():
-            sizes = np.fromiter(map(len, lanes), dtype=np.int64, count=n)
-            rows = int(sizes.sum())
-            if rows == 0:
-                continue
-            pos = np.repeat(np.arange(n, dtype=np.int64), sizes)
-            flat = np.fromiter(
-                chain.from_iterable(lanes), dtype=np.int64, count=rows
-            )
-            values = np.array(
-                list(chain.from_iterable(b.values() for b in lanes)),
-                dtype=object,
-            )
-            s = np.lexsort((flat, pos))
-            dtype = storage.arrays[arrays[code]].dtype
-            buffers[int(ids[code])] = (
-                pos[s], flat[s], values[s].astype(dtype)
-            )
         return cls(
             order,
-            np.ones(n, dtype=bool) if present is None else present,
-            names,
+            np.ones(len(order), dtype=bool) if present is None else present,
+            [arrays[c] for c in by_seen],
             (r_pos, r_op, ids[r_code], r_flat),
             (w_pos, w_op, ids[w_code], w_flat),
-            dict(sorted(buffers.items())),
+            {int(ids[c]): buffers[c]
+             for c in sorted(buffers, key=ids.__getitem__)},
+            op_total,
         )
 
     # -- Mapping protocol ------------------------------------------------

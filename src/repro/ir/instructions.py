@@ -36,16 +36,6 @@ class JType(enum.Enum):
     def is_floating(self) -> bool:
         return self in (JType.FLOAT, JType.DOUBLE)
 
-    @property
-    def numpy_dtype(self) -> str:
-        return {
-            JType.INT: "int32",
-            JType.LONG: "int64",
-            JType.FLOAT: "float32",
-            JType.DOUBLE: "float64",
-            JType.BOOL: "bool",
-        }[self]
-
 
 def jtype_of_prim(name: str) -> JType:
     """Map a mini-Java primitive type name to a :class:`JType`."""

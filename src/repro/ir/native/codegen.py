@@ -1,7 +1,7 @@
 """Type-specialized Python codegen for IR kernels (the "src" tier).
 
 An :class:`IRFunction` is lowered to one plain Python function per
-memory-backend flavor:
+flavor:
 
 * registers become Python locals (``r{id}``),
 * the CFG becomes structured Python with the shape of the source (see
@@ -33,30 +33,39 @@ at its end and therefore has not.  Such counts are never consumed — the
 launch that raised them aborts.
 
 The generated function is stateless and reentrant: all mutable state
-(counters, per-lane totals, speculative buffers) lives in caller-owned
-arguments or per-invocation locals, so one compiled kernel is safely
-shared process-wide across threads.
+(counters, per-lane totals, lane masks) lives in caller-owned arguments
+or per-invocation locals, so one compiled kernel is safely shared
+process-wide across threads.
 
-Flavors mirror the interpreter's memory backends:
+Flavors:
 
-``direct``    reads/writes go straight to storage (DirectBackend).
-``buffered``  SpeculativeBackend's SE log written as columns: per lane,
-              one ``{flat: value}`` write buffer per stored array, and
-              read/write records appended to ``(pos, op, array, flat)``
-              column lists; returned as a :class:`ColumnarLanes`
-              (:meth:`ColumnarLanes.from_logs`).
+``direct``    one lane after another, reads/writes straight to storage
+              (the interpreter's DirectBackend).
 ``tracing``   direct writes plus per-lane ordered address traces
               returned as ``{index: [AccessRecord]}`` (TracingBackend).
+``lockstep``  every lane of a launch at once, as a warp runs them: the
+              same structured walk emits NumPy over lane vectors under
+              an active-lane mask (:class:`_Lockstep`), with values from
+              the table's ``array`` forms and memory through a lane
+              memory object.  Its work counts are per-block visits times
+              the static per-block fold, and a lane's SE-log ``op``
+              stamps stay its own.  :class:`repro.ir.vectorizer.
+              VectorizedKernel` runs it over direct memory, checked for
+              cross-lane conflicts, and :class:`repro.ir.specvec.
+              VectorizedSpecKernel` over buffered memory, the SE log.
 """
 
 from __future__ import annotations
 
+import itertools
 import linecache
+from collections import Counter
+
+import numpy as np
 
 from ...errors import JaponicaError
 from .. import java_ops
-from ..columnar import ColumnarLanes
-from ..instructions import IRFunction, Opcode
+from ..instructions import IRFunction, JType, Opcode, SPECIAL_OPS
 from ..interpreter import (
     AccessRecord,
     C_TOTAL,
@@ -66,7 +75,7 @@ from ..interpreter import (
     category,
 )
 
-FLAVORS = ("direct", "buffered", "tracing")
+FLAVORS = ("direct", "tracing", "lockstep")
 
 
 class _ItemLoads:
@@ -103,9 +112,13 @@ _BASE_GLOBALS = {
     "_JErr": JaponicaError,
     "_Fuel": FuelExhausted,
     "_AR": AccessRecord,
-    "_Cols": ColumnarLanes.from_logs,
     "_lview": _load_view,
     "_NAN": float("nan"),
+    # the lock-step flavor's lane vectors
+    "_ones": np.ones, "_zeros": np.zeros, "_i64": np.int64,
+    "_cnt": np.count_nonzero, "_sel": np.where,
+    "_I1": np.int32(1), "_J1": np.int64(1),
+    **{f"_T_{jt.value}": java_ops.NP_TYPE[jt] for jt in JType},
     **java_ops.SRC_GLOBALS,
 }
 
@@ -380,59 +393,59 @@ class _Cfg:
 
 
 class _Lowering:
-    """Emits the structured lane body of one kernel/flavor pair."""
+    """Emits the structured lane body of one kernel/flavor pair, one
+    lane at a time (the ``direct`` and ``tracing`` flavors).
+
+    ``region`` and ``block`` are the walk every flavor shares; the
+    remaining methods are the statements one flavor emits for it.
+    """
 
     def __init__(self, fn, plan, flavor, e, fuel):
         self.fn, self.plan, self.flavor, self.e = fn, plan, flavor, e
         self.cfg = _Cfg(fn)
         self.done = [False] * len(fn.blocks)
+        #: per emitted block, its static work per counter
+        self.folds: list = [None] * len(fn.blocks)
         msg = f"kernel {fn.name!r} exceeded {fuel} instructions at index "
         self.fuel_check = (
             f"if _t > {fuel}:", f"raise _Fuel({msg!r} + str(_i))"
         )
 
-    def region(self, b, follow, loop: int, ind: int) -> None:
+    def region(self, b, follow, loop: int, ind: int, arm=False) -> None:
         """Emit the code from block ``b`` until control reaches ``follow``
         (the caller emits ``follow``), inside the loop headed by
-        ``loop`` (-1: none)."""
-        cfg, e = self.cfg, self.e
+        ``loop`` (-1: none); ``arm``: inside a branch arm of that loop."""
+        cfg = self.cfg
         while b is not None and b != follow:
             jump = cfg.jump(b, loop)
             if jump:
-                e.emit(ind, jump)
+                self.leave(jump, loop, ind)
                 return
             if b in cfg.exit:  # entering a loop at its header
-                e.emit(ind, "while True:")
-                self.region(self.block(b, None, b, ind + 1), None, b, ind + 1)
+                body = self.enter_loop(b, ind)
+                self.region(self.block(b, None, b, body), None, b, body)
+                self.exit_loop(b, ind)
                 b = cfg.exit[b]
                 continue
-            b = self.block(b, follow, loop, ind)
+            b = self.block(b, follow, loop, ind, arm)
 
-    def block(self, b: int, follow, loop: int, ind: int):
+    def block(self, b: int, follow, loop: int, ind: int, arm=False):
         """Emit block ``b`` and its branch; return the block control
         continues with in this region (``None``: it does not fall
         through)."""
-        fn, cfg, e = self.fn, self.cfg, self.e
+        fn, cfg = self.fn, self.cfg
         blk = fn.blocks[b]
         if self.done[b]:
             raise _unstructured(fn, f"block {blk.name!r} is reached twice")
         self.done[b] = True
-        fold = [0] * N_COUNTERS
+        fold = self.folds[b] = [0] * N_COUNTERS
         for instr in blk.instrs:
             cat = category(instr)
             if cat is not None:
                 fold[cat] += 1
             fold[C_TOTAL] += 1
-        for instr in blk.instrs[:-1]:
-            _emit_instr(e, ind, instr, self.plan, self.flavor)
-        # fold the block's statically-known work, then check fuel: the
-        # interpreter checks after *every* terminator, RET included
-        for cat in range(N_COUNTERS - 1):
-            if fold[cat]:
-                e.emit(ind, f"_c{cat} += {fold[cat]}")
-        e.emit(ind, f"_t += {fold[C_TOTAL]}")
-        e.emit(ind, self.fuel_check[0])
-        e.emit(ind + 1, self.fuel_check[1])
+        self.body(b, blk.instrs[:-1], ind)
+        self.fold(b, fold, ind)
         term = blk.instrs[-1]
         if term.op is Opcode.RET:
             if loop >= 0:
@@ -449,28 +462,232 @@ class _Lowering:
         join = None
         if m != cfg.X and (loop < 0 or cfg.in_loop(m, loop)):
             join = m
-        arm_follow = follow if join is None else join
         jt, jf = cfg.jump(t, loop), cfg.jump(f, loop)
+        if jt or jf:
+            self.branch_leaves(cond, jt, jf, loop, ind, arm)
+            if jt and jf:
+                return None
+            return f if jt else t  # the other arm goes on right here
+        self.branch(cond, t, f, follow if join is None else join, loop, ind)
+        return join
+
+    # -- one lane at a time -----------------------------------------------
+
+    def body(self, b, instrs, ind) -> None:
+        for instr in instrs:
+            _emit_instr(self.e, ind, instr, self.plan, self.flavor)
+
+    def fold(self, b, fold, ind) -> None:
+        # fold the block's statically-known work, then check fuel: the
+        # interpreter checks after *every* terminator, RET included
+        e = self.e
+        for cat in range(N_COUNTERS - 1):
+            if fold[cat]:
+                e.emit(ind, f"_c{cat} += {fold[cat]}")
+        e.emit(ind, f"_t += {fold[C_TOTAL]}")
+        e.emit(ind, self.fuel_check[0])
+        e.emit(ind + 1, self.fuel_check[1])
+
+    def leave(self, jump, loop, ind) -> None:
+        self.e.emit(ind, jump)
+
+    def enter_loop(self, h, ind) -> int:
+        self.e.emit(ind, "while True:")
+        return ind + 1
+
+    def exit_loop(self, h, ind) -> None:
+        pass
+
+    def branch_leaves(self, cond, jt, jf, loop, ind, arm) -> None:
+        e = self.e
         if jt and jf:
             e.emit(ind, f"if {cond}:")
             e.emit(ind + 1, jt)
             e.emit(ind, jf)
-            return None
-        if jt or jf:
-            # the jumping arm leaves; the other one goes on right here
-            e.emit(ind, f"if {cond}:" if jt else f"if not {cond}:")
-            e.emit(ind + 1, jt or jf)
-            return f if jt else t
-        if t == arm_follow:
+            return
+        e.emit(ind, f"if {cond}:" if jt else f"if not {cond}:")
+        e.emit(ind + 1, jt or jf)
+
+    def branch(self, cond, t, f, follow, loop, ind) -> None:
+        e = self.e
+        if t == follow:
             e.emit(ind, f"if not {cond}:")
-            self.region(f, arm_follow, loop, ind + 1)
+            self.region(f, follow, loop, ind + 1, True)
+            return
+        e.emit(ind, f"if {cond}:")
+        self.region(t, follow, loop, ind + 1, True)
+        if f != follow:
+            e.emit(ind, "else:")
+            self.region(f, follow, loop, ind + 1, True)
+
+
+def _merged(fn: IRFunction) -> set[int]:
+    """Registers a lock-step write keeps masked-off lanes of: all but
+    those written in one block and read only there, after a write."""
+    home: dict[int, int] = {}
+    merged: set[int] = set()
+    for b, blk in enumerate(fn.blocks):
+        for instr in blk.instrs:
+            for r in (instr.a, instr.b, *instr.idx, *instr.args):
+                if r is not None and home.get(r.id) != b:
+                    merged.add(r.id)
+            if instr.dst is not None and home.setdefault(instr.dst.id, b) != b:
+                merged.add(instr.dst.id)
+    return merged
+
+
+class _Lockstep(_Lowering):
+    """Emits the ``lockstep`` body: every lane of a launch at once, as
+    NumPy over lane vectors, under the active-lane mask ``_m`` (``_all``:
+    every lane is active, and nothing is masked).
+
+    A branch splits the mask, runs each arm some lane takes (a uniform
+    branch keeps the mask) and rejoins; a loop repeats while any of its
+    lanes ``_L<h>`` is active, ``break`` dropping lanes from it and
+    ``continue`` idling them until the next pass.  A write to a
+    :func:`_merged` register keeps masked-off lanes' values; loads and
+    stores touch active lanes only, through the lane memory
+    ``_ld``/``_st``.  Per block, ``_v`` counts the visiting lanes and
+    ``_t`` gains the block's total in them (``_op``, the memory-op
+    stamps, its loads and stores when the memory logs); fuel is checked
+    at loop headers against ``_tmax``, a bound on every lane's total.
+    """
+
+    def __init__(self, fn, plan, e, fuel, g):
+        super().__init__(fn, plan, "lockstep", e, fuel)
+        self.merged = _merged(fn)
+        self.g, self.fns, self.fresh = g, {}, itertools.count()
+        #: per loop header: jumps out of a pass of its body emitted
+        self.leaves: Counter = Counter()
+        msg = f"kernel {fn.name!r} exceeded {fuel} instructions at index "
+        self.fuel_check = (
+            f"if _tmax > {fuel} and _cnt(_t > {fuel}): raise _Fuel("
+            f"{msg!r} + str(_idx[(_t > {fuel}).argmax()]))"
+        )
+
+    def fn_var(self, fn) -> str:
+        """A global bound to ``fn``, an array form of the table."""
+        var = self.fns.setdefault(id(fn), f"_A{len(self.fns)}")
+        self.g[var] = fn
+        return var
+
+    def body(self, b, instrs, ind) -> None:
+        e, code = self.e, self.plan.array_code
+        self.mem = 0
+        for instr in instrs:
+            op = instr.op
+            if op in (Opcode.LOAD, Opcode.STORE):
+                x, y = ([f"r{r.id}" for r in instr.idx] + ["None"])[:2]
+                at = f"{code[instr.array]}, {x}, {y}"
+                lanes = f"_m, _all, _op, {self.mem}"
+                self.mem += 1
+                if op is Opcode.STORE:
+                    e.emit(ind, f"_st({at}, r{instr.a.id}, {lanes})")
+                    continue
+                value = f"_ld({at}, {lanes})"
+            elif op is Opcode.CONST:
+                value = self.plan.const_var[id(instr)]
+            elif op is Opcode.MOV:
+                value = f"r{instr.a.id}"
+            else:
+                value = self.array_expr(instr)
+            d = f"r{instr.dst.id}"
+            if instr.dst.id in self.merged:
+                value = f"{value} if _all else _sel(_m, {value}, {d})"
+            e.emit(ind, f"{d} = {value}")
+
+    def array_expr(self, instr) -> str:
+        """The table's array form of a value instruction."""
+        op, a = instr.op, [f"r{r.id}" for r in (instr.a, instr.b) if r]
+        if op is Opcode.CALL:
+            _scalar, core, convert = java_ops.call_rule(
+                instr.intrinsic, instr.dst.type
+            )
+            args = ", ".join(f"r{r.id}" for r in instr.args)
+            return f"{self.fn_var(convert.array)}({self.fn_var(core)}({args}))"
+        if op is Opcode.BIN:
+            rule = java_ops.bin_rule(instr.binop, instr.a.type)
+            if instr.binop in SPECIAL_OPS and instr.a.type in _ONE:
+                # a masked-off lane's divisor may be 0: it divides by 1
+                one = _ONE[instr.a.type]
+                a[1] = f"({a[1]} if _all else _sel(_m, {a[1]}, {one}))"
+        elif op is Opcode.UN:
+            rule = java_ops.un_rule(instr.binop, instr.dst.type)
         else:
-            e.emit(ind, f"if {cond}:")
-            self.region(t, arm_follow, loop, ind + 1)
-            if f != arm_follow:
-                e.emit(ind, "else:")
-                self.region(f, arm_follow, loop, ind + 1)
-        return join
+            rule = java_ops.CAST_RULES[instr.a.type, instr.dst.type]
+        return f"{self.fn_var(rule.array)}({', '.join(a)})"
+
+    def fold(self, b, fold, ind) -> None:
+        e, total = self.e, fold[C_TOTAL]
+        e.emit(ind, f"_v[{b}] += _n if _all else _cnt(_m)")
+        e.emit(ind, f"_tmax += {total}")
+        e.emit(ind, f"_t += {total} if _all else {total} * _m")
+        if self.mem:
+            e.emit(ind, f"if _lg: _op = _op + "
+                        f"({self.mem} if _all else {self.mem} * _m)")
+
+    def leave(self, jump, loop, ind) -> None:
+        # every active lane jumps
+        self.leaves[loop] += 1
+        if jump == "break":
+            self.e.emit(ind, f"_L{loop} = _L{loop} ^ _m; _LA{loop} = False")
+        self.e.emit(ind, "_m, _all = _none, False")
+
+    def enter_loop(self, h, ind) -> int:
+        e = self.e
+        e.emit(ind, f"_L{h} = _E{h} = _m; _LA{h} = _EA{h} = _all")
+        e.emit(ind, "while True:")
+        e.emit(ind + 1, f"if not (_LA{h} or _cnt(_L{h})): break")
+        e.emit(ind + 1, f"_m, _all = _L{h}, _LA{h}")
+        e.emit(ind + 1, self.fuel_check)
+        return ind + 1
+
+    def exit_loop(self, h, ind) -> None:
+        # the loop's one exit: every lane that entered leaves through it
+        self.e.emit(ind, f"_m, _all = _E{h}, _EA{h}")
+
+    def branch_leaves(self, cond, jt, jf, loop, ind, arm) -> None:
+        # (bools: _m > c is _m and not c)
+        e, k = self.e, next(self.fresh)
+        self.leaves[loop] += 1
+        if jt and jf:  # every active lane leaves, by jt where cond holds
+            gone = {"break": f"_m & {cond}", "continue": f"_m > {cond}"}[jt]
+            if "break" in (jt, jf):
+                e.emit(ind, f"_L{loop} = _L{loop} ^ "
+                            f"({'_m' if jt == jf else gone}); _LA{loop} = False")
+            e.emit(ind, "_m, _all = _none, False")
+            return
+        e.emit(ind, f"_j{k} = _m & {cond}" if jt else f"_j{k} = _m > {cond}")
+        e.emit(ind, f"if _cnt(_j{k}):")
+        if (jt or jf) == "break":
+            e.emit(ind + 1, f"_L{loop} = _L{loop} ^ _j{k}; _LA{loop} = False")
+        e.emit(ind + 1, f"_m, _all = _m ^ _j{k}, False")
+        if not arm:  # no sibling arm waits: an empty path ends the pass
+            e.emit(ind + 1, "if not _cnt(_m): continue")
+
+    def branch(self, cond, t, f, follow, loop, ind) -> None:
+        e, k = self.e, next(self.fresh)
+        e.emit(ind, f"_s{k}, _sa{k}, _bt{k} = _m, _all, _m & {cond}")
+        e.emit(ind, f"_bf{k} = _m ^ _bt{k}")
+        e.emit(ind, f"_nt{k}, _nf{k} = _cnt(_bt{k}), _cnt(_bf{k})")
+        before = self.leaves[loop]
+        for arm, side, other in ((t, "t", "f"), (f, "f", "t")):
+            if arm == follow:  # its lanes go straight to the join
+                continue
+            e.emit(ind, f"if _n{side}{k}:")
+            e.emit(ind + 1, f"if _n{other}{k}: _m, _all = _b{side}{k}, False")
+            left = self.leaves[loop]
+            self.region(arm, follow, loop, ind + 1, True)
+            if self.leaves[loop] != left:
+                e.emit(ind + 1, f"_b{side}{k} = _m")
+        if self.leaves[loop] == before:
+            e.emit(ind, f"_m, _all = _s{k}, _sa{k}")
+        else:  # some lanes left the pass in an arm
+            e.emit(ind, f"_m, _all = _bt{k} | _bf{k}, False")
+
+
+#: the divisor a masked-off lane's integer ``/`` and ``%`` use
+_ONE = {JType.INT: "_I1", JType.LONG: "_J1"}
 
 
 def generate(
@@ -482,14 +699,15 @@ def generate(
     plan = _KernelPlan(fn)
     e = _Emitter()
     g = dict(_BASE_GLOBALS)
+    if flavor == "lockstep":
+        _generate_lockstep(fn, plan, e, g, fuel)
+        return e.source(), g
     for k, value in enumerate(plan.consts):
         g[f"_K{k}"] = value
     for name, var in plan.intr_var.items():
         g[var] = java_ops.INTRINSIC_FNS[name]
 
-    buffered = flavor == "buffered"
-    stored = [plan.array_code[name] for name in plan.arrays
-              if name in plan.arrays_stored]
+    tracing = flavor == "tracing"
     e.emit(0, "def _kernel(_indices, _env, _storage, _raw, _per_lane):")
     e.emit(1, "_arrays = _storage.arrays")
     e.emit(1, "_flat = _storage.flat")
@@ -510,16 +728,10 @@ def generate(
             e.emit(2, f"{av}_f0 = {av}_f1 = -1")
         if name in plan.arrays_loaded:
             e.emit(1, f"{av}_ld = _lview({av})")
-        if name in plan.arrays_stored and not buffered:
+        if name in plan.arrays_stored:
             e.emit(1, f"{av}_fl = {av}.flat if {av} is not None else None")
     # -- scalar binds (interpreter order and error message) -------------
-    for p in fn.scalars:
-        sv = plan.scalar_var[p.name]
-        msg = f"kernel {fn.name!r} missing scalar {p.name!r}"
-        e.emit(1, "try:")
-        e.emit(2, f"{sv} = _env[{p.name!r}]")
-        e.emit(1, "except KeyError:")
-        e.emit(2, f"raise _JErr({msg!r}) from None")
+    _emit_scalar_binds(e, fn, plan)
     # scalar registers never written inside the kernel bind once
     hoisted_scalars = []
     looped_scalars = []
@@ -535,35 +747,17 @@ def generate(
     init_ids = sorted(plan.reads - scalar_ids - {fn.index.id})
     e.emit(1, "_c0 = _c1 = _c2 = _c3 = _c4 = _c5 = _c6 = _c7 = 0")
     e.emit(1, "_t = 0")
-    if buffered:
-        # the SE log's columns: (pos, op, array code, flat) per logged
-        # access, and per stored array its lanes' {flat: value} buffers
-        e.emit(1, "_reads = ([], [], [], [])")
-        e.emit(1, "_writes = ([], [], [], [])")
-        for w, log in (("r", "_reads"), ("w", "_writes")):
-            appends = f"_{w}_pos, _{w}_op, _{w}_arr, _{w}_flat"
-            e.emit(1, f"{appends} = [c.append for c in {log}]")
-        for k in stored:
-            e.emit(1, f"_lane_bufs{k} = []")
-            e.emit(1, f"_keep_buf{k} = _lane_bufs{k}.append")
-    elif flavor == "tracing":
+    if tracing:
         e.emit(1, "_traces = {}")
     e.emit(1, "try:")
-    if buffered:
-        e.emit(2, "for _p, _i in enumerate(_indices):")
-    else:
-        e.emit(2, "for _i in _indices:")
+    e.emit(2, "for _i in _indices:")
     e.emit(3, f"r{fn.index.id} = _i")
     for p in looped_scalars:
         e.emit(3, f"r{plan.scalar_reg[p.name]} = {plan.scalar_var[p.name]}")
     if init_ids:
         chain = " = ".join(f"r{rid}" for rid in init_ids)
         e.emit(3, f"{chain} = None")
-    if buffered:
-        for k in stored:
-            e.emit(3, f"_buf{k} = {{}}")
-        e.emit(3, "_op = 0")
-    elif flavor == "tracing":
+    if tracing:
         e.emit(3, "_tr = []")
         e.emit(3, "_op = 0")
     e.emit(3, "_t = 0")
@@ -573,27 +767,71 @@ def generate(
     e.emit(3, "_c7 += _t")
     e.emit(3, "_per_lane.append(_t)")
     e.emit(3, "_t = 0")
-    if buffered:
-        for k in stored:
-            e.emit(3, f"_keep_buf{k}(_buf{k})")
-    elif flavor == "tracing":
+    if tracing:
         e.emit(3, "_traces[_i] = _tr")
     e.emit(1, "finally:")
     for k in range(N_COUNTERS - 1):
         e.emit(2, f"_raw[{k}] += _c{k}")
     e.emit(2, "_raw[7] += _c7 + _t")
-    if buffered:
-        bufs = ", ".join(f"{k}: _lane_bufs{k}" for k in stored)
-        e.emit(
-            1,
-            f"return _Cols(_indices, {tuple(plan.arrays)!r}, _reads, "
-            f"_writes, {{{bufs}}}, _storage)",
-        )
-    elif flavor == "tracing":
-        e.emit(1, "return _traces")
-    else:
-        e.emit(1, "return None")
+    e.emit(1, "return _traces" if tracing else "return None")
     return e.source(), g
+
+
+def _emit_scalar_binds(e: _Emitter, fn: IRFunction, plan) -> None:
+    """Bind every scalar parameter in the interpreter's order, with its
+    missing-scalar message."""
+    for p in fn.scalars:
+        sv = plan.scalar_var[p.name]
+        msg = f"kernel {fn.name!r} missing scalar {p.name!r}"
+        e.emit(1, "try:")
+        e.emit(2, f"{sv} = _env[{p.name!r}]")
+        e.emit(1, "except KeyError:")
+        e.emit(2, f"raise _JErr({msg!r}) from None")
+
+
+def _generate_lockstep(fn, plan, e, g, fuel) -> None:
+    """``_kernel(_idx, _env, _mem, _raw, _per_lane)``: run the lanes of
+    ``_idx`` (int64) in lock-step over the lane memory ``_mem``; only on
+    success add the work to ``_raw``, extend ``_per_lane`` (unless
+    ``None``) and return ``_mem.finish(_op)``."""
+    low = _Lockstep(fn, plan, e, fuel, g)
+    written = {}
+    for instr in (i for blk in fn.blocks for i in blk.instrs):
+        if instr.dst is not None:
+            written[instr.dst.id] = java_ops.NP_TYPE[instr.dst.type]
+        if instr.op is Opcode.CONST:
+            g[plan.const_var[id(instr)]] = written[instr.dst.id](instr.value)
+    e.emit(0, "def _kernel(_idx, _env, _mem, _raw, _per_lane):")
+    e.emit(1, f"_n, _lg, _tmax, _v = len(_idx), _mem.logs, 0, "
+              f"[0] * {len(fn.blocks)}")
+    e.emit(1, "_m, _all = _ones(_n, bool), True")
+    # one block: every lane's total is _tmax, no lane ever leaves
+    e.emit(1, "_t = _i64(0)" if fn.is_straightline
+           else "_none, _t = ~_m, _zeros(_n, _i64)")
+    e.emit(1, "_op = _zeros(_n, _i64) if _lg else None")
+    e.emit(1, "_ld, _st = _mem.load, _mem.store")
+    _emit_scalar_binds(e, fn, plan)
+    e.emit(1, f"r{fn.index.id} = _idx.astype(_T_int)")
+    for p in fn.scalars:
+        e.emit(1, f"r{plan.scalar_reg[p.name]} = "
+                  f"_T_{p.type.value}({plan.scalar_var[p.name]})")
+    bound = {fn.index.id, *plan.scalar_reg.values()}
+    for rid in sorted(low.merged & written.keys() - bound):
+        g[f"_Z{rid}"] = written[rid](0)  # what masked-off lanes keep
+        e.emit(1, f"r{rid} = _Z{rid}")
+    low.region(0, None, -1, 1)
+    e.emit(1, low.fuel_check)
+    e.emit(1, "_out = _mem.finish(_op)")
+    # the work: per-block visits times the block's static fold
+    for cat in range(N_COUNTERS):
+        terms = [f"_v[{b}] * {fold[cat]}"
+                 for b, fold in enumerate(low.folds) if fold and fold[cat]]
+        if terms:
+            e.emit(1, f"_raw[{cat}] += " + " + ".join(terms))
+    e.emit(1, "if _per_lane is not None:")
+    e.emit(2, f"_per_lane += [{low.folds[0][C_TOTAL]}] * _n"
+              if fn.is_straightline else "_per_lane += _t.tolist()")
+    e.emit(1, "return _out")
 
 
 def _emit_flat(
@@ -643,11 +881,6 @@ def _value_expr(instr, plan: _KernelPlan) -> str:
     return java_ops.CAST_RULES[instr.a.type, instr.dst.type].emit(a)
 
 
-#: one logged access of the buffered flavor: a row of the read (``r``)
-#: or write (``w``) columns
-_LOG_ACCESS = "_{w}_pos(_p); _{w}_op(_op); _{w}_arr({code}); _{w}_flat(_f)"
-
-
 def _emit_instr(
     e: _Emitter, indent: int, instr, plan: _KernelPlan, flavor: str
 ) -> None:
@@ -662,41 +895,19 @@ def _emit_instr(
         e.emit(indent, f"r{instr.dst.id} = {_value_expr(instr, plan)}")
         return
     av = plan.array_var[instr.array]
-    code = plan.array_code[instr.array]
     _emit_flat(e, indent, instr, plan, "_f")
+    tracing = flavor == "tracing"
     if op is Opcode.LOAD:
-        dst = f"r{instr.dst.id}"
-        if flavor == "direct":
-            e.emit(indent, f"{dst} = {av}_ld[_f]")
-        elif flavor == "buffered":
-            # only this kernel's stores fill a buffer: loads of arrays it
-            # never stores skip the probe
-            log = indent
-            if instr.array in plan.arrays_stored:
-                e.emit(indent, f"if _f in _buf{code}:")
-                e.emit(indent + 1, f"{dst} = _buf{code}[_f]")
-                e.emit(indent, "else:")
-                log = indent + 1
-            e.emit(log, _LOG_ACCESS.format(w="r", code=code))
-            e.emit(log, f"{dst} = {av}_ld[_f]")
-            e.emit(indent, "_op += 1")
-        else:  # tracing
+        if tracing:
             e.emit(indent, f"_tr.append(_AR(_op, 'R', {instr.array!r}, _f))")
             e.emit(indent, "_op += 1")
-            e.emit(indent, f"{dst} = {av}_ld[_f]")
+        e.emit(indent, f"r{instr.dst.id} = {av}_ld[_f]")
         return
     if op is Opcode.STORE:
-        src = f"r{instr.a.id}"
-        if flavor == "direct":
-            e.emit(indent, f"{av}_fl[_f] = {src}")
-        elif flavor == "buffered":
-            e.emit(indent, _LOG_ACCESS.format(w="w", code=code))
-            e.emit(indent, "_op += 1")
-            e.emit(indent, f"_buf{code}[_f] = {src}")
-        else:  # tracing
+        if tracing:
             e.emit(indent, f"_tr.append(_AR(_op, 'W', {instr.array!r}, _f))")
             e.emit(indent, "_op += 1")
-            e.emit(indent, f"{av}_fl[_f] = {src}")
+        e.emit(indent, f"{av}_fl[_f] = r{instr.a.id}")
         return
     raise JaponicaError(f"non-terminator expected, got {op}")
 
@@ -715,8 +926,11 @@ class NativeKernel:
     counters into the caller-owned ``raw`` list (survives exceptions via
     ``try/finally`` in the generated code) and appending each index's
     instruction total to ``per_lane``.  Returns the flavor's auxiliary
-    structure: ``None`` (direct), the launch's :class:`ColumnarLanes`
-    (buffered), traces dict (tracing).
+    structure: ``None`` (direct), traces dict (tracing).  The
+    ``lockstep`` flavor's ``run`` takes lane indices as an int64 array
+    and a lane memory in place of the storage (see
+    :func:`_generate_lockstep`); the lock-step kernels of
+    :mod:`repro.ir.vectorizer` and :mod:`repro.ir.specvec` drive it.
     """
 
     __slots__ = ("fn", "flavor", "fuel", "source", "_run")

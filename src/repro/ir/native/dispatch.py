@@ -1,23 +1,28 @@
 """Execution fronting for compiled kernels.
 
 ``KernelDispatcher`` owns the per-context work counters; the compiled
-artifacts themselves live in a process-wide ``KernelCache`` shared by
-every device and executor, so an N-device pool compiles each kernel
-once:
+artifacts live in a process-wide ``KernelCache`` shared by every device
+and executor, so an N-device pool compiles each kernel once: stateless
+kernels (src ``NativeKernel``, lock-step ``VectorizedKernel`` and
+``VectorizedSpecKernel``) globally under a lock, the stateful
+interpreter (``CompiledKernel`` closures capture counters and backend)
+per thread.  A launch runs on one tier:
 
-* stateless tiers (generated-source ``NativeKernel``, the
-  vectorized/specvec kernels) are cached globally under a lock, keyed
-  ``(ir_fingerprint, tier/flavor)``;
-* the stateful scalar interpreter (``CompiledKernel`` closures capture
-  their counters and backend) is cached per *thread*, which still
-  deduplicates the per-device copies of the old per-instance caches.
-
-With the native backend on, every launch runs on the ``src`` tier from
-the kernel's first launch, the way a kernel is compiled before it ever
-runs on a device.  The ``interp`` tier is the ``native=False`` engine,
-the oracle that ``crosscheck`` mode replays every native launch through
-(comparing results bitwise; the oracle's effects always win), and the
-fallback for a kernel the generator cannot compile.
+``lockstep``
+    every lane at once under an active-lane mask
+    (:mod:`repro.ir.vectorizer`): every buffered launch, and every
+    lane-parallel direct launch that is straight-line or at least
+    :data:`LOCKSTEP_MIN_LANES` wide.  One whose lanes touch one
+    another's cells, or that faults, is undone and rerun lane by lane:
+    the sequential result, or the interpreter's exact error;
+``src``
+    one lane after another in generated Python: lane-sequential work
+    (DOACROSS, ``CpuExecutor.run_serial``), narrow control flow;
+``interp``
+    the ``native=False`` engine (straight-line launches keep
+    lock-step), the oracle ``crosscheck`` mode replays every launch
+    through (bitwise; the oracle's effects win), and the fallback for a
+    kernel the generator cannot compile.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from ..interpreter import (
     C_TOTAL,
     CompiledKernel,
     Counts,
+    DEFAULT_FUEL,
     DirectBackend,
     N_COUNTERS,
     SpeculativeBackend,
@@ -48,6 +54,12 @@ from .codegen import NativeKernel
 
 TIER_INTERP = "interp"
 TIER_SRC = "src"
+TIER_LOCKSTEP = "lockstep"
+
+#: The narrowest lane-parallel direct launch of a kernel with control
+#: flow that runs lock-step; a narrower one runs lane by lane, whose
+#: host time is lower there.  Either way the outputs are the same.
+LOCKSTEP_MIN_LANES = 128
 
 _BACKENDS = {
     "direct": DirectBackend,
@@ -59,19 +71,19 @@ _BACKENDS = {
 class KernelCache:
     """Process-wide cache of compiled kernel artifacts.
 
-    Stateless artifacts (src/vectorized kernels) are shared across
+    Stateless artifacts (src and lock-step kernels) are shared across
     threads; interpreter kernels are stateful and cached thread-locally.
     ``compiles`` counts real compilations per tier (test observability).
+    Every kernel gets the per-index instruction budget ``fuel``.
     """
 
-    def __init__(self):
+    def __init__(self, fuel: int = DEFAULT_FUEL):
+        self.fuel = fuel
         self._lock = threading.Lock()
-        self._src: dict[tuple[str, str], NativeKernel] = {}
-        self._src_failed: set[tuple[str, str]] = set()
-        self._vector: dict[str, VectorizedKernel] = {}
-        self._specvec: dict[str, VectorizedSpecKernel] = {}
+        self._compiled: dict[tuple[str, str, str], object] = {}
+        self._failed: set[tuple[str, str, str]] = set()
         self._local = threading.local()
-        self.compiles = {"interp": 0, "src": 0, "vector": 0}
+        self.compiles = {TIER_INTERP: 0, TIER_SRC: 0, TIER_LOCKSTEP: 0}
 
     # -- interpreter tier (thread-local, stateful) ----------------------
 
@@ -82,63 +94,52 @@ class KernelCache:
         key = fn.fingerprint()
         kern = kernels.get(key)
         if kern is None:
-            kern = kernels[key] = CompiledKernel(fn)
+            kern = kernels[key] = CompiledKernel(fn, self.fuel)
             with self._lock:
-                self.compiles["interp"] += 1
+                self.compiles[TIER_INTERP] += 1
         return kern
 
     # -- stateless tiers ------------------------------------------------
 
     def src(self, fn: IRFunction, flavor: str) -> Optional[NativeKernel]:
         """The src kernel of ``(fn, flavor)``, or ``None`` if it fails
-        to compile.
+        to compile."""
+        return self._compile(TIER_SRC, fn, flavor)
 
-        Only compiling (generate, ``compile``, ``exec``) is guarded, and
-        a failed pair is remembered: it is attempted once per process.
-        """
-        key = (fn.fingerprint(), flavor)
-        kern = self._src.get(key)
-        if kern is not None or key in self._src_failed:
+    def lockstep(self, fn: IRFunction, flavor: str):
+        """The lock-step kernel of ``fn`` for ``direct`` or ``buffered``
+        launches, or ``None`` if it fails to compile."""
+        return self._compile(TIER_LOCKSTEP, fn, flavor)
+
+    def _compile(self, tier: str, fn: IRFunction, flavor: str):
+        """Only compiling (generate, ``compile``, ``exec``) is guarded,
+        and a failed triple is remembered: it is attempted once per
+        process."""
+        key = (tier, fn.fingerprint(), flavor)
+        kern = self._compiled.get(key)
+        if kern is not None or key in self._failed:
             return kern
         with self._lock:
-            kern = self._src.get(key)
-            if kern is None and key not in self._src_failed:
+            kern = self._compiled.get(key)
+            if kern is None and key not in self._failed:
                 try:
-                    kern = NativeKernel(fn, flavor)
+                    if tier == TIER_SRC:
+                        kern = NativeKernel(fn, flavor, self.fuel)
+                    elif flavor == "buffered":
+                        kern = VectorizedSpecKernel(fn, self.fuel)
+                    else:
+                        kern = VectorizedKernel(fn, self.fuel)
                 except Exception:  # noqa: BLE001 - the interpreter runs it
-                    self._src_failed.add(key)
+                    self._failed.add(key)
                     return None
-                self._src[key] = kern
-                self.compiles["src"] += 1
-        return kern
-
-    def vectorized(self, fn: IRFunction) -> VectorizedKernel:
-        key = fn.fingerprint()
-        kern = self._vector.get(key)
-        if kern is None:
-            with self._lock:
-                kern = self._vector.get(key)
-                if kern is None:
-                    kern = self._vector[key] = VectorizedKernel(fn)
-                    self.compiles["vector"] += 1
-        return kern
-
-    def specvec(self, fn: IRFunction) -> VectorizedSpecKernel:
-        key = fn.fingerprint()
-        kern = self._specvec.get(key)
-        if kern is None:
-            with self._lock:
-                kern = self._specvec.get(key)
-                if kern is None:
-                    kern = self._specvec[key] = VectorizedSpecKernel(fn)
+                self._compiled[key] = kern
+                self.compiles[tier] += 1
         return kern
 
     def clear(self) -> None:
         with self._lock:
-            self._src.clear()
-            self._src_failed.clear()
-            self._vector.clear()
-            self._specvec.clear()
+            self._compiled.clear()
+            self._failed.clear()
             self._local = threading.local()
             for k in self.compiles:
                 self.compiles[k] = 0
@@ -154,10 +155,12 @@ class KernelDispatcher:
     One dispatcher is shared by all devices and the CPU executor of an
     execution context; it owns the per-kernel raw work counters, so
     partial counts from faulted attempts accumulate exactly as the old
-    per-device ``CompiledKernel`` counters did.  With ``native`` on, a
-    launch runs on the src tier from the kernel's first launch; with it
-    off, or when the kernel fails to compile, on the interpreter.  The
-    ``kernel.tier.*`` counters name the tier each launch ran on.
+    per-device ``CompiledKernel`` counters did.  The module docstring
+    says which tier a launch runs on; ``native`` off, or a kernel that
+    fails to compile, leaves the interpreter.  The ``kernel.tier.*``
+    counters name the tier each launch was dispatched to, and
+    ``kernel.tier.lockstep.fallbacks`` the lock-step launches rerun
+    lane by lane.
     """
 
     def __init__(
@@ -209,12 +212,15 @@ class KernelDispatcher:
         indices: Sequence[int],
         scalar_env: dict[str, object],
         storage: ArrayStorage,
+        parallel: bool = False,
     ) -> list[int]:
-        """Run indices in order, writes straight to storage.
+        """Run indices, writes straight to storage, with the sequential
+        result.  ``parallel``: the launch is lane-parallel (DOALL), so it
+        may run lock-step.
 
         Returns the per-index instruction totals (the divergence input).
         """
-        return self._run(fn, "direct", indices, scalar_env, storage)
+        return self._run(fn, "direct", indices, scalar_env, storage, parallel)
 
     def run_buffered(
         self,
@@ -225,11 +231,11 @@ class KernelDispatcher:
     ):
         """SE-phase run: per-lane write buffers + read/write logs.
 
-        Returns ``(per_lane, ColumnarLanes)`` on either tier: the src
-        kernel writes the columns itself, the interpreter's
+        Returns ``(per_lane, ColumnarLanes)`` on every tier: the
+        lock-step kernel builds the columns itself, the interpreter's
         ``{index: LaneSpecState}`` dict goes through ``from_states``.
         """
-        return self._run(fn, "buffered", indices, scalar_env, storage)
+        return self._run(fn, "buffered", indices, scalar_env, storage, True)
 
     def run_tracing(
         self,
@@ -242,26 +248,78 @@ class KernelDispatcher:
 
         Returns ``(per_lane, {index: [AccessRecord]})``.
         """
-        return self._run(fn, "tracing", indices, scalar_env, storage)
+        return self._run(fn, "tracing", indices, scalar_env, storage, False)
 
-    def _run(self, fn, flavor, indices, scalar_env, storage):
+    def _kernel(self, fn, flavor, n, parallel):
+        """The compiled kernel a launch runs on; ``None``: the
+        interpreter."""
+        if parallel and (
+            fn.is_straightline
+            or (self.native
+                and (flavor == "buffered" or n >= LOCKSTEP_MIN_LANES))
+        ):
+            kern = self.cache.lockstep(fn, flavor)
+            if kern is not None:
+                return kern
+        if self.native and flavor != "buffered":
+            return self.cache.src(fn, flavor)
+        return None
+
+    def _run(self, fn, flavor, indices, scalar_env, storage, parallel):
         indices = list(indices)
-        kern = self.cache.src(fn, flavor) if self.native else None
+        kern = self._kernel(fn, flavor, len(indices), parallel)
         if kern is None:
             if self.native:
                 self.obs.metrics.counter(
                     "kernel.compile.failed", PLANE_HOST
                 ).inc()
             self._record(TIER_INTERP, flavor, len(indices))
-            return self._run_interp(fn, flavor, indices, scalar_env, storage)
-        self._record(TIER_SRC, flavor, len(indices))
-        if self.crosscheck:
-            return self._run_crosschecked(
-                kern, fn, flavor, indices, scalar_env, storage
+            per_lane, aux = self._run_interp(
+                fn, flavor, indices, scalar_env, storage, self.counters(fn)
             )
-        return self._run_src(kern, fn, flavor, indices, scalar_env, storage)
+        else:
+            self._record(kern.tier, flavor, len(indices))
+            if self.crosscheck:
+                per_lane, aux = self._run_crosschecked(
+                    kern, fn, flavor, indices, scalar_env, storage
+                )
+            else:
+                per_lane = []
+                aux = self._run_kernel(
+                    kern, fn, flavor, indices, scalar_env, storage,
+                    self.counters(fn), per_lane,
+                )
+        return per_lane if flavor == "direct" else (per_lane, aux)
 
-    def _run_interp(self, fn, flavor, indices, scalar_env, storage):
+    def _run_kernel(
+        self, kern, fn, flavor, indices, scalar_env, storage, raw, per_lane
+    ):
+        """Run a compiled kernel.  A lock-step launch whose lanes
+        conflict, or that faults, has left no effect; it reruns lane by
+        lane, on the src tier or the interpreter, for the sequential
+        result or the exact error."""
+        if kern.tier != TIER_LOCKSTEP:
+            return kern.run(indices, scalar_env, storage, raw, per_lane)
+        try:
+            return kern.run(indices, scalar_env, storage, raw, per_lane)
+        except Exception:  # noqa: BLE001 - the rerun decides the outcome
+            self.obs.metrics.counter(
+                "kernel.tier.lockstep.fallbacks", PLANE_HOST
+            ).inc()
+        src = self.cache.src(fn, flavor) if (
+            self.native and flavor == "direct"
+        ) else None
+        if src is not None:
+            return src.run(indices, scalar_env, storage, raw, per_lane)
+        lanes, aux = self._run_interp(
+            fn, flavor, indices, scalar_env, storage, raw
+        )
+        per_lane.extend(lanes)
+        return aux
+
+    def _run_interp(self, fn, flavor, indices, scalar_env, storage, raw):
+        """``(per_lane, aux)`` of an interpreter run; its work lands in
+        ``raw``, partial counts of a faulted run included."""
         kern = self.cache.interp(fn)
         backend = _BACKENDS[flavor](storage)
         per_lane: list[int] = []
@@ -272,26 +330,16 @@ class KernelDispatcher:
                 kern.run_index(i, scalar_env, backend)
                 per_lane.append(counters[C_TOTAL] - before)
         finally:
-            # drain into the dispatcher-owned counters so the shared,
-            # thread-local CompiledKernel stays clean between callers
-            # and partial counts survive exceptions
-            kern.take_counts().add_to_raw(self.counters(fn))
+            # drain so the shared, thread-local CompiledKernel stays
+            # clean between callers
+            kern.take_counts().add_to_raw(raw)
         if flavor == "buffered":
             return per_lane, ColumnarLanes.from_states(
                 backend.lanes, indices, storage
             )
         if flavor == "tracing":
             return per_lane, backend.traces
-        return per_lane
-
-    def _run_src(self, kern, fn, flavor, indices, scalar_env, storage):
-        per_lane: list[int] = []
-        aux = kern.run(
-            indices, scalar_env, storage, self.counters(fn), per_lane
-        )
-        if flavor == "direct":
-            return per_lane
-        return per_lane, aux
+        return per_lane, None
 
     # -- crosscheck mode ------------------------------------------------
 
@@ -300,7 +348,7 @@ class KernelDispatcher:
     ):
         """Replay through the interpreter oracle and compare bitwise.
 
-        The src tier runs against a scratch copy of memory; the
+        The native tier runs against a scratch copy of memory; the
         interpreter runs against the real storage so its effects (and
         its counts) are the ones the caller keeps.
         """
@@ -309,31 +357,26 @@ class KernelDispatcher:
         native_pl: list[int] = []
         native_aux = native_err = None
         try:
-            native_aux = kern.run(
-                indices, scalar_env, scratch, native_raw, native_pl
+            native_aux = self._run_kernel(
+                kern, fn, flavor, indices, scalar_env, scratch, native_raw,
+                native_pl,
             )
         except Exception as exc:  # noqa: BLE001 - compared to the oracle
             native_err = exc
 
-        interp_raw_before = list(self.counters(fn))
-        interp_aux = interp_err = None
+        interp_raw = [0] * N_COUNTERS
+        interp_pl = interp_aux = interp_err = None
         try:
-            result = self._run_interp(fn, flavor, indices, scalar_env, storage)
+            interp_pl, interp_aux = self._run_interp(
+                fn, flavor, indices, scalar_env, storage, interp_raw
+            )
         except Exception as exc:  # noqa: BLE001
             interp_err = exc
-        else:
-            if flavor == "direct":
-                interp_pl = result
-            else:
-                interp_pl, interp_aux = result
+        Counts.from_raw(interp_raw).add_to_raw(self.counters(fn))
 
         diffs: list[str] = []
-        if (native_err is None) != (interp_err is None) or (
-            interp_err is not None
-            and (
-                type(native_err) is not type(interp_err)
-                or str(native_err) != str(interp_err)
-            )
+        if (type(native_err), str(native_err)) != (
+            type(interp_err), str(interp_err)
         ):
             diffs.append(
                 f"exception: interp={interp_err!r} native={native_err!r}"
@@ -341,15 +384,10 @@ class KernelDispatcher:
         if interp_err is None and native_err is None:
             if native_pl != interp_pl:
                 diffs.append("per-lane instruction totals differ")
-            delta = [
-                after - before
-                for before, after in zip(
-                    interp_raw_before, self.counters(fn)
-                )
-            ]
-            if native_raw != delta:
+            if native_raw != interp_raw:
                 diffs.append(
-                    f"work counters differ: interp={delta} native={native_raw}"
+                    f"work counters differ: interp={interp_raw} "
+                    f"native={native_raw}"
                 )
             for name, arr in storage.arrays.items():
                 other = scratch.arrays.get(name)
@@ -372,12 +410,10 @@ class KernelDispatcher:
                 "kernel.crosscheck.mismatch", PLANE_HOST
             ).inc()
             raise NativeMismatch(
-                f"native tier {TIER_SRC!r} diverged from the interpreter on "
-                f"kernel {fn.name!r} ({flavor}): " + "; ".join(diffs)
+                f"native tier {kern.tier!r} diverged from the interpreter "
+                f"on kernel {fn.name!r} ({flavor}): " + "; ".join(diffs)
             )
         self.obs.metrics.counter("kernel.crosscheck.ok", PLANE_HOST).inc()
         if interp_err is not None:
             raise interp_err
-        if flavor == "direct":
-            return interp_pl
         return interp_pl, interp_aux

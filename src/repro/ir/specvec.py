@@ -1,33 +1,29 @@
-"""Vectorized speculative execution for straight-line kernels.
+"""Lock-step speculative execution: the SE phase of every buffered launch.
 
-The SE phase of GPU-TLS (and every buffered profiling launch) runs the
-kernel with a :class:`SpeculativeBackend`: writes land in per-lane
-buffers, reads are forwarded from the lane's own buffer when possible,
-and read/write sets are logged for dependency checking.  For
-single-block kernels the whole launch is data-independent per lane, so
-the address streams, buffers and logs can be produced with NumPy over
-all lanes at once — this module is the buffered-mode twin of
-:class:`repro.ir.vectorizer.VectorizedKernel`.  Both run the one
-instruction walk :func:`repro.ir.vectorizer.run_lanes`; this module adds
-only the memory side, LOAD forwarding and the read/write logs, and must
-match the scalar backend observationally:
+The SE phase of GPU-TLS (and every buffered profiling launch) has the
+interpreter's :class:`SpeculativeBackend` semantics: writes land in
+per-lane buffers, a read is forwarded from the lane's own buffer when it
+holds the cell, and read/write sets are logged for dependency checking.
+Writes never reach memory, so every buffered launch may run its lanes
+in lock-step: :class:`VectorizedSpecKernel` runs the ``lockstep`` flavor
+of the generated code (see :mod:`repro.ir.vectorizer`) over buffered
+lane memory, observationally equal to the interpreter:
 
-* identical work :class:`Counts` (every LOAD/STORE is metered whether or
-  not the read hits the lane buffer, exactly like the closure path);
-* identical logs — a read is logged only for lanes whose cell is *not*
-  in their buffer, a write is always logged, and the per-lane ``op``
-  timestamp is the memory-op ordinal, which in straight-line code is the
-  static site index and therefore uniform across lanes;
+* identical work :class:`Counts` and per-lane totals (every LOAD/STORE
+  is metered whether or not the read hits the lane buffer);
+* identical logs, built as columns — a read is logged only for lanes
+  whose cell is *not* in their buffer, a write is always logged, and a
+  lane's ``op`` stamp is its own memory-op ordinal (a forwarded read
+  still advances it);
 * identical buffered values — store operands are coerced to the array
   element type (lowering inserts the cast, ``java_ops`` rounds FLOAT
   registers to binary32), so buffering them at ``arr.dtype`` forwards
   bit-identical values.
 
-Bounds faults are raised before any observable effect (buffered mode
-never mutates storage), though fault *identity* may differ from the
-scalar path: this path reports the first faulting instruction across
-lanes, the scalar loop the first faulting lane — the same trade the
-direct vectorized path already makes.
+A fault leaves no effect (buffered mode never mutates storage), but its
+message may name another lane than the interpreter's, which reports the
+first faulting lane in order; the dispatcher reruns such a launch on
+the interpreter.
 """
 
 from __future__ import annotations
@@ -36,125 +32,174 @@ import numpy as np
 
 from .columnar import ColumnarLanes
 from .instructions import IRFunction
-from .interpreter import ArrayStorage, Counts
-from .vectorizer import check_vectorizable, lane_values, run_lanes
+from .interpreter import ArrayStorage, Counts, DEFAULT_FUEL, N_COUNTERS
+from .vectorizer import LaneMemory, lockstep_code
+
+
+class _BufferedLanes(LaneMemory):
+    """Buffered memory: each lane's writes in its own buffer, reads
+    forwarded from it, and the SE log kept as column fragments.
+
+    A stored array's buffers are one dense cell array ``own`` (the lane
+    whose buffer holds the cell; ``-1`` none, ``-2`` several lanes) with
+    the values ``val``.  The cells several lanes buffered keep their
+    values under sorted ``lane * size + cell`` keys in ``shared``, so no
+    store sorts more than those.
+    """
+
+    logs = True
+
+    def __init__(self, storage, names, indices):
+        super().__init__(storage, names, len(indices))
+        self.order = indices
+        self.own: dict = {}
+        self.val: dict = {}
+        self.shared: dict = {}
+        #: log fragments in execution order: (lanes, op, j, code, cells),
+        #: a read's with the mask of its logged lanes (None: all)
+        self.read_log: list = []
+        self.write_log: list = []
+
+    def load(self, code, x, y, m, full, op, j):
+        f = self.each(self.flats(code, x, y, m, full))
+        values = self.flat[code][f]
+        own = self.own.get(code)
+        if own is None:  # no lane buffered this array yet
+            self.read_log.append((None if full else m, op, j, code, f))
+            return values
+        o = own[f]
+        hit = (o == self.lanes) if full else (o == self.lanes) & m
+        if np.count_nonzero(hit):
+            values = np.where(hit, self.val[code][f], values)
+        if code in self.shared:
+            p = np.flatnonzero(o == -2 if full else (o == -2) & m)
+            keys, kept = self.shared[code]
+            want = p * len(own) + f[p]
+            at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+            found = keys[at] == want
+            values[p[found]] = kept[at[found]]
+            hit[p[found]] = True
+        # (bools: m > hit is m and not hit)
+        self.read_log.append((~hit if full else m > hit, op, j, code, f))
+        return values
+
+    def store(self, code, x, y, v, m, full, op, j):
+        f = self.flats(code, x, y, m, full)
+        arr = self.arrays[code]
+        lanes, cells, values = self.active(f, v, m, full, arr.dtype)
+        self.write_log.append((lanes, op, j, code, cells))
+        if code not in self.own:
+            self.own[code] = np.full(arr.size, -1)
+            self.val[code] = np.empty(arr.size, dtype=arr.dtype)
+        own, val = self.own[code], self.val[code]
+        o = own[cells]
+        won = (o == lanes) | (o == -1)
+        own[cells[won]] = lanes[won]  # of two lanes on one cell, one wins
+        won[won] = own[cells[won]] == lanes[won]
+        val[cells[won]] = values[won]
+        if np.count_nonzero(won) < len(lanes):
+            lost = ~won
+            self.share(code, cells[lost], lanes[lost], values[lost])
+
+    def share(self, code, cells, lanes, values) -> None:
+        """Buffer cells another lane also buffered: the cells' single
+        owners move into ``shared``, then these lanes' values."""
+        own, val = self.own[code], self.val[code]
+        moving = np.unique(cells[own[cells] >= 0])
+        new = np.concatenate([own[moving] * len(own) + moving,
+                              lanes * len(own) + cells])
+        values = np.concatenate([val[moving], values])
+        own[cells] = -2
+        keys, kept = self.shared.get(
+            code, (np.empty(0, np.int64), np.empty(0, val.dtype))
+        )
+        at = np.searchsorted(keys, new)
+        found = at < len(keys)
+        found[found] = keys[at[found]] == new[found]
+        kept[at[found]] = values[found]
+        s = np.argsort(new[~found])
+        self.shared[code] = (
+            np.insert(keys, at[~found][s], new[~found][s]),
+            np.insert(kept, at[~found][s], values[~found][s]),
+        )
+
+    def finish(self, op) -> ColumnarLanes:
+        """The launch's SE log: the fragments in (lane, op) order, and
+        every lane's final buffered cells."""
+        reads = [
+            (self.lanes, op, j, code, f) if m is None
+            else (self.lanes[m], op, j, code, f[m])
+            for m, op, j, code, f in self.read_log
+        ]
+        buffers = {}
+        for code, own in self.own.items():
+            cells = np.flatnonzero(own >= 0)
+            pos, values = own[cells], self.val[code][cells]
+            if code in self.shared:
+                keys, kept = self.shared[code]
+                pos = np.concatenate([pos, keys // len(own)])
+                cells = np.concatenate([cells, keys % len(own)])
+                values = np.concatenate([values, kept])
+            s = np.lexsort((cells, pos))
+            buffers[code] = (pos[s], cells[s], values[s])
+        return ColumnarLanes.from_columns(
+            self.order, self.names, _columns(reads, self.n),
+            _columns(self.write_log, self.n), buffers,
+            op_total=int(op.max()) if op is not None and len(op) else 0,
+        )
+
+
+def _columns(fragments, n: int):
+    """``(pos, op, code, flat)`` int64 columns in (pos, op) order from
+    ``(lanes, op, j, code, cells)`` fragments in execution order, where
+    a lane's stamp is ``op[lane] + j``.  Execution order is op order
+    within a lane, so a stable sort by lane suffices, and fragments of
+    every lane need only a transpose."""
+    fragments = [fr for fr in fragments if len(fr[0])]
+    if not fragments:
+        return (np.empty(0, dtype=np.int64),) * 4
+    lanes, ops, js, codes, cells = zip(*fragments)
+    if all(len(p) == n for p in lanes):
+        return (np.repeat(np.arange(n), len(lanes)),
+                np.stack([o + j for o, j in zip(ops, js)], 1).ravel(),
+                np.tile(np.array(codes, dtype=np.int64), n),
+                np.stack(cells, 1).ravel().astype(np.int64, copy=False))
+    pos = np.concatenate(lanes)
+    cols = (pos, np.concatenate([o[p] + j for p, o, j in zip(lanes, ops, js)]),
+            np.repeat(codes, [len(p) for p in lanes]), np.concatenate(cells))
+    s = np.argsort(pos, kind="stable")
+    return tuple(c[s].astype(np.int64, copy=False) for c in cols)
 
 
 class VectorizedSpecKernel:
-    """Buffered (speculative) execution of a straight-line kernel."""
+    """A buffered (speculative) launch in lock-step: the ``lockstep``
+    tier's buffered engine."""
 
-    def __init__(self, fn: IRFunction):
-        check_vectorizable(fn)
+    tier = "lockstep"
+
+    def __init__(self, fn: IRFunction, fuel: int = DEFAULT_FUEL):
         self.fn = fn
+        self.code, self.names, _stored = lockstep_code(fn, fuel)
 
-    def run_buffered(
-        self,
-        storage: ArrayStorage,
-        scalar_env: dict[str, object],
-        indices: np.ndarray,
-    ) -> tuple[Counts, ColumnarLanes]:
-        """Execute all lanes speculatively; return (counts, columnar lanes)."""
-        n = int(indices.shape[0])
-        order = indices.astype(np.int64)
-        names: list[str] = []
-        aid: dict[str, int] = {}
+    def run_buffered(self, storage: ArrayStorage, scalar_env, indices,
+                     per_lane: list | None = None
+                     ) -> tuple[Counts, ColumnarLanes]:
+        """Execute all lanes speculatively; return (counts, columnar
+        lanes) and append each lane's instruction total to
+        ``per_lane``."""
+        indices = np.asarray(indices, dtype=np.int64)
+        raw = [0] * N_COUNTERS
+        memory = _BufferedLanes(storage, self.names, indices)
+        if len(indices) == 0:
+            return Counts(), memory.finish(None)
+        with np.errstate(all="ignore"):
+            lanes = self.code.run(indices, scalar_env, memory, raw, per_lane)
+        return Counts.from_raw(raw), lanes
 
-        def array_id(name: str) -> int:
-            a = aid.get(name)
-            if a is None:
-                a = aid[name] = len(names)
-                names.append(name)
-            return a
-
-        if n == 0:
-            empty = (np.empty(0, np.int64),) * 4
-            return Counts(), ColumnarLanes(
-                order, np.zeros(0, dtype=bool), names,
-                empty, empty, buffers={}, op_total=0,
-            )
-
-        op_slot = 0
-        #: array_id -> ordered list of (op slot, flats[n], values[n])
-        store_sites: dict[int, list[tuple[int, np.ndarray, np.ndarray]]] = {}
-        #: logged reads: (op slot, array_id, lane positions, flats)
-        read_parts: list[tuple[int, int, np.ndarray, np.ndarray]] = []
-        #: logged writes: (op slot, array_id, flats[n])
-        write_parts: list[tuple[int, int, np.ndarray]] = []
-
-        def flat_addresses(instr, vecs):
-            if len(vecs) > 1:
-                return vecs[0] * storage.shapes[instr.array][1] + vecs[1]
-            return vecs[0]
-
-        def load(instr, vecs):
-            nonlocal op_slot
-            a_id = array_id(instr.array)
-            flats = flat_addresses(instr, vecs)
-            cur = storage.arrays[instr.array][tuple(vecs)]
-            unhit = np.ones(n, dtype=bool)
-            for _slot, s_flats, s_vals in store_sites.get(a_id, ()):
-                m = s_flats == flats
-                cur = np.where(m, s_vals, cur)
-                unhit &= ~m
-            read_parts.append(
-                (op_slot, a_id, np.nonzero(unhit)[0], flats[unhit])
-            )
-            op_slot += 1
-            return cur
-
-        def store(instr, vecs, value):
-            nonlocal op_slot
-            a_id = array_id(instr.array)
-            flats = flat_addresses(instr, vecs)
-            vals = lane_values(value, n, storage.arrays[instr.array].dtype)
-            write_parts.append((op_slot, a_id, flats))
-            store_sites.setdefault(a_id, []).append(
-                (op_slot, flats, vals.copy())
-            )
-            op_slot += 1
-
-        counts = run_lanes(self.fn, storage, scalar_env, indices, load, store)
-
-        reads = _finalize_log(read_parts)
-        writes = _finalize_log(
-            [(s, a, np.arange(n, dtype=np.int64), f)
-             for (s, a, f) in write_parts]
+    def run(self, indices, scalar_env, storage, raw, per_lane):
+        """The dispatcher's kernel protocol (see ``NativeKernel.run``)."""
+        counts, lanes = self.run_buffered(
+            storage, scalar_env, indices, per_lane
         )
-        buffers: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        lane_pos = np.arange(n, dtype=np.int64)
-        for a_id, sites in store_sites.items():
-            f = np.concatenate([flats for _s, flats, _v in sites])
-            v = np.concatenate([vals for _s, _f, vals in sites])
-            pos = np.tile(lane_pos, len(sites))
-            site_ord = np.repeat(np.arange(len(sites)), n)
-            s = np.lexsort((site_ord, f, pos))
-            pos, f, v = pos[s], f[s], v[s]
-            last = np.ones(len(pos), dtype=bool)
-            last[:-1] = (pos[:-1] != pos[1:]) | (f[:-1] != f[1:])
-            buffers[a_id] = (pos[last], f[last], v[last])
-
-        lanes = ColumnarLanes(
-            order, np.ones(n, dtype=bool), names,
-            reads, writes, buffers=buffers, op_total=op_slot,
-        )
-        return counts, lanes
-
-
-def _finalize_log(parts):
-    """Concatenate per-site log fragments into (pos, op, arr, flat) columns
-    sorted by (pos, op) — i.e. grouped per lane in log order."""
-    if not parts:
-        e = np.empty(0, dtype=np.int64)
-        return e, e.copy(), e.copy(), e.copy()
-    pos = np.concatenate([p for _s, _a, p, _f in parts])
-    op = np.concatenate([
-        np.full(len(p), s, dtype=np.int64) for s, _a, p, _f in parts
-    ])
-    arr = np.concatenate([
-        np.full(len(p), a, dtype=np.int64) for _s, a, p, _f in parts
-    ])
-    flat = np.concatenate([f for _s, _a, _p, f in parts]).astype(
-        np.int64, copy=False
-    )
-    s = np.lexsort((op, pos))
-    return pos[s], op[s], arr[s], flat[s]
+        counts.add_to_raw(raw)
+        return lanes

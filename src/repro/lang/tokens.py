@@ -13,7 +13,6 @@ ranks the binary ones for the parser and the pretty-printer.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 
 class TokKind(enum.Enum):
@@ -129,29 +128,60 @@ BINARY_PRECEDENCE = {
 }
 
 
-@dataclass(frozen=True)
 class Pos:
-    """Source position (1-based line and column)."""
+    """Source position (1-based line and column).
 
-    line: int
-    col: int
+    A plain ``__slots__`` class, immutable by convention, with the
+    ``repr``, ``==`` and ``hash`` a frozen dataclass would have: the
+    lexer builds one per token, and a dataclass ``__init__`` pays
+    ``object.__setattr__`` per field.
+    """
+
+    __slots__ = ("line", "col")
+
+    def __init__(self, line: int, col: int):
+        self.line = line
+        self.col = col
+
+    def __repr__(self) -> str:
+        return f"Pos(line={self.line!r}, col={self.col!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not Pos:
+            return NotImplemented
+        return self.line == other.line and self.col == other.col
+
+    def __hash__(self) -> int:
+        return hash((self.line, self.col))
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.line}:{self.col}"
 
 
-@dataclass(frozen=True)
 class Token:
-    """A single lexical token.
+    """A single lexical token (a ``__slots__`` class, as :class:`Pos`).
 
     ``value`` holds the literal's Python value (for literal kinds), the
     identifier/keyword spelling, or the raw annotation payload for
     :attr:`TokKind.ANNOTATION`.
     """
 
-    kind: TokKind
-    value: object
-    pos: Pos
+    __slots__ = ("kind", "value", "pos")
+
+    def __init__(self, kind: TokKind, value: object, pos: Pos):
+        self.kind = kind
+        self.value = value
+        self.pos = pos
+
+    def __eq__(self, other):
+        if other.__class__ is not Token:
+            return NotImplemented
+        return (self.kind, self.value, self.pos) == (
+            other.kind, other.value, other.pos
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.value, self.pos))
 
     def is_kw(self, word: str) -> bool:
         """Return True when this token is the keyword ``word``."""

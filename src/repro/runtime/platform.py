@@ -88,12 +88,6 @@ class InterconnectSpec:
     latency_s: float = 15e-6
     cyclic_factor: float = 1.0
 
-    def sync_time(self, nbytes: float) -> float:
-        return self.latency_s + nbytes / (self.sync_gbps * 1e9)
-
-    def async_time(self, nbytes: float) -> float:
-        return self.latency_s + nbytes / (self.async_gbps * 1e9)
-
 
 @dataclass(frozen=True)
 class Platform:

@@ -55,15 +55,6 @@ class ServeClient:
         """POST one job; returns ``(http_status, result_document)``."""
         return self._request("POST", "/v1/jobs", body=job)
 
-    def submit_ok(self, job: dict) -> dict:
-        """Submit and insist on success (raises on any non-200)."""
-        status, doc = self.submit(job)
-        if status != 200:
-            raise JaponicaError(
-                f"job refused: HTTP {status}: {doc.get('error', doc)}"
-            )
-        return doc
-
     def health(self) -> dict:
         status, doc = self._request("GET", "/healthz")
         if status != 200:

@@ -10,7 +10,9 @@ acceptance):
   scalars.
 
 * **Tiers** — with the backend on, every launch of every workload runs
-  on the src tier from its first launch; with it off, none does.
+  compiled (src or lock-step) from its first launch; with it off, none
+  runs on src, and every launch the lock-step tier does not take runs
+  on the interpreter.
 
 * **Crosscheck** — ``native_crosscheck=True`` runs every launch through
   both the native tier and the interpreter oracle and raises
@@ -98,15 +100,24 @@ def test_native_backend_is_identity_on_insight_report(workload, traced_run):
 
 @pytest.mark.parametrize("workload", ALL_WORKLOADS, ids=lambda w: w.name)
 def test_native_runs_every_launch_on_src(workload, traced_run):
-    """No launch waits on the interpreter for a kernel to get hot."""
+    """No launch waits on the interpreter for a kernel to get hot: with
+    the backend on, every launch is compiled, src or lock-step."""
     for devices in DEVICE_COUNTS:
         _, r_interp, interp = traced_run(workload.name, False, devices)
         _, r_native, native = traced_run(workload.name, True, devices)
         assert native.get("kernel.tier.interp", 0) == 0, devices
         assert interp.get("kernel.tier.src", 0) == 0, devices
-        assert native.get("kernel.tier.src", 0) == interp.get(
-            "kernel.tier.interp", 0
+        launches = [
+            sum(c.get(f"kernel.tier.{t}", 0)
+                for t in ("interp", "src", "lockstep"))
+            for c in (native, interp)
+        ]
+        assert launches[0] == launches[1] > 0, devices
+        # native off keeps the lock-step tier for straight-line launches
+        assert native.get("kernel.tier.lockstep", 0) >= interp.get(
+            "kernel.tier.lockstep", 0
         ), devices
+        assert native.get("kernel.tier.lockstep.fallbacks", 0) == 0
         assert r_native.sim_time_s == r_interp.sim_time_s, devices
 
 

@@ -1,6 +1,13 @@
-"""Native src-tier codegen: semantics vs the interpreter, per flavor."""
+"""Native codegen: semantics vs the interpreter, per launch mode.
+
+``direct`` and ``tracing`` launches run the src tier's flavors of the
+same name, one lane after another; a ``buffered`` launch runs the
+``lockstep`` flavor over buffered lane memory
+(:class:`repro.ir.specvec.VectorizedSpecKernel`), all lanes at once.
+"""
 
 import ast
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +22,8 @@ from repro.ir import (
     TracingBackend,
 )
 from repro.ir.columnar import ColumnarLanes
-from repro.ir.interpreter import C_TOTAL, Counts, N_COUNTERS
+from repro.ir.interpreter import C_TOTAL, Counts, DEFAULT_FUEL, N_COUNTERS
+from repro.ir.native import KernelCache, KernelDispatcher, dispatch
 from repro.ir.native.codegen import (
     FLAVORS,
     NativeKernel,
@@ -23,6 +31,10 @@ from repro.ir.native.codegen import (
     generate,
     generate_source,
 )
+from repro.obs import Instrumentation
+
+#: the launch modes ``_native`` runs
+MODES = ("direct", "buffered", "tracing")
 
 from ..conftest import lowered
 
@@ -47,6 +59,7 @@ def _interp(fn, flavor, indices, env, storage, fuel=None):
     kern = CompiledKernel(fn) if fuel is None else CompiledKernel(fn, fuel=fuel)
     backend = {
         "direct": DirectBackend,
+        "lockstep": DirectBackend,
         "buffered": SpeculativeBackend,
         "tracing": TracingBackend,
     }[flavor](storage)
@@ -68,6 +81,14 @@ def _interp(fn, flavor, indices, env, storage, fuel=None):
 
 
 def _native(fn, flavor, indices, env, storage, fuel=None):
+    """Run a launch on its native engine: ``direct`` and ``tracing`` on
+    the src flavor of that name; ``buffered``, and ``lockstep`` (a
+    lane-parallel direct launch, in lock-step at every width), through
+    a dispatcher, so a launch the lock-step engine cannot finish reruns
+    lane by lane as in production.  Through a dispatcher, a faulted
+    launch reports no per-lane totals (``None``)."""
+    if flavor in ("buffered", "lockstep"):
+        return _dispatched(fn, flavor, indices, env, storage, fuel)
     kern = (
         NativeKernel(fn, flavor)
         if fuel is None
@@ -84,8 +105,29 @@ def _native(fn, flavor, indices, env, storage, fuel=None):
     return per_lane, Counts.from_raw(raw), aux, err
 
 
+def _dispatched(fn, flavor, indices, env, storage, fuel=None):
+    obs = Instrumentation.recording()
+    d = KernelDispatcher(
+        cache=KernelCache(fuel=fuel or DEFAULT_FUEL), obs=obs
+    )
+    per_lane = aux = err = None
+    try:
+        if flavor == "buffered":
+            per_lane, aux = d.run_buffered(fn, indices, env, storage)
+        else:
+            with mock.patch.object(dispatch, "LOCKSTEP_MIN_LANES", 0):
+                per_lane = d.run_direct(
+                    fn, indices, env, storage, parallel=True
+                )
+    except Exception as exc:  # noqa: BLE001
+        err = exc
+    counters = obs.metrics.to_dict()["counters"]
+    assert counters["kernel.tier.lockstep"] == 1
+    return per_lane, d.take_counts(fn), aux, err
+
+
 def assert_same_log(cols, interp_lanes, indices, storage):
-    """The src tier's buffered columns equal, column for column and
+    """A buffered launch's columns equal, column for column and
     bitwise, ``from_states`` of the interpreter's own lanes dict."""
     assert isinstance(cols, ColumnarLanes)
     want = ColumnarLanes.from_states(interp_lanes, indices, storage)
@@ -99,7 +141,7 @@ def _storage():
 
 
 class TestFlavors:
-    @pytest.mark.parametrize("flavor", FLAVORS)
+    @pytest.mark.parametrize("flavor", MODES)
     def test_branchy_matches_interpreter(self, flavor):
         _, fn = lowered(BRANCHY)
         env = {"n": 8}
@@ -199,14 +241,18 @@ class TestSource:
         _, fn = lowered(BRANCHY)
         assert generate_source(fn) == generate_source(fn)
 
-    def test_flavors_differ_only_in_memory_ops(self):
+    def test_lockstep_masks_only_registers_live_across_blocks(self):
+        # the loop counter and the accumulator cross blocks and merge
+        # under the mask; a block-local temporary is written whole
         _, fn = lowered(BRANCHY)
-        direct = generate_source(fn, "direct")
-        buffered = generate_source(fn, "buffered")
-        # the lane's buffer of array "b" and the log's column appends
-        for name in ("_buf1", "_r_flat(", "_w_flat(", "_Cols("):
-            assert name not in direct
-            assert name in buffered
+        src = generate_source(fn, "lockstep")
+        merged = {line.split(" = ")[0].strip() for line in src.splitlines()
+                  if "_sel(_m, " in line and " if _all else " in line}
+        assert merged >= {"r3", "r5"}  # s and k
+        assert "r7 = _A0(r5, r1)" in src  # k < v: block-local
+        assert "_ld(" in src and "_st(" in src
+        assert "_v[" in src and "_tmax" in src
+        compile(src, "<lockstep>", "exec")
 
     def test_unknown_flavor_rejected(self):
         _, fn = lowered(BRANCHY)
@@ -263,7 +309,9 @@ class TestNames:
             if isinstance(node, ast.FunctionDef) for arg in node.args.args
         }
         assert "_rf" in globals_ and any(k.startswith("_K") for k in globals_)
-        assert any(k.startswith("_in") for k in globals_)
+        # the lock-step flavor binds the table's array forms instead
+        helpers = "_A" if flavor == "lockstep" else "_in"
+        assert any(k.startswith(helpers) for k in globals_)
         assert assigned & set(globals_) == set()
 
 
@@ -298,7 +346,7 @@ def _layouts():
 
 
 class TestLayouts:
-    @pytest.mark.parametrize("flavor", FLAVORS)
+    @pytest.mark.parametrize("flavor", MODES)
     def test_every_layout_matches_interpreter(self, flavor):
         _, fn = lowered(LAYOUTS)
         env = {"n": 6}
@@ -328,7 +376,7 @@ class TestLayouts:
     def test_contiguous_loads_index_a_memoryview(self):
         # no per-load ndarray.item call on a C-contiguous array
         _, fn = lowered(LAYOUTS)
-        for flavor in FLAVORS:
+        for flavor in ("direct", "tracing"):
             assert ".item" not in generate_source(fn, flavor)
         arrays = _layouts().arrays
         for name in ("ro", "src", "dst"):

@@ -17,9 +17,12 @@ A second generator builds random *structured* CFGs — nested loops,
 loops that exit from a ``&&``/``||``/``?:`` join block, if without
 else, diamonds inside a loop body and as its last statement (joining
 at the loop header), empty loop bodies, float32 registers and a store
-and load of one cell in a lane — and holds the src tier to the
-interpreter in all three flavors; the buffered columns must equal
-``from_states`` of the interpreter's own lanes dict, column for column.
+and load of one cell in a lane — and holds every native engine to the
+interpreter: the src tier's ``direct`` and ``tracing`` flavors, and
+the lock-step engine on buffered launches and on lane-parallel direct
+launches, at 8 lanes and past the dispatcher's width rule.  The
+buffered columns must equal ``from_states`` of the interpreter's own
+lanes dict, column for column.
 """
 
 import struct
@@ -615,31 +618,41 @@ def build_structured(stmts):
     return b.finish()
 
 
-def _structured_storage(ai, ad):
+def _structured_storage(ai, ad, width=N):
+    """The arrays of ``build_structured`` kernels over ``width`` lanes
+    (``ai``/``ad`` repeated); stores of the ``mem`` leaf hit cells
+    ``0..N-1`` of ``ts`` whatever the width."""
+    reps = -(-width // N)
     return ArrayStorage(
         {
-            "ai": np.array(ai, dtype=np.int32),
-            "ad": np.array(ad, dtype=np.float64),
-            "oi": np.zeros(N, dtype=np.int32),
-            "od": np.zeros(N, dtype=np.float64),
-            "of": np.zeros(N, dtype=np.float32),
-            "ts": np.arange(N, dtype=np.float64),
+            "ai": np.tile(np.array(ai, dtype=np.int32), reps)[:width],
+            "ad": np.tile(np.array(ad, dtype=np.float64), reps)[:width],
+            "oi": np.zeros(width, dtype=np.int32),
+            "od": np.zeros(width, dtype=np.float64),
+            "of": np.zeros(width, dtype=np.float32),
+            "ts": np.arange(width, dtype=np.float64),
         }
     )
 
 
-def assert_src_flavors_match(fn, env, ai, ad, fuel=None):
-    """The src tier reproduces the interpreter in every flavor: arrays,
-    Counts, per-lane totals, fuel faults and the flavor's log."""
-    indices = list(range(N))
-    for flavor in ("direct", "buffered", "tracing"):
-        s1 = _structured_storage(ai, ad)
-        s2 = _structured_storage(ai, ad)
+#: every launch mode, with the lock-step direct engine at every width
+LAUNCHES = ("direct", "buffered", "tracing", "lockstep")
+
+
+def assert_src_flavors_match(fn, env, ai, ad, fuel=None, width=N,
+                             launches=LAUNCHES):
+    """Every native engine reproduces the interpreter: arrays, Counts,
+    per-lane totals, fuel faults and the launch mode's log."""
+    indices = list(range(width))
+    for flavor in launches:
+        s1 = _structured_storage(ai, ad, width)
+        s2 = _structured_storage(ai, ad, width)
         pl1, c1, aux1, e1 = _interp(fn, flavor, indices, env, s1, fuel)
         pl2, c2, aux2, e2 = _native(fn, flavor, indices, env, s2, fuel)
         assert type(e1) is type(e2), flavor
         assert str(e1) == str(e2), flavor
-        assert pl1 == pl2, flavor
+        if pl2 is not None:  # a dispatched launch that faulted: None
+            assert pl1 == pl2, flavor
         assert c1 == c2, flavor
         _same_arrays(s1, s2)
         if e1 is not None:
@@ -718,3 +731,32 @@ class TestStructuredFlavors:
     def test_random_structured_fuel_faults(self, stmts, ai, ad, fuel):
         fn = build_structured(stmts)
         assert_src_flavors_match(fn, {"n": N, "s": 0.5}, ai, ad, fuel)
+
+
+#: a launch wider than the dispatcher's lock-step width rule
+WIDE = 136
+
+
+class TestLockstepWidths:
+    """The lock-step engine against the interpreter on random structured
+    kernels at a width the dispatcher runs lock-step by itself (the
+    ``N``-lane tests above force it); the ``mem`` leaf's cells are
+    shared by lanes ``N`` apart, so direct launches that store them
+    conflict and rerun lane by lane."""
+
+    @given(stmts=_stmts(2), ai=_i32, ad=_f64, s=st.floats(width=64))
+    @settings(max_examples=25, **COMMON)
+    def test_random_structured_kernels_wide(self, stmts, ai, ad, s):
+        fn = build_structured(stmts)
+        assert_src_flavors_match(
+            fn, {"n": WIDE, "s": s}, ai, ad, width=WIDE,
+            launches=("buffered", "lockstep"),
+        )
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_shape_wide(self, shape):
+        fn = build_structured(SHAPES[shape])
+        assert_src_flavors_match(
+            fn, {"n": WIDE, "s": 1.5}, _AI, _AD, width=WIDE,
+            launches=("buffered", "lockstep"),
+        )

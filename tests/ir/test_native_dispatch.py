@@ -114,8 +114,10 @@ class TestCompileFailure:
         assert runs[True][:2] == runs[False][:2]
         for name, arr in runs[False][2].arrays.items():
             assert arr.tobytes() == runs[True][2].arrays[name].tobytes()
-        # one attempt per (kernel, flavor) in the cache's lifetime
-        assert attempts == [(fn.fingerprint(), flavor)]
+        # one attempt per (kernel, flavor) in the cache's lifetime; a
+        # buffered launch runs the lock-step flavor
+        generated = "lockstep" if flavor == "buffered" else flavor
+        assert attempts == [(fn.fingerprint(), generated)]
         counters = _counters(obs)
         assert counters["kernel.compile.failed"] == 2
         assert counters["kernel.tier.interp"] == 4
@@ -210,7 +212,7 @@ class TestTierEquivalence:
         out_n, counts_n, st_n = runs[True]
         if flavor == "buffered":
             # the interpreter's lanes dict goes through from_states; the
-            # src kernel writes the columns itself
+            # lock-step kernel writes the columns itself
             (pl_i, cols_i), (pl_n, cols_n) = out_i, out_n
             assert pl_i == pl_n
             assert isinstance(cols_n, ColumnarLanes)
@@ -238,28 +240,34 @@ class TestCrosscheck:
         broken = d.cache.src(fn, "direct")
 
         class Broken:
+            tier = broken.tier
+
             def run(self, indices, env, storage, raw, per_lane):
                 out = broken.run(indices, env, storage, raw, per_lane)
                 storage.arrays["b"][0] += 1.0
                 return out
 
-        d.cache._src[(fn.fingerprint(), "direct")] = Broken()
+        d.cache._compiled["src", fn.fingerprint(), "direct"] = Broken()
         with pytest.raises(NativeMismatch, match="diverged"):
             d.run_direct(fn, list(range(16)), {}, _storage())
 
     def test_dropped_logged_read_raises_mismatch(self):
         d = KernelDispatcher(cache=KernelCache(), crosscheck=True)
         fn = _fn()
-        real = d.cache.src(fn, "buffered")
+        real = d.cache.lockstep(fn, "buffered")
 
         class DropsARead:
+            tier = real.tier
+
             def run(self, indices, env, storage, raw, per_lane):
                 cols = real.run(indices, env, storage, raw, per_lane)
                 for name in ("r_pos", "r_op", "r_arr", "r_flat"):
                     setattr(cols, name, getattr(cols, name)[1:])
                 return cols
 
-        d.cache._src[(fn.fingerprint(), "buffered")] = DropsARead()
+        d.cache._compiled["lockstep", fn.fingerprint(), "buffered"] = (
+            DropsARead()
+        )
         with pytest.raises(
             NativeMismatch, match="r_pos, r_op, r_arr, r_flat"
         ):

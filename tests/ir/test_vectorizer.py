@@ -1,11 +1,19 @@
-"""Vectorized-executor tests: must match the scalar interpreter exactly."""
+"""Lock-step direct executor tests: must match the scalar interpreter
+exactly."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import JaponicaError, MemoryFault
-from repro.ir import ArrayStorage, VectorizedKernel, can_vectorize, run_sequential
+from repro.ir import (
+    ArrayStorage,
+    IRBuilder,
+    JType,
+    VectorizedKernel,
+    can_vectorize,
+    run_sequential,
+)
 
 from ..conftest import lowered
 
@@ -185,7 +193,9 @@ class TestEquivalence:
 
 
 class TestGuards:
-    def test_control_flow_not_vectorizable(self):
+    def test_control_flow_runs_lockstep(self):
+        # control flow is not "vectorized" (straight-line) but runs all
+        # lanes at once all the same, under the active-lane mask
         src = """
         class T { static void f(double[] a, int n) {
           /* acc parallel */
@@ -196,8 +206,31 @@ class TestGuards:
         """
         _, fn = lowered(src)
         assert not can_vectorize(fn)
-        with pytest.raises(JaponicaError):
-            VectorizedKernel(fn)
+        a = np.linspace(-2.0, 2.0, 9)
+        st1, st2 = ArrayStorage({"a": a.copy()}), ArrayStorage({"a": a.copy()})
+        c1 = run_sequential(fn, st1, {"n": 9}, 0, 9)
+        c2 = VectorizedKernel(fn).run_range(st2, {"n": 9}, np.arange(9))
+        assert c1 == c2
+        assert st1.arrays["a"].tobytes() == st2.arrays["a"].tobytes()
+
+    def test_unstructured_kernel_does_not_compile(self):
+        # a loop entered at two blocks has no structured (lock-step) form
+        b = IRBuilder("side")
+        i = b.declare_index("i")
+        b.declare_array("a", JType.INT, 1)
+        entry, head, body, done = (
+            b.new_block(name) for name in ("entry", "head", "body", "done")
+        )
+        b.set_insert(entry)
+        b.cbr(b.bin("<", i, b.const(2, JType.INT), JType.BOOL), head, body)
+        b.set_insert(head)
+        b.cbr(b.bin("<", i, b.const(1, JType.INT), JType.BOOL), body, done)
+        b.set_insert(body)
+        b.br(head)
+        b.set_insert(done)
+        b.ret()
+        with pytest.raises(JaponicaError, match="not structured"):
+            VectorizedKernel(b.finish())
 
     def test_oob_gather_faults(self):
         _, fn = lowered(GATHER_SRC)

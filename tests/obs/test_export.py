@@ -214,9 +214,9 @@ class TestMetricsDocument:
         assert loaded["gauges"]["scheduler.boundary"] == 0.75
 
     def test_repeat_run_writes_identical_bytes(self, tmp_path, monkeypatch):
-        """Two ``repro run --metrics`` of Crypt, each compiling its src-tier
-        kernels into a fresh kernel cache, write the same file: host wall
-        time (a compile's seconds) never enters the registry."""
+        """Two ``repro run --metrics`` of Crypt, each compiling its
+        lock-step kernels into a fresh kernel cache, write the same file:
+        host wall time (a compile's seconds) never enters the registry."""
         files = []
         for k in range(2):
             monkeypatch.setattr(
@@ -227,6 +227,6 @@ class TestMetricsDocument:
                 "run", "Crypt", "--strategies", "japonica",
                 "--metrics", str(path),
             ]) == 0
-            assert dispatch.GLOBAL_KERNEL_CACHE.compiles["src"] > 0
+            assert dispatch.GLOBAL_KERNEL_CACHE.compiles["lockstep"] > 0
             files.append(path.read_bytes())
         assert files[0] == files[1]

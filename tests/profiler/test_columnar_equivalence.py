@@ -1,9 +1,9 @@
 """Production SE-log analyses vs. the scalar oracles: observational identity.
 
 Every buffered launch returns one speculative-log format,
-:class:`~repro.ir.columnar.ColumnarLanes`: straight-line kernels build it
-with the vectorized SE kernel, kernels with control flow run per lane on
-the src tier, which writes the columns itself.  The hard contract is that
+:class:`~repro.ir.columnar.ColumnarLanes`, which the lock-step SE kernel
+builds for straight-line kernels and kernels with control flow alike,
+all lanes at once under an active-lane mask.  The hard contract is that
 production is *observationally identical* to the per-record oracles in
 ``tests/oracles`` run on the interpreter's own ``{index: LaneSpecState}``
 output: a ``DependencyProfile`` equal field for field, the same TLS
@@ -54,8 +54,7 @@ from ..oracles import (
 # Randomized kernel templates.  Strides/offsets are drawn by hypothesis;
 # modular addressing keeps every access in bounds while letting
 # collisions produce RAW/WAR/WAW patterns across iterations.  Templates
-# 0-4 are straight-line (vectorized SE kernel); 5-6 have control flow
-# (the src tier's buffered flavor).
+# 0-4 are straight-line; 5-6 have control flow (divergent lanes).
 # ---------------------------------------------------------------------------
 
 RAW_CHAIN = """
@@ -285,6 +284,18 @@ class TestPropertyEquivalence:
     def test_single_iteration(self):
         src, arrays, env = _make_case(0, 1, 1, 0, 1, 0, 0, 1, 3)
         assert_equivalent(src, arrays, env, 1)
+
+    @given(
+        template_id=st.sampled_from(CONTROL_FLOW_TEMPLATES),
+        **{**_CASE, "n": st.integers(128, 200)},
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_control_flow_kernels_wide(
+        self, template_id, n, s, o, t, p, k, m, seed
+    ):
+        # past the lock-step width rule of direct launches
+        src, arrays, env = _make_case(template_id, n, s, o, t, p, k, m, seed)
+        assert_equivalent(src, arrays, env, n)
 
     @pytest.mark.parametrize("template_id", CONTROL_FLOW_TEMPLATES)
     def test_control_flow_collisions(self, template_id):
