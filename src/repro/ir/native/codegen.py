@@ -116,7 +116,7 @@ _BASE_GLOBALS = {
     "_NAN": float("nan"),
     # the lock-step flavor's lane vectors
     "_ones": np.ones, "_zeros": np.zeros, "_i64": np.int64,
-    "_cnt": np.count_nonzero, "_sel": np.where,
+    "_cnt": np.count_nonzero, "_sel": np.where, "_rep": itertools.repeat,
     "_I1": np.int32(1), "_J1": np.int64(1),
     **{f"_T_{jt.value}": java_ops.NP_TYPE[jt] for jt in JType},
     **java_ops.SRC_GLOBALS,
@@ -651,10 +651,12 @@ class _Lockstep(_Lowering):
         e, k = self.e, next(self.fresh)
         self.leaves[loop] += 1
         if jt and jf:  # every active lane leaves, by jt where cond holds
-            gone = {"break": f"_m & {cond}", "continue": f"_m > {cond}"}[jt]
-            if "break" in (jt, jf):
-                e.emit(ind, f"_L{loop} = _L{loop} ^ "
-                            f"({'_m' if jt == jf else gone}); _LA{loop} = False")
+            if "break" in (jt, jf):  # the lanes that break
+                gone = "_m" if jt == jf else {
+                    "break": f"_m & {cond}", "continue": f"_m > {cond}"
+                }[jt]
+                e.emit(ind, f"_L{loop} = _L{loop} ^ ({gone}); "
+                            f"_LA{loop} = False")
             e.emit(ind, "_m, _all = _none, False")
             return
         e.emit(ind, f"_j{k} = _m & {cond}" if jt else f"_j{k} = _m > {cond}")
@@ -829,7 +831,7 @@ def _generate_lockstep(fn, plan, e, g, fuel) -> None:
         if terms:
             e.emit(1, f"_raw[{cat}] += " + " + ".join(terms))
     e.emit(1, "if _per_lane is not None:")
-    e.emit(2, f"_per_lane += [{low.folds[0][C_TOTAL]}] * _n"
+    e.emit(2, f"_per_lane.extend(_rep({low.folds[0][C_TOTAL]}, _n))"
               if fn.is_straightline else "_per_lane += _t.tolist()")
     e.emit(1, "return _out")
 

@@ -266,7 +266,8 @@ class KernelDispatcher:
         return None
 
     def _run(self, fn, flavor, indices, scalar_env, storage, parallel):
-        indices = list(indices)
+        if not isinstance(indices, list):
+            indices = list(indices)
         kern = self._kernel(fn, flavor, len(indices), parallel)
         if kern is None:
             if self.native:

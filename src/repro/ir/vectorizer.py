@@ -165,7 +165,9 @@ class _DirectLanes(LaneMemory):
                 o = owner[r_cell[inside] - lo]
                 conflict = np.any((o >= 0) & (o != r_lane[inside]))
             if conflict:
-                raise LaneConflict(f"lanes share cells of {self.names[code]!r}")
+                raise LaneConflict(
+                    f"lanes share cells of {self.names[code]!r}"
+                )
         return None
 
 
