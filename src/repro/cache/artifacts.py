@@ -46,6 +46,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ..ir.columnar import lane_vector
+
 #: Bump to invalidate every previously persisted artifact.
 CACHE_SCHEMA = 1
 
@@ -233,7 +235,7 @@ def profile_key(
     h.update(f"profile/{CACHE_SCHEMA}/{fn.fingerprint()}/{warp_size}\n".encode())
     h.update(platform_sig.encode())
     h.update(b"\nindices\n")
-    h.update(np.asarray(sample_indices, dtype=np.int64).tobytes())
+    h.update(lane_vector(sample_indices).tobytes())
     h.update(b"\nscalars\n")
     for name in sorted(scalar_env):
         h.update(f"{name}={scalar_env[name]!r};".encode())

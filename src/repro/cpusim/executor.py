@@ -76,7 +76,6 @@ class CpuExecutor:
         withhold it when iteration order must be respected.
         """
         threads = threads if threads is not None else self.spec.worker_threads
-        indices = list(indices)
         counts, extra_s = self._execute(
             fn, storage, scalar_env, indices, allow_vectorized
         )
@@ -100,7 +99,6 @@ class CpuExecutor:
         C fallback for loops carrying true dependencies), so the lanes
         run one after another, never in lock-step.
         """
-        indices = list(indices)
         counts, extra_s = self._execute(
             fn, storage, scalar_env, indices, allow_vectorized=False
         )
@@ -125,7 +123,7 @@ class CpuExecutor:
         fn: IRFunction,
         storage: ArrayStorage,
         scalar_env: dict[str, object],
-        indices: list[int],
+        indices: Sequence[int],
         allow_vectorized: bool,
     ) -> tuple[Counts, float]:
         """Run the index set; returns (counts, extra simulated seconds).
@@ -185,7 +183,7 @@ class CpuExecutor:
         fn: IRFunction,
         storage: ArrayStorage,
         scalar_env: dict[str, object],
-        indices: list[int],
+        indices: Sequence[int],
         allow_vectorized: bool,
         faults: Optional[FaultRuntime],
     ) -> Counts:

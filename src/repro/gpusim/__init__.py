@@ -2,7 +2,7 @@
 
 from .device import GpuDevice, LaunchResult
 from .memory import DeviceAllocation, DeviceMemory, TransferStats
-from .warp import Warp, iter_warp_spans, partition_warps, warp_of
+from .warp import iter_warp_spans
 
 __all__ = [
     "DeviceAllocation",
@@ -10,8 +10,5 @@ __all__ = [
     "GpuDevice",
     "LaunchResult",
     "TransferStats",
-    "Warp",
     "iter_warp_spans",
-    "partition_warps",
-    "warp_of",
 ]

@@ -1,4 +1,4 @@
-"""The simulated GPU device: kernel launches over warps of lanes.
+"""The simulated GPU device: kernel launches over lanes.
 
 A launch executes the kernel IR once per iteration index ("the loop index
 is remapped to the CUDA thread ID").  Execution is *functional* — lanes
@@ -46,7 +46,7 @@ from ..obs.metrics import NULL_INSTRUMENTATION, Instrumentation
 from ..runtime.costmodel import CostModel
 from ..runtime.platform import GpuSpec
 from .memory import DeviceMemory
-from .warp import Warp, divergence_factor, partition_warps
+from .warp import divergence_factor
 
 
 @dataclass
@@ -56,7 +56,6 @@ class LaunchResult:
     counts: Counts
     sim_time_s: float
     n_threads: int
-    warps: list[Warp]
     #: lock-step SIMD divergence penalty measured for this launch
     divergence: float = 1.0
     #: the launch's SE log (buffered mode only)
@@ -110,19 +109,18 @@ class GpuDevice:
         ``block_size`` is the CUDA threads-per-block of the launch (the
         annotation's ``threads(n)`` clause); a block size that is not a
         multiple of the warp size wastes the padding lanes of its last
-        warp, modelled as a compute inflation factor.
+        warp, modelled as a compute inflation factor.  ``indices`` is
+        read, never copied: a ``range`` reaches the kernel as one.
         """
-        indices = list(indices)
         if block_size is not None and block_size <= 0:
             raise LaunchError(f"invalid block size {block_size}")
         penalty_s = self._fault_preamble(fn, check_allocations)
-        warps = partition_warps(indices, self.spec.warp_size)
 
         if mode == "direct":
             return self._launch_direct(
-                fn, indices, scalar_env, storage, warps, coalescing,
-                elem_bytes, mark_writes=check_allocations,
-                block_size=block_size, penalty_s=penalty_s,
+                fn, indices, scalar_env, storage, coalescing, elem_bytes,
+                mark_writes=check_allocations, block_size=block_size,
+                penalty_s=penalty_s,
             )
         if mode == "buffered":
             per_lane, aux = self.kernels.run_buffered(
@@ -143,7 +141,7 @@ class GpuDevice:
             elem_bytes=elem_bytes, divergence=div,
         )
         result = LaunchResult(
-            counts, sim_time, len(indices), warps, divergence=div,
+            counts, sim_time, len(indices), divergence=div,
             vectorized=vectorized,
         )
         if mode == "buffered":
@@ -158,10 +156,9 @@ class GpuDevice:
     def _launch_direct(
         self,
         fn: IRFunction,
-        indices: list[int],
+        indices: Sequence[int],
         scalar_env: dict[str, object],
         storage: ArrayStorage,
-        warps: list[Warp],
         coalescing: float,
         elem_bytes: float,
         mark_writes: bool = True,
@@ -182,7 +179,7 @@ class GpuDevice:
             self._mark_writes(fn)
         self._record_launch("direct", len(indices), div, sim_time, vectorized)
         return LaunchResult(
-            counts, sim_time, len(indices), warps, vectorized=vectorized,
+            counts, sim_time, len(indices), vectorized=vectorized,
             divergence=div,
         )
 

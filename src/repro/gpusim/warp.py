@@ -1,45 +1,9 @@
-"""Warp organization: iteration indices -> warps of lock-step lanes."""
+"""Warp organization: a launch's lane positions in warps of lock-step
+lanes, and the SIMD divergence they cost."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
-
-
-@dataclass(frozen=True)
-class Warp:
-    """A warp: up to ``warp_size`` consecutive iterations."""
-
-    id: int
-    indices: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    @property
-    def first(self) -> int:
-        return self.indices[0]
-
-    @property
-    def last(self) -> int:
-        return self.indices[-1]
-
-
-def partition_warps(
-    indices: Sequence[int], warp_size: int = 32
-) -> list[Warp]:
-    """Group an iteration list into warps of consecutive lanes."""
-    if warp_size <= 0:
-        raise ValueError("warp_size must be positive")
-    warps = []
-    for k in range(0, len(indices), warp_size):
-        warps.append(Warp(k // warp_size, tuple(indices[k : k + warp_size])))
-    return warps
-
-
-def warp_of(position: int, warp_size: int = 32) -> int:
-    """Warp id for a lane position within a launch."""
-    return position // warp_size
 
 
 def iter_warp_spans(

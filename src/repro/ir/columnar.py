@@ -35,10 +35,14 @@ import numpy as np
 from .interpreter import AccessRecord, ArrayStorage, LaneSpecState
 
 
-def _as_order_array(iteration_order) -> np.ndarray:
-    if isinstance(iteration_order, np.ndarray):
-        return iteration_order.astype(np.int64, copy=False)
-    return np.fromiter(iteration_order, dtype=np.int64)
+def lane_vector(indices: Sequence[int]) -> np.ndarray:
+    """A launch's iteration indices as an int64 vector, one per lane: a
+    ``range`` through ``np.arange``, with no Python int per lane."""
+    if isinstance(indices, range):
+        return np.arange(
+            indices.start, indices.stop, indices.step, dtype=np.int64
+        )
+    return np.asarray(indices, dtype=np.int64)
 
 
 class ColumnarLanes(Mapping):
@@ -82,7 +86,7 @@ class ColumnarLanes(Mapping):
         """Columns of the interpreter's ``{index: LaneSpecState}`` output,
         the oracle's SE log.  A position whose iteration has no state is
         not ``present``.  Log lists must be op-ascending."""
-        order = _as_order_array(iteration_order)
+        order = lane_vector(iteration_order)
         present = np.zeros(len(order), dtype=bool)
         code: dict[str, int] = {}
         reads: tuple[list, list, list, list] = ([], [], [], [])
@@ -270,7 +274,7 @@ class ColumnarLanes(Mapping):
         given order) to buffer a cell wins, so overlapping writes resolve
         to the sequentially-last writer.
         """
-        commit = np.fromiter(iterations, dtype=np.int64)
+        commit = lane_vector(iterations)
         if len(commit) == 0 or not self.buffers:
             return 0, 0
         # rank of each lane position in the commit sequence (-1 = skip)
@@ -327,18 +331,26 @@ def dedup_first(
     """First occurrence per (lane position, cell key), in scan order.
 
     The scalar analyses consider each cell once per iteration, keeping
-    the first log entry; rows come in (pos, op)-sorted and leave the
-    same way.
+    the first log entry.  Rows come in (pos, op) order, op stamps unique
+    within a lane, and leave the same way: a stable sort by the packed
+    key ``pos * span + key`` keeps each group in op order, so its first
+    row is the first occurrence, and the kept row numbers sorted are
+    back in scan order.  A packed key that could overflow int64 falls
+    back to a multi-key sort.
     """
     if len(pos) == 0:
         return pos, op, key
-    s = np.lexsort((op, key, pos))
-    p, o, k = pos[s], op[s], key[s]
+    kmin = int(key.min())
+    span = int(key.max()) - kmin + 1
+    if (int(pos.max()) + 1) * span <= np.iinfo(np.int64).max:
+        s = np.argsort(pos * span + (key - kmin), kind="stable")
+    else:
+        s = np.lexsort((op, key, pos))
+    p, k = pos[s], key[s]
     first = np.ones(len(p), dtype=bool)
     first[1:] = (p[1:] != p[:-1]) | (k[1:] != k[:-1])
-    p, o, k = p[first], o[first], k[first]
-    s2 = np.lexsort((o, p))
-    return p[s2], o[s2], k[s2]
+    rows = np.sort(s[first])
+    return pos[rows], op[rows], key[rows]
 
 
 def first_seen_ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

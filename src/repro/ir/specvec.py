@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .columnar import ColumnarLanes
+from .columnar import ColumnarLanes, lane_vector
 from .instructions import IRFunction
 from .interpreter import ArrayStorage, Counts, DEFAULT_FUEL, N_COUNTERS
 from .vectorizer import LaneMemory, lockstep_code
@@ -187,7 +187,7 @@ class VectorizedSpecKernel:
         """Execute all lanes speculatively; return (counts, columnar
         lanes) and append each lane's instruction total to
         ``per_lane``."""
-        indices = np.asarray(indices, dtype=np.int64)
+        indices = lane_vector(indices)
         raw = [0] * N_COUNTERS
         memory = _BufferedLanes(storage, self.names, indices)
         if len(indices) == 0:

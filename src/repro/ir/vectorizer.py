@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import JaponicaError, MemoryFault
+from .columnar import lane_vector
 from .instructions import IRFunction
 from .interpreter import ArrayStorage, Counts, DEFAULT_FUEL, N_COUNTERS
 
@@ -198,7 +199,7 @@ class VectorizedKernel:
         and append each lane's instruction total to ``per_lane``.  A
         conflict between lanes raises :class:`LaneConflict`; it and any
         fault leave the arrays as they were."""
-        indices = np.asarray(indices, dtype=np.int64)
+        indices = lane_vector(indices)
         raw = [0] * N_COUNTERS
         if len(indices) == 0:
             return Counts()

@@ -50,18 +50,8 @@ def profile_loop(
     the stationary patterns the benchmarks exhibit); densities are
     computed over the sampled window.
     """
-    # slice lazily: ranges (the common case) slice without materializing
-    # the full index sequence, so a 256Ki-iteration loop profiled with a
-    # 2Ki sample never allocates 256Ki ints
-    if max_sample is not None:
-        try:
-            sample = indices[: max(1, max_sample)]
-        except TypeError:  # a Sequence without slice support
-            sample = list(indices)[: max(1, max_sample)]
-    elif isinstance(indices, (list, tuple, range)):
-        sample = indices
-    else:
-        sample = list(indices)
+    # a slice of a range is a range: the sample reaches the kernel as one
+    sample = indices if max_sample is None else indices[: max(1, max_sample)]
     wsize = warp_size if warp_size is not None else device.spec.warp_size
 
     launch = device.launch(

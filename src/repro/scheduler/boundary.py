@@ -18,13 +18,10 @@ def boundary_fraction(platform: Platform) -> float:
 
 def split_at_boundary(
     indices: Sequence[int], fraction: float
-) -> tuple[list[int], list[int]]:
-    """Split an iteration list: ``[0, k)`` to GPU (ascending), ``[k, n)``
-    to CPU (to be walked in descending order)."""
+) -> tuple[Sequence[int], Sequence[int]]:
+    """Split an iteration space: ``[0, k)`` to GPU (ascending), ``[k, n)``
+    to CPU (to be walked in descending order), as slices of it."""
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"boundary fraction {fraction} out of [0, 1]")
-    n = len(indices)
-    k = int(round(n * fraction))
-    gpu = list(indices[:k])
-    cpu = list(indices[k:])
-    return gpu, cpu
+    k = int(round(len(indices) * fraction))
+    return indices[:k], indices[k:]

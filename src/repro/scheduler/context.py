@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..cache.artifacts import ArtifactCache, profile_key
 from ..cpusim.executor import CpuExecutor
@@ -165,7 +165,7 @@ class ExecutionContext:
     def ensure_profile(
         self,
         loop: TranslatedLoop,
-        indices,
+        indices: Sequence[int],
         scalar_env: dict[str, object],
         storage: ArrayStorage,
     ) -> DependencyProfile:
@@ -181,13 +181,9 @@ class ExecutionContext:
         # and desynchronise the deterministic schedule.
         key = None
         if self.cache is not None and not self.faults.enabled:
-            try:
-                sample = indices[:PROFILE_SAMPLE]
-            except TypeError:
-                sample = list(indices)[:PROFILE_SAMPLE]
             key = profile_key(
                 loop.fn,
-                sample,
+                indices[:PROFILE_SAMPLE],
                 scalar_env,
                 storage,
                 self.device.spec.warp_size,

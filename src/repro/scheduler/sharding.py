@@ -38,15 +38,15 @@ def seeded_pick(seed: int, key: object, n: int) -> int:
 
 
 def partition_weighted(
-    items: list[int], weights: Sequence[float]
-) -> list[list[int]]:
+    items: Sequence[int], weights: Sequence[float]
+) -> list[Sequence[int]]:
     """Split ``items`` into ``len(weights)`` contiguous shards by weight.
 
     Shard boundaries are ``round(n * cum_weight / total)``; the rounded
     cumulative sums are monotone, so the shards are an *exact* partition
     of the input — no index lost, none duplicated — which the property
-    suite locks down.  Zero total weight degenerates to everything in
-    shard 0.
+    suite locks down.  The shards are slices of ``items``.  Zero total
+    weight degenerates to everything in shard 0.
     """
     if not weights:
         raise ValueError("partition_weighted needs at least one weight")
@@ -55,8 +55,8 @@ def partition_weighted(
     n = len(items)
     total = sum(weights)
     if total <= 0:
-        return [list(items)] + [[] for _ in weights[1:]]
-    shards: list[list[int]] = []
+        return [items[:]] + [items[:0] for _ in weights[1:]]
+    shards: list[Sequence[int]] = []
     cum = 0.0
     lo = 0
     for w in weights:

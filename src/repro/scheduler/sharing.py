@@ -28,7 +28,7 @@ degradation ladder instead: rollback, then ``A->cpu-mt``.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..cpusim.threads import block_partition, descending
 from ..errors import RuntimeFaultError, UnrecoverableFaultError
@@ -121,7 +121,7 @@ class TaskSharingScheduler:
     def _plan(
         self,
         loop: TranslatedLoop,
-        indices: list[int],
+        indices: Sequence[int],
         scalar_env: dict[str, object],
         storage: ArrayStorage,
         tl: Timeline,
@@ -156,7 +156,7 @@ class TaskSharingScheduler:
         self,
         mode: ExecMode,
         loop: TranslatedLoop,
-        indices: list[int],
+        indices: Sequence[int],
         scalar_env: dict[str, object],
         storage: ArrayStorage,
         tl: Timeline,
@@ -218,7 +218,7 @@ class TaskSharingScheduler:
         self,
         rung: str,
         loop: TranslatedLoop,
-        indices: list[int],
+        indices: Sequence[int],
         scalar_env: dict[str, object],
         storage: ArrayStorage,
         tl: Timeline,
@@ -276,7 +276,7 @@ class TaskSharingScheduler:
     def _mode_a(
         self,
         loop: TranslatedLoop,
-        indices: list[int],
+        indices: Sequence[int],
         scalar_env: dict[str, object],
         storage: ArrayStorage,
         tl: Timeline,
@@ -297,7 +297,7 @@ class TaskSharingScheduler:
 
         raw = [0] * N_COUNTERS  # hot loop: accumulate raw, fold at the end
         per_device: dict[int, int] = {}  # iterations executed per device id
-        pending: list[int] = []
+        pending: Sequence[int] = []  # what dead devices left undone
         alive = pool.alive_ids()
         if alive:
             shards = partition_weighted(gpu_idx, [pool.weight(k) for k in alive])
@@ -305,15 +305,13 @@ class TaskSharingScheduler:
             # the whole pool died in an earlier dispatch of this run: the
             # GPU part goes straight to the CPU drain below
             shards, pending = [], gpu_idx
-        # the shards own the GPU part from here on: holding the full list
-        # as well would keep a second copy of it alive in a pool of one
-        del gpu_idx
         for k, shard in zip(alive, shards):
             if shard:
-                pending += self._run_shard(
+                # two shards' tails need not adjoin, so they join in a list
+                pending = [*pending, *self._run_shard(
                     k, shard, n_total, loop, scalar_env, storage, tl,
                     coalescing, raw, per_device,
-                )
+                )]
 
         # drain dead devices' shards to survivors (seeded tie-break between
         # devices whose compute lanes free up at the same instant)
@@ -397,7 +395,7 @@ class TaskSharingScheduler:
     def _run_shard(
         self,
         device_id: int,
-        shard: list[int],
+        shard: Sequence[int],
         n_total: int,
         loop: TranslatedLoop,
         scalar_env: dict[str, object],
@@ -407,9 +405,9 @@ class TaskSharingScheduler:
         raw: list[int],
         per_device: dict[int, int],
         tag: str = "",
-    ) -> list[int]:
+    ) -> Sequence[int]:
         """Run one shard's chunked pipeline on one device; returns the
-        indices left unexecuted.
+        indices left unexecuted, a slice of the shard.
 
         With prefetch on, the DMA of chunk k+1 overlaps kernel k; with
         it off, one synchronous copy-in precedes every kernel.  An empty
@@ -439,7 +437,7 @@ class TaskSharingScheduler:
             )
 
         executed = 0
-        leftover: list[int] = []
+        leftover = shard[:0]
         last_kernel: Optional[Event] = None
         for k, chunk in enumerate(chunks):
             if asynchronous:
@@ -468,7 +466,7 @@ class TaskSharingScheduler:
                     raise
                 pool.mark_dead(device_id)
                 ctx.faults.recorder.clock_s = tl.makespan
-                leftover = [i for c in chunks[k:] for i in c]
+                leftover = shard[executed:]
                 ctx.faults.degraded(
                     err.site,
                     f"gpu{device_id}->drain",
@@ -501,7 +499,7 @@ class TaskSharingScheduler:
     def _mode_b(
         self,
         loop: TranslatedLoop,
-        indices: list[int],
+        indices: Sequence[int],
         scalar_env: dict[str, object],
         storage: ArrayStorage,
         tl: Timeline,
@@ -550,7 +548,7 @@ class TaskSharingScheduler:
     def _mode_cpu_mt(
         self,
         loop: TranslatedLoop,
-        indices: list[int],
+        indices: Sequence[int],
         scalar_env: dict[str, object],
         storage: ArrayStorage,
         tl: Timeline,
@@ -584,7 +582,7 @@ class TaskSharingScheduler:
     def _mode_c(
         self,
         loop: TranslatedLoop,
-        indices: list[int],
+        indices: Sequence[int],
         scalar_env: dict[str, object],
         storage: ArrayStorage,
         tl: Timeline,
@@ -613,7 +611,7 @@ class TaskSharingScheduler:
     def _mode_d(
         self,
         loop: TranslatedLoop,
-        indices: list[int],
+        indices: Sequence[int],
         scalar_env: dict[str, object],
         storage: ArrayStorage,
         tl: Timeline,

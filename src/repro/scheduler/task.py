@@ -8,7 +8,7 @@ used by the distribution rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from ..translate.translator import TranslatedLoop
@@ -19,18 +19,19 @@ class Task:
     """One schedulable loop (or loop sub-range)."""
 
     loop: TranslatedLoop
-    #: explicit index list; None = the loop's full iteration space
-    index_override: Optional[tuple[int, ...]] = None
+    #: explicit index sequence; None = the loop's full iteration space
+    index_override: Optional[Sequence[int]] = None
     suffix: str = ""
 
     @property
     def id(self) -> str:
         return self.loop.id + self.suffix
 
-    def indices(self, env: Mapping[str, object]) -> list[int]:
+    def indices(self, env: Mapping[str, object]) -> Sequence[int]:
+        """The task's iteration space, a ``range`` unless overridden."""
         if self.index_override is not None:
-            return list(self.index_override)
-        return list(self.loop.analysis.info.indices(env))
+            return self.index_override
+        return self.loop.analysis.info.indices(env)
 
     def split(self, parts: int, env: Mapping[str, object]) -> list["Task"]:
         """Divide the task into ``parts`` contiguous sub-loop tasks."""
@@ -38,7 +39,7 @@ class Task:
 
         blocks = block_partition(self.indices(env), parts)
         return [
-            Task(self.loop, tuple(block), suffix=f"{self.suffix}/{k}")
+            Task(self.loop, block, suffix=f"{self.suffix}/{k}")
             for k, block in enumerate(blocks)
             if block
         ]

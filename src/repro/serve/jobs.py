@@ -125,7 +125,8 @@ class JobSpec:
         return cls(**doc)
 
     #: content key for the cache-only degradation rung: two identical
-    #: requests (any tenant) may share one completed answer
+    #: requests (any tenant) may share one completed answer.  ``verify``
+    #: and ``report`` are left out; the service matches them itself
     def result_key(self) -> str:
         if self.kind == "compile":
             digest = hashlib.sha256((self.source or "").encode()).hexdigest()

@@ -217,7 +217,10 @@ class CompilationService:
         self._queue: asyncio.PriorityQueue = asyncio.PriorityQueue()
         self._qseq = itertools.count()
         self._dispatchers: list[asyncio.Task] = []
-        self._results_cache: OrderedDict[str, dict] = OrderedDict()
+        #: result_key -> (answer, whether a job of that shape verified)
+        self._results_cache: OrderedDict[str, tuple[dict, bool]] = (
+            OrderedDict()
+        )
         self._started = False
 
     # -- lifecycle --------------------------------------------------------
@@ -400,22 +403,34 @@ class CompilationService:
         return result
 
     def _cached_answer(self, job: JobSpec) -> Optional[JobResult]:
-        doc = self._results_cache.get(job.result_key())
-        if doc is None:
+        """The stored answer of ``job``'s shape, or None.  A ``verify``
+        request takes only an answer whose job ran the check.  Reports
+        are dropped at this rung (the ladder is cumulative), so the
+        answer carries none and says so if the request asked for one."""
+        key = job.result_key()
+        entry = self._results_cache.get(key)
+        if entry is None or (job.verify and not entry[1]):
             return None
-        self._results_cache.move_to_end(job.result_key())
-        result = JobResult.from_dict(dict(doc))
+        self._results_cache.move_to_end(key)
+        result = JobResult.from_dict(dict(entry[0]))
         result.job_id = job.job_id
         result.tenant = job.tenant
         result.served_from_cache = True
         result.degrade_level = self.ladder.level
+        result.report = None
+        result.degraded = ["report_dropped"] if job.report else []
         return result
 
     def _store_answer(self, job: JobSpec, result: JobResult) -> None:
+        """Keep an ok answer under its shape, with whether a job of that
+        shape ran the verification check."""
         if result.status != STATUS_OK:
             return
-        self._results_cache[job.result_key()] = result.to_dict()
-        self._results_cache.move_to_end(job.result_key())
+        key = job.result_key()
+        old = self._results_cache.get(key)
+        verified = job.verify or (old is not None and old[1])
+        self._results_cache[key] = (result.to_dict(), verified)
+        self._results_cache.move_to_end(key)
         while len(self._results_cache) > self.config.results_cache_entries:
             self._results_cache.popitem(last=False)
 

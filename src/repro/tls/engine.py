@@ -103,8 +103,8 @@ class GpuTlsEngine:
         elem_bytes: float = 8.0,
         timeline: Optional[Timeline] = None,
     ) -> TlsResult:
-        """Run all iterations with TLS; functional result is sequential."""
-        indices = list(indices)
+        """Run all iterations with TLS; functional result is sequential.
+        Sub-loops, commits and CPU handoffs are slices of ``indices``."""
         warp_size = self.device.spec.warp_size
         sub_size = max(warp_size, self.config.warps_per_subloop * warp_size)
         tl = timeline if timeline is not None else Timeline()

@@ -28,6 +28,7 @@ import numpy as np
 
 from ..errors import SpeculationError
 from ..gpusim.device import GpuDevice
+from ..ir.columnar import lane_vector
 from ..ir.instructions import IRFunction
 from ..ir.interpreter import ArrayStorage, Counts
 from ..ir.vectorizer import can_vectorize
@@ -72,7 +73,6 @@ def run_privatized(
     the renamed fast path; without it every FD candidate falls back to
     the buffered path.
     """
-    indices = list(indices)
     if not indices:
         return PrivatizeResult(Counts(), 0.0, 0.0, 0, 0)
 
@@ -119,7 +119,7 @@ def run_privatized(
 def _try_renamed(
     device: GpuDevice,
     fn: IRFunction,
-    indices: list[int],
+    indices: Sequence[int],
     scalar_env: dict[str, object],
     storage: ArrayStorage,
     coalescing: float,
@@ -135,7 +135,7 @@ def _try_renamed(
     if not privatized <= profile.uniform_write_arrays:
         return None
     # indices must be contiguous ascending for lane = index - base
-    if indices != list(range(indices[0], indices[0] + len(indices))):
+    if np.any(np.diff(lane_vector(indices)) != 1):
         return None
     known = {a.name: a for a in fn.arrays}
     for name in privatized:

@@ -19,7 +19,6 @@ SE_OVERHEAD = 1.8
 class SeResult:
     """Speculative execution of one sub-loop."""
 
-    order: list[int]
     lanes: ColumnarLanes
     counts: Counts
     kernel_time_s: float
@@ -35,10 +34,9 @@ def speculative_run(
     elem_bytes: float = 8.0,
 ) -> SeResult:
     """Run one sub-loop speculatively (buffered writes + access logs)."""
-    order = list(indices)
     launch = device.launch(
         fn,
-        order,
+        indices,
         scalar_env,
         storage,
         mode="buffered",
@@ -46,7 +44,6 @@ def speculative_run(
         elem_bytes=elem_bytes,
     )
     return SeResult(
-        order=order,
         lanes=launch.lanes,
         counts=launch.counts,
         kernel_time_s=launch.sim_time_s * SE_OVERHEAD,

@@ -61,6 +61,16 @@ class TestKeys:
         assert base != self._pk(fn, storage, warp=16)
         assert base != self._pk(fn, storage, sig="other")
 
+    def test_profile_key_reads_the_sample_not_its_type(self):
+        # a loop's sample arrives as a range; equal indices, equal key
+        _, fn = lowered(SRC)
+        storage = ArrayStorage({"a": np.zeros(4), "b": np.ones(4)})
+        env, sig = {"n": 4}, "platform"
+        for r in (range(3), range(5, 0, -2), range(0)):
+            assert profile_key(fn, r, env, storage, 32, sig) == profile_key(
+                fn, list(r), env, storage, 32, sig
+            )
+
     def test_fingerprint_is_content_not_identity(self):
         _, fn1 = lowered(SRC)
         _, fn2 = lowered(SRC)

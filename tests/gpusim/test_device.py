@@ -83,15 +83,6 @@ class TestLaunch:
                 check_allocations=False,
             )
 
-    def test_warp_partitioning(self, device, fn):
-        storage = make_storage()
-        res = device.launch(
-            fn, range(64), {"n": 64}, storage, mode="buffered",
-            check_allocations=False,
-        )
-        assert len(res.warps) == 2
-        assert len(res.warps[0]) == 32
-
     def test_commit_order_last_writer_wins(self, device):
         src = """
         class T { static void f(double[] out, int n) {

@@ -1,49 +1,12 @@
-"""Warp partitioning tests."""
+"""Warp spans and divergence tests."""
 
-import pytest
-from hypothesis import given, strategies as st
-
-from repro.gpusim.warp import Warp, iter_warp_spans, partition_warps, warp_of
+from repro.gpusim.warp import iter_warp_spans
 
 
 class TestPartition:
-    def test_exact_multiple(self):
-        warps = partition_warps(list(range(64)), 32)
-        assert len(warps) == 2
-        assert warps[0].indices == tuple(range(32))
-        assert warps[1].id == 1
-
-    def test_ragged_tail(self):
-        warps = partition_warps(list(range(40)), 32)
-        assert len(warps) == 2
-        assert len(warps[1]) == 8
-        assert warps[1].first == 32 and warps[1].last == 39
-
-    def test_empty(self):
-        assert partition_warps([], 32) == []
-
-    def test_bad_warp_size(self):
-        with pytest.raises(ValueError):
-            partition_warps([1], 0)
-
-    def test_warp_of(self):
-        assert warp_of(0) == 0
-        assert warp_of(31) == 0
-        assert warp_of(32) == 1
-
     def test_spans(self):
         spans = list(iter_warp_spans(70, 32))
         assert spans == [(0, 0, 32), (1, 32, 64), (2, 64, 70)]
-
-
-@given(st.integers(1, 500), st.integers(1, 64))
-def test_partition_covers_everything(n, wsize):
-    indices = list(range(n))
-    warps = partition_warps(indices, wsize)
-    flat = [i for w in warps for i in w.indices]
-    assert flat == indices
-    assert all(len(w) <= wsize for w in warps)
-    assert [w.id for w in warps] == list(range(len(warps)))
 
 
 class TestDivergence:

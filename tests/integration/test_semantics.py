@@ -137,7 +137,8 @@ class TestTaskSplit:
         task = Task(unit.all_loops[0])
         env = {"n": 10}
         parts = task.split(3, env)
+        # sub-loop tasks keep the loop's range, sliced
         assert [p.indices(env) for p in parts] == [
-            [0, 1, 2, 3], [4, 5, 6], [7, 8, 9]
+            range(0, 4), range(4, 7), range(7, 10)
         ]
         assert [p.id for p in parts] == ["f#0/0", "f#0/1", "f#0/2"]

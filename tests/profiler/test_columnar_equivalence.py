@@ -467,3 +467,55 @@ class TestFromStates:
         cols = ColumnarLanes.from_states({}, [], ArrayStorage({}))
         assert len(cols) == 0 and cols.buffers == {}
         assert cols.commit(ArrayStorage({}), []) == (0, 0)
+
+
+# ---------------------------------------------------------------------------
+# dedup_first: one packed-key sort, with a multi-key fallback
+# ---------------------------------------------------------------------------
+
+
+def _dedup_oracle(pos, op, key):
+    """First row per (pos, key) in scan order, one row at a time."""
+    seen, keep = set(), []
+    for row, cell in enumerate(zip(pos.tolist(), key.tolist())):
+        if cell not in seen:
+            seen.add(cell)
+            keep.append(row)
+    return pos[keep], op[keep], key[keep]
+
+
+@st.composite
+def _scan_rows(draw, key_hi):
+    """(pos, op, key) rows in (pos, op) order, op unique within a lane."""
+    per_lane = draw(st.lists(st.integers(0, 6), max_size=12))
+    pos, op = [], []
+    for p, k in enumerate(per_lane):
+        ops = sorted(draw(st.sets(st.integers(0, 40), min_size=k, max_size=k)))
+        pos += [p] * k
+        op += ops
+    key = draw(st.lists(st.integers(0, key_hi), min_size=len(pos),
+                        max_size=len(pos)))
+    return (np.array(pos, dtype=np.int64), np.array(op, dtype=np.int64),
+            np.array(key, dtype=np.int64))
+
+
+class TestDedupFirst:
+    @given(rows=_scan_rows(8))
+    def test_matches_the_oracle(self, rows):
+        from repro.ir.columnar import dedup_first
+
+        for got, want in zip(dedup_first(*rows), _dedup_oracle(*rows)):
+            assert got.tolist() == want.tolist()
+
+    def test_overflowing_packed_key_falls_back(self):
+        from repro.ir.columnar import dedup_first
+
+        # 3 lanes * a key span of 2**62 + 1 would overflow int64
+        rows = (np.array([0, 0, 0, 1, 1, 2]), np.array([0, 1, 2, 0, 1, 0]),
+                np.array([2**62, 0, 2**62, 2**62, 2**62, 0]))
+        got = dedup_first(*rows)
+        assert [c.tolist() for c in got] == [
+            [0, 0, 1, 2], [0, 1, 0, 0], [2**62, 0, 2**62, 0]
+        ]
+        for got_col, want in zip(got, _dedup_oracle(*rows)):
+            assert got_col.tolist() == want.tolist()

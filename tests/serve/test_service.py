@@ -158,6 +158,47 @@ class TestDegradation:
         assert fresh.status == STATUS_SHED
         assert "cache-only" in fresh.error
 
+    def test_cache_only_verify_needs_a_verified_answer(self):
+        # the reproduced bug: an unverified job's answer served a
+        # verify request at the cache-only rung
+        async def body(svc):
+            shape = dict(tenant="a", workload="MVT", n=1, seed=0)
+            await svc.submit(JobSpec(**shape, verify=False, report=True))
+            svc.ladder = DegradationLadder(PIN_CACHE_ONLY)
+            refused = await svc.submit(JobSpec(**shape, verify=True))
+            unverified = await svc.submit(JobSpec(**shape, verify=False))
+            svc.ladder = DegradationLadder()
+            await svc.submit(JobSpec(**shape, verify=True))
+            await svc.submit(JobSpec(**shape, verify=False))
+            svc.ladder = DegradationLadder(PIN_CACHE_ONLY)
+            verified = await svc.submit(JobSpec(**shape, verify=True))
+            return refused, unverified, verified
+
+        refused, unverified, verified = run_service(body)
+        assert refused.status == STATUS_SHED
+        assert "cache-only" in refused.error
+        assert unverified.status == STATUS_OK and unverified.served_from_cache
+        # a later unverified run of the shape keeps the verified mark
+        assert verified.status == STATUS_OK and verified.served_from_cache
+
+    def test_cache_only_answer_carries_no_report(self):
+        async def body(svc):
+            shape = dict(tenant="a", workload="MVT", n=1, seed=0)
+            first = await svc.submit(JobSpec(**shape, report=True))
+            svc.ladder = DegradationLadder(PIN_CACHE_ONLY)
+            asked = await svc.submit(JobSpec(**shape, report=True))
+            plain = await svc.submit(JobSpec(**shape))
+            return first, asked, plain
+
+        first, asked, plain = run_service(body)
+        assert first.report is not None and first.degraded == []
+        for cached in (asked, plain):
+            assert cached.status == STATUS_OK and cached.served_from_cache
+            assert cached.report is None
+            assert cached.sim_time_ms == first.sim_time_ms
+        assert asked.degraded == ["report_dropped"]
+        assert plain.degraded == []
+
     def test_shed_low_rung_drops_low_priority_first(self):
         async def body(svc):
             shape = dict(tenant="a", workload="VectorAdd", n=1, seed=0)

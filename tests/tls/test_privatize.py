@@ -9,7 +9,7 @@ from repro.ir import ArrayStorage, run_sequential
 from repro.profiler.trace import profile_loop
 from repro.runtime.costmodel import CostModel
 from repro.runtime.platform import paper_platform
-from repro.tls.privatize import run_privatized
+from repro.tls.privatize import _try_renamed, run_privatized
 from repro.tls.rename import PRIV_BASE, priv_name, rename_privatized
 
 from ..conftest import SCRATCH_SRC, SEIDEL_SRC, lowered, register_all
@@ -98,6 +98,39 @@ class TestRenamedFastPath:
         register_all(device, storage)
         run_privatized(device, fn, range(n), {"n": n}, storage, profile=profile)
         assert priv_name("tmp") not in storage.arrays
+
+    @pytest.mark.parametrize("seq", [range, lambda lo, hi: [*range(lo, hi)]],
+                             ids=["range", "list"])
+    def test_contiguous_sequence_takes_renamed_path(self, device, seq):
+        # the contiguity test reads any sequence type: a range whose
+        # lanes are index - base takes the renamed path as the list does
+        _, fn = lowered(STRAIGHT_SRC)
+        n = 64
+        arrays = scratch_arrays(n)
+        profile = self._profiled(device, fn, arrays, n)
+        expected = ArrayStorage({k: v.copy() for k, v in arrays.items()})
+        run_sequential(fn, expected, {"n": n}, 8, n)
+        storage = ArrayStorage({k: v.copy() for k, v in arrays.items()})
+        register_all(device, storage)
+        res = _try_renamed(
+            device, fn, seq(8, n), {"n": n}, storage, 1.0, 8.0, profile
+        )
+        assert res is not None and res.renamed
+        for name, arr in expected.arrays.items():
+            assert np.array_equal(storage.arrays[name], arr), name
+
+    @pytest.mark.parametrize("indices", [range(0, 64, 2), range(63, -1, -1)],
+                             ids=["strided", "descending"])
+    def test_non_unit_step_range_falls_back(self, device, indices):
+        _, fn = lowered(STRAIGHT_SRC)
+        n = 64
+        arrays = scratch_arrays(n)
+        profile = self._profiled(device, fn, arrays, n)
+        storage = ArrayStorage({k: v.copy() for k, v in arrays.items()})
+        register_all(device, storage)
+        assert _try_renamed(
+            device, fn, indices, {"n": n}, storage, 1.0, 8.0, profile
+        ) is None
 
     def test_non_contiguous_indices_fall_back(self, device):
         _, fn = lowered(STRAIGHT_SRC)
