@@ -48,8 +48,9 @@ import numpy as np
 
 from ..ir.columnar import lane_vector
 
-#: Bump to invalidate every previously persisted artifact.
-CACHE_SCHEMA = 1
+#: Bump to invalidate every previously persisted artifact (2: a
+#: profile's ``DepPair`` pickles as a plain class).
+CACHE_SCHEMA = 2
 
 
 class ArtifactCache:

@@ -17,9 +17,7 @@ The lock-step SE kernel (:mod:`repro.ir.specvec`) produces the columns
 of every buffered launch directly.  Only the interpreter, the oracle,
 keeps the ``{index: LaneSpecState}`` dict of its ``SpeculativeBackend``;
 :meth:`ColumnarLanes.from_states` is its adapter.  Both end in
-:meth:`ColumnarLanes.from_columns`.  The ``Mapping[int, LaneSpecState]``
-protocol materializes a lane's state on demand; only the scalar test
-oracles read it.
+:meth:`ColumnarLanes.from_columns`.
 
 Invariant relied upon by the columnar analyses: within a lane the log
 lists are op-ascending (every engine appends with a monotonically
@@ -28,11 +26,11 @@ increasing op counter).
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .interpreter import AccessRecord, ArrayStorage, LaneSpecState
+from .interpreter import ArrayStorage, LaneSpecState
 
 
 def lane_vector(indices: Sequence[int]) -> np.ndarray:
@@ -45,7 +43,7 @@ def lane_vector(indices: Sequence[int]) -> np.ndarray:
     return np.asarray(indices, dtype=np.int64)
 
 
-class ColumnarLanes(Mapping):
+class ColumnarLanes:
     """The SE log of one buffered launch, as the columns listed above.
 
     Built by the lock-step SE kernel or by :meth:`from_states`; read by
@@ -61,7 +59,6 @@ class ColumnarLanes(Mapping):
         reads: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
         writes: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
         buffers: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]],
-        op_total: Optional[int] = None,
     ):
         self.order = order
         self.present = present
@@ -71,8 +68,6 @@ class ColumnarLanes(Mapping):
         #: array_id -> (pos, flat, value) final buffered cells, unique per
         #: (pos, flat), sorted by (pos, flat)
         self.buffers = buffers
-        self._op_total = op_total
-        self._pos_of: Optional[dict[int, int]] = None
 
     # -- construction ----------------------------------------------------
 
@@ -133,7 +128,6 @@ class ColumnarLanes(Mapping):
         writes: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
         buffers: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]],
         present: Optional[np.ndarray] = None,
-        op_total: Optional[int] = None,
     ) -> "ColumnarLanes":
         """An SE log whose array column holds codes into ``arrays``:
         the interpreter's (:meth:`from_states`) or the lock-step
@@ -167,57 +161,6 @@ class ColumnarLanes(Mapping):
             (w_pos, w_op, ids[w_code], w_flat),
             {int(ids[c]): buffers[c]
              for c in sorted(buffers, key=ids.__getitem__)},
-            op_total,
-        )
-
-    # -- Mapping protocol ------------------------------------------------
-
-    def __len__(self) -> int:
-        return int(self.present.sum())
-
-    def __iter__(self) -> Iterator[int]:
-        return (int(it) for it in self.order[self.present])
-
-    def __getitem__(self, iteration: int) -> LaneSpecState:
-        pos = self._position_of(iteration)
-        if pos is None:
-            raise KeyError(iteration)
-        return self._materialize(pos)
-
-    def _position_of(self, iteration: int) -> Optional[int]:
-        if self._pos_of is None:
-            self._pos_of = {
-                int(it): p
-                for p, it in enumerate(self.order)
-                if self.present[p]
-            }
-        return self._pos_of.get(iteration)
-
-    def _materialize(self, pos: int) -> LaneSpecState:
-        names = self.names
-        lo, hi = np.searchsorted(self.r_pos, [pos, pos + 1])
-        reads = [
-            AccessRecord(int(o), "R", names[a], int(f))
-            for o, a, f in zip(
-                self.r_op[lo:hi], self.r_arr[lo:hi], self.r_flat[lo:hi]
-            )
-        ]
-        lo, hi = np.searchsorted(self.w_pos, [pos, pos + 1])
-        writes = [
-            AccessRecord(int(o), "W", names[a], int(f))
-            for o, a, f in zip(
-                self.w_op[lo:hi], self.w_arr[lo:hi], self.w_flat[lo:hi]
-            )
-        ]
-        buffer: dict[tuple[str, int], object] = {}
-        for a_id, (b_pos, b_flat, b_val) in self.buffers.items():
-            lo, hi = np.searchsorted(b_pos, [pos, pos + 1])
-            name = names[a_id]
-            for f, v in zip(b_flat[lo:hi], b_val[lo:hi]):
-                buffer[(name, int(f))] = v.item()
-        return LaneSpecState(
-            buffer=buffer, reads=reads, writes=writes,
-            op=int(self._op_total or 0),
         )
 
     # -- queries ----------------------------------------------------------
@@ -361,7 +304,10 @@ def first_seen_ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scalar analysis' per-cell dicts.  Look up a key's rank with
     ``rank[np.searchsorted(uniq_sorted, key)]``.
     """
-    uniq, first_idx = np.unique(keys, return_index=True)
-    rank = np.empty(len(uniq), dtype=np.int64)
-    rank[np.argsort(first_idx, kind="stable")] = np.arange(len(uniq))
-    return uniq, rank
+    s = np.argsort(keys)
+    k = keys[s]
+    starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
+    first = np.minimum.reduceat(s, starts)
+    rank = np.empty(len(starts), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(starts))
+    return k[starts], rank

@@ -43,8 +43,9 @@ class _BufferedLanes(LaneMemory):
     A stored array's buffers are one dense cell array ``own`` (the lane
     whose buffer holds the cell; ``-1`` none, ``-2`` several lanes) with
     the values ``val``.  The cells several lanes buffered keep their
-    values under sorted ``lane * size + cell`` keys in ``shared``, so no
-    store sorts more than those.
+    values under ``lane * size + cell`` keys in ``shared``: a store
+    appends its keys, and only a load of such a cell, or the launch's
+    end, sorts what was appended since, keeping each key's latest value.
     """
 
     logs = True
@@ -54,6 +55,8 @@ class _BufferedLanes(LaneMemory):
         self.order = indices
         self.own: dict = {}
         self.val: dict = {}
+        #: per code: (keys, values) fragments in store order, the first
+        #: sorted with unique keys
         self.shared: dict = {}
         #: log fragments in execution order: (lanes, op, j, code, cells),
         #: a read's with the mask of its logged lanes (None: all)
@@ -73,12 +76,13 @@ class _BufferedLanes(LaneMemory):
             values = np.where(hit, self.val[code][f], values)
         if code in self.shared:
             p = np.flatnonzero(o == -2 if full else (o == -2) & m)
-            keys, kept = self.shared[code]
-            want = p * len(own) + f[p]
-            at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-            found = keys[at] == want
-            values[p[found]] = kept[at[found]]
-            hit[p[found]] = True
+            if len(p):
+                keys, kept = self.table(code)
+                want = p * len(own) + f[p]
+                at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+                found = keys[at] == want
+                values[p[found]] = kept[at[found]]
+                hit[p[found]] = True
         # (bools: m > hit is m and not hit)
         self.read_log.append((~hit if full else m > hit, op, j, code, f))
         return values
@@ -103,29 +107,33 @@ class _BufferedLanes(LaneMemory):
 
     def share(self, code, cells, lanes, values) -> None:
         """Buffer cells another lane also buffered: the cells' single
-        owners move into ``shared``, then these lanes' values."""
+        owners move into ``shared`` (a cell that never was shared has no
+        keys there yet), then these lanes' values."""
         own, val = self.own[code], self.val[code]
-        moving = np.unique(cells[own[cells] >= 0])
-        new = np.concatenate([own[moving] * len(own) + moving,
-                              lanes * len(own) + cells])
-        values = np.concatenate([val[moving], values])
+        moving = cells[own[cells] >= 0]  # a repeated cell moves alike
+        frags = self.shared.setdefault(
+            code, [(np.empty(0, np.int64), np.empty(0, val.dtype))]
+        )
+        frags.append((own[moving] * len(own) + moving, val[moving]))
+        frags.append((lanes * len(own) + cells, values))
         own[cells] = -2
-        keys, kept = self.shared.get(
-            code, (np.empty(0, np.int64), np.empty(0, val.dtype))
-        )
-        at = np.searchsorted(keys, new)
-        found = at < len(keys)
-        found[found] = keys[at[found]] == new[found]
-        kept[at[found]] = values[found]
-        s = np.argsort(new[~found])
-        self.shared[code] = (
-            np.insert(keys, at[~found][s], new[~found][s]),
-            np.insert(kept, at[~found][s], values[~found][s]),
-        )
+
+    def table(self, code):
+        """``code``'s shared cells as sorted keys with their values: a
+        stable sort of the fragments keeps each key's latest store."""
+        frags = self.shared[code]
+        if len(frags) > 1:
+            keys = np.concatenate([k for k, _ in frags])
+            s = np.argsort(keys, kind="stable")
+            keys, kept = keys[s], np.concatenate([v for _, v in frags])[s]
+            last = np.ones(len(keys), dtype=bool)
+            last[:-1] = keys[1:] != keys[:-1]
+            frags[:] = [(keys[last], kept[last])]
+        return frags[0]
 
     def finish(self, op) -> ColumnarLanes:
         """The launch's SE log: the fragments in (lane, op) order, and
-        every lane's final buffered cells."""
+        every lane's final buffered cells, in (lane, cell) order."""
         reads = [
             (self.lanes, op, j, code, f) if m is None
             else (self.lanes[m], op, j, code, f[m])
@@ -134,18 +142,18 @@ class _BufferedLanes(LaneMemory):
         buffers = {}
         for code, own in self.own.items():
             cells = np.flatnonzero(own >= 0)
-            pos, values = own[cells], self.val[code][cells]
+            keys = own[cells] * len(own) + cells
+            values = self.val[code][cells]
             if code in self.shared:
-                keys, kept = self.shared[code]
-                pos = np.concatenate([pos, keys // len(own)])
-                cells = np.concatenate([cells, keys % len(own)])
+                shared, kept = self.table(code)
+                keys = np.concatenate([keys, shared])
                 values = np.concatenate([values, kept])
-            s = np.lexsort((cells, pos))
-            buffers[code] = (pos[s], cells[s], values[s])
+            s = np.argsort(keys, kind="stable")
+            keys = keys[s]
+            buffers[code] = (keys // len(own), keys % len(own), values[s])
         return ColumnarLanes.from_columns(
             self.order, self.names, _columns(reads, self.n),
             _columns(self.write_log, self.n), buffers,
-            op_total=int(op.max()) if op is not None and len(op) else 0,
         )
 
 
@@ -153,8 +161,9 @@ def _columns(fragments, n: int):
     """``(pos, op, code, flat)`` int64 columns in (pos, op) order from
     ``(lanes, op, j, code, cells)`` fragments in execution order, where
     a lane's stamp is ``op[lane] + j``.  Execution order is op order
-    within a lane, so a stable sort by lane suffices, and fragments of
-    every lane need only a transpose."""
+    within a lane, and a fragment names a lane at most once: fragments
+    of every lane need only a transpose, and otherwise each row goes to
+    its lane's next free row."""
     fragments = [fr for fr in fragments if len(fr[0])]
     if not fragments:
         return (np.empty(0, dtype=np.int64),) * 4
@@ -164,11 +173,20 @@ def _columns(fragments, n: int):
                 np.stack([o + j for o, j in zip(ops, js)], 1).ravel(),
                 np.tile(np.array(codes, dtype=np.int64), n),
                 np.stack(cells, 1).ravel().astype(np.int64, copy=False))
-    pos = np.concatenate(lanes)
-    cols = (pos, np.concatenate([o[p] + j for p, o, j in zip(lanes, ops, js)]),
-            np.repeat(codes, [len(p) for p in lanes]), np.concatenate(cells))
-    s = np.argsort(pos, kind="stable")
-    return tuple(c[s].astype(np.int64, copy=False) for c in cols)
+    counts = np.bincount(np.concatenate(lanes), minlength=n)
+    free = np.cumsum(counts) - counts
+    rows = []
+    for p in lanes:
+        rows.append(free[p])
+        free[p] += 1
+    rows = np.concatenate(rows)
+    out = [np.repeat(np.arange(n), counts)]
+    for col in (np.concatenate([o[p] + j for p, o, j in zip(lanes, ops, js)]),
+                np.repeat(codes, [len(p) for p in lanes]),
+                np.concatenate(cells)):
+        out.append(np.empty(len(rows), dtype=np.int64))
+        out[-1][rows] = col
+    return tuple(out)
 
 
 class VectorizedSpecKernel:

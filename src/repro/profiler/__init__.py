@@ -5,15 +5,7 @@ from .density import analyze_lanes
 from .interwarp import next_warps_clear, td_free_prefix, warps_with_td
 from .intrawarp import classify_same_warp, warp_span
 from .report import DEFAULT_DD_THRESHOLD, DepPair, DependencyProfile
-from .strides import (
-    CompressedTrace,
-    StridePattern,
-    any_intersection,
-    compress_addresses,
-    compress_lane,
-    compression_ratio,
-    patterns_intersect,
-)
+from .strides import compression_ratio
 from .trace import INSTRUMENTATION_FACTOR, ProfilingRun, profile_loop
 
 __all__ = [
@@ -22,14 +14,8 @@ __all__ = [
     "DependencyProfile",
     "INSTRUMENTATION_FACTOR",
     "ProfilingRun",
-    "CompressedTrace",
-    "StridePattern",
     "analyze_lanes",
-    "any_intersection",
-    "compress_addresses",
-    "compress_lane",
     "compression_ratio",
-    "patterns_intersect",
     "classify_same_warp",
     "estimate_coalescing",
     "next_warps_clear",

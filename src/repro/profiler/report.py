@@ -2,22 +2,63 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 #: Default threshold N of the workflow diagram ("(Density > N) ? High : Low").
 DEFAULT_DD_THRESHOLD = 0.30
 
 
-@dataclass(frozen=True)
 class DepPair:
-    """One observed cross-iteration dependence (src writes, dst touches)."""
+    """One observed cross-iteration dependence (src writes, dst touches).
 
-    array: str
-    src_iter: int
-    dst_iter: int
-    kind: str  # 'true' | 'anti' | 'output'
-    same_warp: bool
+    A plain ``__slots__`` class, immutable by convention, with the
+    ``repr``, ``==`` and ``hash`` a frozen dataclass would have: a
+    profile holds up to 4,096 of them, and a dataclass ``__init__`` pays
+    ``object.__setattr__`` per field.  Being immutable, a pair copies as
+    itself.
+    """
+
+    __slots__ = ("array", "src_iter", "dst_iter", "kind", "same_warp")
+
+    def __init__(
+        self, array: str, src_iter: int, dst_iter: int, kind: str,
+        same_warp: bool,
+    ):
+        self.array = array
+        self.src_iter = src_iter
+        self.dst_iter = dst_iter
+        self.kind = kind  # 'true' | 'anti' | 'output'
+        self.same_warp = same_warp
+
+    def _fields(self) -> tuple:
+        return (self.array, self.src_iter, self.dst_iter, self.kind,
+                self.same_warp)
+
+    def __repr__(self) -> str:
+        return (
+            f"DepPair(array={self.array!r}, src_iter={self.src_iter!r}, "
+            f"dst_iter={self.dst_iter!r}, kind={self.kind!r}, "
+            f"same_warp={self.same_warp!r})"
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not DepPair:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return DepPair, self._fields()
+
+    def __copy__(self) -> "DepPair":
+        return self
+
+    def __deepcopy__(self, memo) -> "DepPair":
+        return self
 
     @property
     def distance(self) -> int:
@@ -61,6 +102,16 @@ class DependencyProfile:
     compression_ratio: float = 1.0
     #: simulated seconds spent profiling (instrumented run + analysis)
     profile_time_s: float = 0.0
+
+    def __deepcopy__(self, memo) -> "DependencyProfile":
+        """A profile whose sets, dicts and lists are fresh; their items
+        (ints, strings, :class:`DepPair`) are immutable and shared."""
+        out = copy.copy(self)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, (dict, set, list)):
+                setattr(out, f.name, copy.copy(value))
+        return out
 
     @property
     def has_true(self) -> bool:

@@ -212,6 +212,24 @@ class TestEndToEnd:
                 dataclasses.asdict(ref)
             ), loop_id
 
+    def test_memory_hit_returns_an_equal_fresh_profile(self):
+        w = get("Guass-Seidel")
+        cache = ArtifactCache()  # the memory layer only
+        ctx_cold, ctx_hit = w.make_context(cache=cache), w.make_context(
+            cache=cache
+        )
+        w.run("japonica", context=ctx_cold)
+        w.run("japonica", context=ctx_hit)
+        assert cache.stats()["hits"] == 1  # the second run's profile
+        for loop_id, cold in ctx_cold.profiles.items():
+            hit = ctx_hit.profiles[loop_id]
+            assert hit is not cold and hit.sample_pairs
+            assert dataclasses.asdict(hit) == dataclasses.asdict(cold)
+            for field in dataclasses.fields(cold):
+                value = getattr(cold, field.name)
+                if isinstance(value, (dict, set, list)):
+                    assert getattr(hit, field.name) is not value, field.name
+
     def test_fault_injection_bypasses_profile_cache(self, tmp_path):
         w = get("Guass-Seidel")
         d = str(tmp_path / "cache")

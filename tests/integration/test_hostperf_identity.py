@@ -4,10 +4,11 @@ For every Table-II workload the full japonica strategy runs twice: as
 shipped, and with every consumer of the launches' SE logs — the three
 profiling analyses, the TLS dependency check, the commit and the
 logged-access count — swapped for its scalar oracle in ``tests/oracles``
-at the call site (each oracle reads the launch's ``ColumnarLanes``
-through its ``Mapping`` view).  The runs must produce bit-identical
-array results, the same simulated times and scalars, equal dependency
-profiles and the same per-loop modes and times.
+at the call site (each oracle reads the launch's ``ColumnarLanes`` as
+the interpreter's state dict, through ``as_states``).  The runs must
+produce bit-identical array results, the same simulated times and
+scalars, equal dependency profiles and the same per-loop modes and
+times.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from repro.workloads import ALL_WORKLOADS
 
 from ..oracles import (
     analyze_lanes_scalar,
+    as_states,
     check_subloop_scalar,
     commit_scalar,
     compression_ratio_scalar,
@@ -50,30 +52,34 @@ def _substitute_oracles(monkeypatch) -> Counter:
     monkeypatch.setattr(trace, "analyze_lanes", counted(
         "analyze",
         lambda lanes, warp_size=32: analyze_lanes_scalar(
-            lanes, order(lanes), warp_size
+            as_states(lanes), order(lanes), warp_size
         ),
     ))
     monkeypatch.setattr(trace, "estimate_coalescing", counted(
         "coalescing",
         lambda lanes, warp_size=32, floor=0.1: estimate_coalescing_scalar(
-            lanes, order(lanes), warp_size, floor
+            as_states(lanes), order(lanes), warp_size, floor
         ),
     ))
     monkeypatch.setattr(trace, "compression_ratio", counted(
-        "compression", compression_ratio_scalar
+        "compression",
+        lambda lanes: compression_ratio_scalar(as_states(lanes)),
     ))
     check = counted(
-        "check", lambda lanes: check_subloop_scalar(lanes, order(lanes))
+        "check",
+        lambda lanes: check_subloop_scalar(as_states(lanes), order(lanes)),
     )
     monkeypatch.setattr(engine, "check_subloop", check)
     monkeypatch.setattr(privatize, "check_subloop", check)
-    monkeypatch.setattr(
-        ColumnarLanes, "commit", counted("commit", commit_scalar)
-    )
-    monkeypatch.setattr(
-        ColumnarLanes, "logged_accesses",
-        counted("logged", logged_accesses_scalar),
-    )
+    monkeypatch.setattr(ColumnarLanes, "commit", counted(
+        "commit",
+        lambda lanes, storage, iterations: commit_scalar(
+            as_states(lanes), storage, iterations
+        ),
+    ))
+    monkeypatch.setattr(ColumnarLanes, "logged_accesses", counted(
+        "logged", lambda lanes: logged_accesses_scalar(as_states(lanes))
+    ))
     return calls
 
 

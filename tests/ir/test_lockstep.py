@@ -90,6 +90,19 @@ class T { static void f(double[][] m, int[] s, int n) {
 } }
 """
 
+#: lanes store, read back and store again a few cells they share
+SHARED = """
+class T { static void f(double[] t, double[] o, int[] k, int n) {
+  /* acc parallel */
+  for (int i = 0; i < n; i++) {
+    t[k[i]] = o[i] + 1.0;
+    if (o[i] > 0.0) { t[(k[i] + 1) % 4] = t[k[i]] * 2.0; }
+    o[i] = t[k[i]] + t[(k[i] + 1) % 4] + t[3];
+    if (o[i] > 1.0) { t[k[i]] = o[i]; }
+  }
+} }
+"""
+
 WIDE = dispatch.LOCKSTEP_MIN_LANES + 8
 
 
@@ -320,6 +333,27 @@ class TestConflicts:
         c1 = run_sequential(fn, s1, {"n": WIDE}, 0, WIDE)
         c2 = VectorizedKernel(fn).run_range(s2, {"n": WIDE}, np.arange(WIDE))
         assert c1 == c2
+        _same(s1, s2)
+
+
+class TestSharedBuffers:
+    @pytest.mark.parametrize("n", [5, WIDE])
+    def test_cells_several_lanes_buffer_match_the_interpreter(self, n):
+        """Stores to cells other lanes buffered, loads of such cells
+        between them, and the final buffers and log columns."""
+        _, fn = lowered(SHARED)
+        rng = np.random.default_rng(9)
+        arrays = {"t": rng.standard_normal(4), "o": rng.standard_normal(n),
+                  "k": rng.integers(0, 4, n).astype(np.int32)}
+        env = {"n": n}
+        s1, s2 = _copy(arrays), _copy(arrays)
+        pl1, c1, lanes1, e1 = _interp(fn, "buffered", range(n), env, s1)
+        per_lane = []
+        c2, cols = VectorizedSpecKernel(fn).run_buffered(
+            s2, env, range(n), per_lane
+        )
+        assert e1 is None and pl1 == per_lane and c1 == c2
+        assert_same_log(cols, lanes1, list(range(n)), s1)
         _same(s1, s2)
 
 

@@ -36,6 +36,7 @@ from repro.ir import ArrayStorage, IRBuilder, JType
 from repro.ir.specvec import VectorizedSpecKernel
 from repro.ir.vectorizer import VectorizedKernel
 
+from ..oracles import as_states
 from .test_native_codegen import _interp, _native, assert_same_log
 
 N = 8
@@ -243,19 +244,19 @@ def _attempt(call, *args):
 
 
 def _lane_bits(lanes):
-    """Speculative lane state with buffered values compared bitwise."""
+    """Speculative lane logs and buffers, buffered values compared
+    bitwise (a logged access carries its op stamp)."""
 
     def bits(value):
         return struct.pack("<d", value) if isinstance(value, float) else value
 
     return {
         i: (
-            lanes[i].reads,
-            lanes[i].writes,
-            lanes[i].op,
-            {key: bits(v) for key, v in lanes[i].buffer.items()},
+            state.reads,
+            state.writes,
+            {key: bits(v) for key, v in state.buffer.items()},
         )
-        for i in lanes
+        for i, state in lanes.items()
     }
 
 
@@ -279,7 +280,7 @@ def assert_vectorized_engines_match(fn, env, ai, ad):
     if e3 is None:
         c4, lanes4 = out
         assert c3 == c4
-        assert _lane_bits(lanes3) == _lane_bits(lanes4)
+        assert _lane_bits(lanes3) == _lane_bits(as_states(lanes4))
 
 
 COMMON = dict(

@@ -10,6 +10,7 @@ from repro.ir.native import KernelCache, KernelDispatcher, codegen
 from repro.obs import Instrumentation
 
 from ..conftest import lowered
+from ..oracles import as_states
 
 SRC = """
 class T { static void f(double[] a, double[] b, int n) {
@@ -110,6 +111,8 @@ class TestCompileFailure:
             storage = _storage()
             run = getattr(d, f"run_{flavor}")
             out = [run(fn, list(range(16)), {}, storage) for _ in range(2)]
+            if flavor == "buffered":  # (per_lane, columns) per launch
+                out = [(per_lane, as_states(lanes)) for per_lane, lanes in out]
             runs[native] = (out, d.take_counts(fn), storage)
         assert runs[True][:2] == runs[False][:2]
         for name, arr in runs[False][2].arrays.items():

@@ -4,23 +4,23 @@ and the hand-written lexer (:func:`tokenize_oracle`).
 Production reads one speculative-log format, :class:`repro.ir.columnar.
 ColumnarLanes`.  These are the original per-record implementations over
 ``{iteration: LaneSpecState}`` mappings (the interpreter's own output,
-:func:`interpreter_lanes`, or a ``ColumnarLanes`` through its
-``Mapping`` view), kept here
-so the equivalence suites can hold production to them.  They import
-only numpy and ``repro``: the host-perf bench runs them with numpy
-alone installed.
+:func:`interpreter_lanes`, or a ``ColumnarLanes`` read back through
+:func:`as_states`), kept here so the equivalence suites can hold
+production to them.  They import only numpy and ``repro``: the
+host-perf bench runs them with numpy alone installed.
 """
 
 from .coalesce import estimate_coalescing_scalar
 from .commit import commit_scalar, logged_accesses_scalar
 from .density import analyze_lanes_scalar
 from .depcheck import check_subloop_scalar
-from .lanes import interpreter_lanes
+from .lanes import as_states, interpreter_lanes
 from .lexer import tokenize_oracle
 from .strides import compression_ratio_scalar
 
 __all__ = [
     "analyze_lanes_scalar",
+    "as_states",
     "check_subloop_scalar",
     "commit_scalar",
     "compression_ratio_scalar",

@@ -69,3 +69,32 @@ class TestEstimate:
     def test_floor_respected(self):
         lanes = {i: lane_with([(0, "W", "a", (i * 7919) % 65536)]) for i in range(32)}
         assert estimate(lanes, list(range(32)), floor=0.25) >= 0.25
+
+
+class TestSlotTableFallback:
+    """The slot table gives way to a sort when it would outgrow the log;
+    both must agree with the oracle."""
+
+    def test_overflowing_slot_key_falls_back(self):
+        # op stamps near 2**62: pos * span + op would overflow int64;
+        # lane 32 starts a warp, so its far address spoils no pair of 31
+        lanes = {
+            i: lane_with(
+                [(2**62, "R", "a", i), (2**62 + 1, "R", "b", i * 100)]
+            )
+            for i in range(40)
+        }
+        lanes[32] = lane_with([(2**62, "R", "a", 10**6)])
+        assert estimate(lanes, list(range(40))) == pytest.approx(37 / 75)
+
+    def test_spread_op_stamps_fall_back(self):
+        # one lane's stamps run far past the others', so a dense table
+        # would hold ~40 * 5000 slots for 80 accesses
+        lanes = {
+            i: lane_with([(0, "R", "a", i), (1, "W", "b", i * 100)])
+            for i in range(40)
+        }
+        lanes[3] = lane_with([(0, "R", "a", 3), (5000, "W", "b", 300)])
+        lanes[4] = lane_with([(0, "R", "a", 4), (5000, "W", "b", 401)])
+        est = estimate(lanes, list(range(40)))
+        assert 0.5 < est < 1.0

@@ -447,25 +447,9 @@ class TestFromStates:
             assert got == want
             _same_bytes(st_prod, st_oracle)
 
-    def test_mapping_view_round_trips(self):
-        lanes = {
-            4: _lane(("R", "a", 0), ("W", "b", 3, 1.0), ("W", "b", 3, 2.0)),
-            9: _lane(("W", "a", 1, 5.0), ("R", "a", 1)),
-        }
-        storage = ArrayStorage({"a": np.zeros(2), "b": np.zeros(4)})
-        cols = ColumnarLanes.from_states(lanes, [4, 7, 9], storage)
-        assert list(cols) == [4, 9] and len(cols) == 2
-        assert cols.present.tolist() == [True, False, True]
-        for it, state in lanes.items():
-            view = cols[it]
-            assert view.reads == state.reads
-            assert view.writes == state.writes
-            assert view.buffer == state.buffer
-        assert cols.get(7) is None
-
     def test_empty_launch(self):
         cols = ColumnarLanes.from_states({}, [], ArrayStorage({}))
-        assert len(cols) == 0 and cols.buffers == {}
+        assert cols.n_present == 0 and cols.buffers == {}
         assert cols.commit(ArrayStorage({}), []) == (0, 0)
 
 

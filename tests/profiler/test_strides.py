@@ -1,20 +1,14 @@
-"""SD3-style stride compression tests (+ intersection oracle property)."""
+"""SD3-style stride compression tests: the oracle's greedy compressor,
+and production's pattern count held to it."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.profiler.strides import (
-    StridePattern,
-    any_intersection,
-    compress_addresses,
-    compress_lane,
-    compression_ratio,
-    patterns_intersect,
-)
+from repro.profiler.strides import compression_ratio, pattern_count
 
 from ..conftest import se_columns
 from ..oracles import compression_ratio_scalar
+from ..oracles.strides import StridePattern, compress_addresses, compress_lane
 
 
 class TestCompression:
@@ -59,49 +53,55 @@ class TestCompression:
         assert covered == set(addrs)
 
 
-class TestIntersection:
-    def test_disjoint_boxes(self):
-        a = StridePattern(0, 1, 10)
-        b = StridePattern(100, 1, 10)
-        assert not patterns_intersect(a, b)
+@st.composite
+def _streams(draw):
+    """Address streams mixing strided runs, repeats and noise."""
+    out = []
+    for _ in range(draw(st.integers(1, 5))):
+        addrs: list[int] = []
+        for _ in range(draw(st.integers(1, 4))):
+            base = draw(st.integers(-8, 8))
+            stride = draw(st.integers(-3, 3))
+            count = draw(st.integers(1, 6))
+            addrs += [base + k * stride for k in range(count)]
+        out.append(addrs)
+    return out
 
-    def test_shared_address(self):
-        a = StridePattern(0, 3, 10)  # 0,3,...,27
-        b = StridePattern(1, 4, 10)  # 1,5,9,...,37
-        # 9 and 21 are shared
-        assert patterns_intersect(a, b)
 
-    def test_gcd_filter(self):
-        a = StridePattern(0, 2, 50)  # evens
-        b = StridePattern(1, 2, 50)  # odds
-        assert not patterns_intersect(a, b)
+class TestPatternCount:
+    """Production counts the oracle compressor's patterns per stream
+    without building them."""
 
-    def test_singleton_membership(self):
-        a = StridePattern(12, 0, 1)
-        b = StridePattern(0, 4, 10)
-        assert patterns_intersect(a, b)
-        assert not patterns_intersect(StridePattern(13, 0, 1), b)
-
-    def test_any_intersection(self):
-        writes = [StridePattern(0, 1, 10)]
-        reads = [StridePattern(50, 1, 10), StridePattern(5, 0, 1)]
-        assert any_intersection(writes, reads)
-        assert not any_intersection(writes, [StridePattern(99, 1, 3)])
-
-    @given(
-        b1=st.integers(0, 60), s1=st.integers(-7, 7), c1=st.integers(1, 12),
-        b2=st.integers(0, 60), s2=st.integers(-7, 7), c2=st.integers(1, 12),
-    )
+    @given(_streams())
     @settings(max_examples=300, deadline=None)
-    def test_intersection_matches_set_oracle(self, b1, s1, c1, b2, s2, c2):
-        if s1 == 0:
-            c1 = 1
-        if s2 == 0:
-            c2 = 1
-        a = StridePattern(b1, s1, c1)
-        b = StridePattern(b2, s2, c2)
-        oracle = bool(set(a.addresses()) & set(b.addresses()))
-        assert patterns_intersect(a, b) == oracle
+    def test_matches_the_greedy_compressor(self, streams):
+        stream = np.repeat(np.arange(len(streams)), [len(s) for s in streams])
+        addrs = np.array([a for s in streams for a in s], dtype=np.int64)
+        want = sum(len(compress_addresses(s)) for s in streams)
+        assert pattern_count(stream, addrs) == want
+
+    @given(st.lists(
+        st.lists(st.integers(-4, 4), min_size=1, max_size=14), max_size=6
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_on_noise(self, streams):
+        stream = np.repeat(np.arange(len(streams)), [len(s) for s in streams])
+        addrs = np.array([a for s in streams for a in s], dtype=np.int64)
+        want = sum(len(compress_addresses(s)) for s in streams)
+        assert pattern_count(stream, addrs) == want
+
+    def test_documented_cases(self):
+        # a run entered a step late, a skipped lone step, a repeat run,
+        # a duplicate pattern and a lone address
+        streams = [[0, 1, 2, 4, 6, 8], [0, 1, 2, 10, 11], [5, 7, 7, 7],
+                   [0, 1, 0, 1], [9]]
+        stream = np.repeat(np.arange(5), [len(s) for s in streams])
+        addrs = np.array([a for s in streams for a in s], dtype=np.int64)
+        assert [len(compress_addresses(s)) for s in streams] == [
+            2, 2, 2, 1, 1
+        ]
+        assert pattern_count(stream, addrs) == 8
+        assert pattern_count(stream[:0], addrs[:0]) == 0
 
 
 class TestRatio:
@@ -141,5 +141,4 @@ class TestRatio:
         assert compression_ratio_scalar({}) == 1.0
 
     def test_compress_lane(self):
-        trace = compress_lane([0, 1, 2, 3], [100])
-        assert trace.entries == 2
+        assert compress_lane([0, 1, 2, 3], [100]) == 2
