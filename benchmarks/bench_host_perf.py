@@ -98,7 +98,6 @@ def measure_profiling(n: int) -> dict:
     from repro.ir.columnar import ColumnarLanes
     from tests.oracles import (
         analyze_lanes_scalar,
-        compression_ratio_scalar,
         estimate_coalescing_scalar,
         interpreter_lanes,
         logged_accesses_scalar,
@@ -138,7 +137,6 @@ def measure_profiling(n: int) -> dict:
     )
     profile = analyze_lanes_scalar(lanes, indices, warp)
     profile.coalescing = estimate_coalescing_scalar(lanes, indices, warp)
-    profile.compression_ratio = compression_ratio_scalar(lanes)
     profile.profile_time_s = (
         kernel_s * INSTRUMENTATION_FACTOR
         + logged_accesses_scalar(lanes) * ANALYSIS_COST_PER_ACCESS

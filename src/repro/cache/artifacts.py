@@ -48,9 +48,9 @@ import numpy as np
 
 from ..ir.columnar import lane_vector
 
-#: Bump to invalidate every previously persisted artifact (2: a
-#: profile's ``DepPair`` pickles as a plain class).
-CACHE_SCHEMA = 2
+#: Bump to invalidate every previously persisted artifact (3: a
+#: profile holds no sample pairs and no stride-compression ratio).
+CACHE_SCHEMA = 3
 
 
 class ArtifactCache:

@@ -25,7 +25,6 @@ from ..ir.interpreter import (
     Counts,
 )
 from ..ir.native import KernelDispatcher
-from ..ir.vectorizer import can_vectorize
 from ..obs.metrics import NULL_INSTRUMENTATION, Instrumentation
 from ..runtime.costmodel import CostModel
 from ..runtime.platform import CpuSpec
@@ -191,7 +190,7 @@ class CpuExecutor:
             faults.probe(SITE_CPU_WORKER) if faults is not None else None
         )
         if directive is not None and (
-            allow_vectorized and can_vectorize(fn) and indices
+            allow_vectorized and fn.is_straightline and indices
         ):
             # a straight-line chunk runs all at once: the worker dies
             # before it starts, and nothing ran

@@ -41,7 +41,6 @@ from ..ir.instructions import IRFunction, stored_arrays
 from ..ir.interpreter import ArrayStorage, Counts
 from ..ir.columnar import ColumnarLanes
 from ..ir.native import KernelDispatcher
-from ..ir.vectorizer import can_vectorize
 from ..obs.metrics import NULL_INSTRUMENTATION, Instrumentation
 from ..runtime.costmodel import CostModel
 from ..runtime.platform import GpuSpec
@@ -55,7 +54,6 @@ class LaunchResult:
 
     counts: Counts
     sim_time_s: float
-    n_threads: int
     #: lock-step SIMD divergence penalty measured for this launch
     divergence: float = 1.0
     #: the launch's SE log (buffered mode only)
@@ -116,71 +114,35 @@ class GpuDevice:
             raise LaunchError(f"invalid block size {block_size}")
         penalty_s = self._fault_preamble(fn, check_allocations)
 
+        lanes, traces = None, {}
         if mode == "direct":
-            return self._launch_direct(
-                fn, indices, scalar_env, storage, coalescing, elem_bytes,
-                mark_writes=check_allocations, block_size=block_size,
-                penalty_s=penalty_s,
+            per_lane = self.kernels.run_direct(
+                fn, indices, scalar_env, storage, parallel=True
             )
-        if mode == "buffered":
-            per_lane, aux = self.kernels.run_buffered(
+        elif mode == "buffered":
+            per_lane, lanes = self.kernels.run_buffered(
                 fn, indices, scalar_env, storage
             )
         elif mode == "tracing":
-            per_lane, aux = self.kernels.run_tracing(
+            per_lane, traces = self.kernels.run_tracing(
                 fn, indices, scalar_env, storage
             )
         else:
             raise LaunchError(f"unknown launch mode {mode!r}")
 
         counts = self.kernels.take_counts(fn)
-        vectorized = mode == "buffered" and can_vectorize(fn) and bool(indices)
+        vectorized = mode != "tracing" and fn.is_straightline and bool(indices)
         div = self._divergence(per_lane, vectorized, block_size)
         sim_time = penalty_s + self.cost.gpu_kernel_time(
             counts, len(indices), coalescing=coalescing,
             elem_bytes=elem_bytes, divergence=div,
         )
-        result = LaunchResult(
-            counts, sim_time, len(indices), divergence=div,
-            vectorized=vectorized,
-        )
-        if mode == "buffered":
-            result.lanes = aux
-        else:
-            result.traces = aux
         if check_allocations:
             self._mark_writes(fn)
         self._record_launch(mode, len(indices), div, sim_time, vectorized)
-        return result
-
-    def _launch_direct(
-        self,
-        fn: IRFunction,
-        indices: Sequence[int],
-        scalar_env: dict[str, object],
-        storage: ArrayStorage,
-        coalescing: float,
-        elem_bytes: float,
-        mark_writes: bool = True,
-        block_size: Optional[int] = None,
-        penalty_s: float = 0.0,
-    ) -> LaunchResult:
-        per_lane = self.kernels.run_direct(
-            fn, indices, scalar_env, storage, parallel=True
-        )
-        counts = self.kernels.take_counts(fn)
-        vectorized = can_vectorize(fn) and bool(indices)
-        div = self._divergence(per_lane, vectorized, block_size)
-        sim_time = penalty_s + self.cost.gpu_kernel_time(
-            counts, len(indices), coalescing=coalescing,
-            elem_bytes=elem_bytes, divergence=div,
-        )
-        if mark_writes:
-            self._mark_writes(fn)
-        self._record_launch("direct", len(indices), div, sim_time, vectorized)
         return LaunchResult(
-            counts, sim_time, len(indices), vectorized=vectorized,
-            divergence=div,
+            counts, sim_time, divergence=div, lanes=lanes, traces=traces,
+            vectorized=vectorized,
         )
 
     def _divergence(self, per_lane, vectorized: bool, block_size) -> float:

@@ -104,11 +104,6 @@ class DeviceMemory:
         self.allocations[name] = allocation
         return allocation
 
-    def free(self, name: str) -> None:
-        if name not in self.allocations:
-            raise MemoryFault(f"array {name!r} is not allocated on device")
-        del self.allocations[name]
-
     def free_all(self) -> None:
         self.allocations.clear()
 

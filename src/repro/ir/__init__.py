@@ -24,7 +24,7 @@ from .interpreter import (
     run_sequential,
 )
 from .lower import length_param, lower_loop_body, promote
-from .vectorizer import VectorizedKernel, can_vectorize
+from .vectorizer import VectorizedKernel
 
 __all__ = [
     "AccessRecord",
@@ -45,7 +45,6 @@ __all__ = [
     "SpeculativeBackend",
     "TracingBackend",
     "VectorizedKernel",
-    "can_vectorize",
     "jtype_of_prim",
     "length_param",
     "lower_loop_body",

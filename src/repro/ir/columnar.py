@@ -1,9 +1,8 @@
 """Columnar speculative-access logs: the one SE-log format.
 
 Every buffered (SE-phase) launch returns a :class:`ColumnarLanes`, and
-every consumer — dependency density, coalescing, stride compression,
-the TLS dependency check, the commit and the DC volume count — reads
-its NumPy columns:
+every consumer — dependency density, coalescing, the TLS dependency
+check, the commit and the DC volume count — reads its NumPy columns:
 
 * ``order``/``present`` — iteration id per lane *position* and whether
   the lane ran;
@@ -41,6 +40,28 @@ def lane_vector(indices: Sequence[int]) -> np.ndarray:
             indices.start, indices.stop, indices.step, dtype=np.int64
         )
     return np.asarray(indices, dtype=np.int64)
+
+
+#: rows of a log that one compare scans for every array code at once
+_HEAD_ROWS = 1024
+
+
+def _first_rows(code: np.ndarray, k: int) -> np.ndarray:
+    """Row of each of ``k`` codes' first appearance in ``code``, -1 where
+    it is absent.  One compare over the first ``_HEAD_ROWS`` rows finds
+    every code that appears there (each lane logs its arrays early);
+    only the others scan the rest of the column."""
+    rows = np.full(k, -1)
+    if len(code) == 0:
+        return rows
+    head = code[:_HEAD_ROWS] == np.arange(k)[:, None]
+    seen = head.any(axis=1)
+    rows[seen] = head.argmax(axis=1)[seen]
+    for c in np.flatnonzero(~seen).tolist():
+        hit = code[_HEAD_ROWS:] == c
+        if hit.any():
+            rows[c] = _HEAD_ROWS + int(hit.argmax())
+    return rows
 
 
 class ColumnarLanes:
@@ -144,21 +165,22 @@ class ColumnarLanes:
         w_pos, w_op, w_code, w_flat = writes
         first: dict[int, tuple[int, int, int]] = {}
         for kind, pos, code in ((0, r_pos, r_code), (1, w_pos, w_code)):
-            for c in range(len(arrays)):
-                hit = code == c
-                if hit.any():
-                    row = int(hit.argmax())
+            rows = _first_rows(code, len(arrays)).tolist()
+            for c, row in enumerate(rows):
+                if row >= 0:
                     seen = (int(pos[row]), kind, row)
                     first[c] = min(first.get(c, seen), seen)
         by_seen = sorted(first, key=first.__getitem__)
         ids = np.zeros(len(arrays), dtype=np.int64)
         ids[by_seen] = np.arange(len(by_seen))
+        if by_seen != list(range(len(by_seen))):  # else ids[code] == code
+            r_code, w_code = ids[r_code], ids[w_code]
         return cls(
             order,
             np.ones(len(order), dtype=bool) if present is None else present,
             [arrays[c] for c in by_seen],
-            (r_pos, r_op, ids[r_code], r_flat),
-            (w_pos, w_op, ids[w_code], w_flat),
+            (r_pos, r_op, r_code, r_flat),
+            (w_pos, w_op, w_code, w_flat),
             {int(ids[c]): buffers[c]
              for c in sorted(buffers, key=ids.__getitem__)},
         )
@@ -294,20 +316,3 @@ def dedup_first(
     first[1:] = (p[1:] != p[:-1]) | (k[1:] != k[:-1])
     rows = np.sort(s[first])
     return pos[rows], op[rows], key[rows]
-
-
-def first_seen_ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rank cells by first appearance in a scan-ordered key column.
-
-    Returns ``(uniq_sorted, rank)``: for the sorted unique keys, the
-    order in which each was first seen — the insertion order of the
-    scalar analysis' per-cell dicts.  Look up a key's rank with
-    ``rank[np.searchsorted(uniq_sorted, key)]``.
-    """
-    s = np.argsort(keys)
-    k = keys[s]
-    starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-    first = np.minimum.reduceat(s, starts)
-    rank = np.empty(len(starts), dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(len(starts))
-    return k[starts], rank

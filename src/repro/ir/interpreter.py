@@ -136,31 +136,9 @@ class Counts:
             self.instructions + other.instructions,
         )
 
-    def scaled(self, factor: float) -> "Counts":
-        """Counts scaled by a multiplicative factor (for extrapolation)."""
-        return Counts(
-            *(
-                int(round(getattr(self, f) * factor))
-                for f in (
-                    "int_ops",
-                    "float_ops",
-                    "special_ops",
-                    "loads",
-                    "stores",
-                    "branches",
-                    "intrinsics",
-                    "instructions",
-                )
-            )
-        )
-
     @property
     def mem_ops(self) -> int:
         return self.loads + self.stores
-
-    @property
-    def flops(self) -> int:
-        return self.float_ops + self.intrinsics
 
 
 # ---------------------------------------------------------------------------

@@ -33,11 +33,6 @@ class LaneConflict(JaponicaError):
     cells; it was undone and must run lane by lane."""
 
 
-def can_vectorize(fn: IRFunction) -> bool:
-    """True when the kernel body is a single straight-line block."""
-    return fn.is_straightline
-
-
 class LaneMemory:
     """The arrays of one lock-step launch, addressed per lane.
 

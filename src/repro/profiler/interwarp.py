@@ -9,14 +9,7 @@ first (paper §V-A).
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from .report import DependencyProfile
-
-
-def warps_with_td(profile: DependencyProfile) -> set[int]:
-    """Warp ids (by lane position) containing at least one TD target."""
-    return set(profile.td_warps)
 
 
 def next_warps_clear(
@@ -31,13 +24,3 @@ def next_warps_clear(
     """
     window = range(from_warp, from_warp + max(lookahead, 1))
     return not any(w in profile.td_warps for w in window)
-
-
-def td_free_prefix(profile: DependencyProfile, warps: Iterable[int]) -> int:
-    """Length of the leading run of TD-free warps in ``warps``."""
-    count = 0
-    for w in warps:
-        if w in profile.td_warps:
-            break
-        count += 1
-    return count

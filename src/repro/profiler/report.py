@@ -2,67 +2,10 @@
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field, fields
-from typing import Optional
+from dataclasses import dataclass, field
 
 #: Default threshold N of the workflow diagram ("(Density > N) ? High : Low").
 DEFAULT_DD_THRESHOLD = 0.30
-
-
-class DepPair:
-    """One observed cross-iteration dependence (src writes, dst touches).
-
-    A plain ``__slots__`` class, immutable by convention, with the
-    ``repr``, ``==`` and ``hash`` a frozen dataclass would have: a
-    profile holds up to 4,096 of them, and a dataclass ``__init__`` pays
-    ``object.__setattr__`` per field.  Being immutable, a pair copies as
-    itself.
-    """
-
-    __slots__ = ("array", "src_iter", "dst_iter", "kind", "same_warp")
-
-    def __init__(
-        self, array: str, src_iter: int, dst_iter: int, kind: str,
-        same_warp: bool,
-    ):
-        self.array = array
-        self.src_iter = src_iter
-        self.dst_iter = dst_iter
-        self.kind = kind  # 'true' | 'anti' | 'output'
-        self.same_warp = same_warp
-
-    def _fields(self) -> tuple:
-        return (self.array, self.src_iter, self.dst_iter, self.kind,
-                self.same_warp)
-
-    def __repr__(self) -> str:
-        return (
-            f"DepPair(array={self.array!r}, src_iter={self.src_iter!r}, "
-            f"dst_iter={self.dst_iter!r}, kind={self.kind!r}, "
-            f"same_warp={self.same_warp!r})"
-        )
-
-    def __eq__(self, other):
-        if other.__class__ is not DepPair:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __reduce__(self):
-        return DepPair, self._fields()
-
-    def __copy__(self) -> "DepPair":
-        return self
-
-    def __deepcopy__(self, memo) -> "DepPair":
-        return self
-
-    @property
-    def distance(self) -> int:
-        return self.dst_iter - self.src_iter
 
 
 @dataclass
@@ -82,7 +25,7 @@ class DependencyProfile:
     fd_pairs: int = 0
     intra_warp_td: int = 0
     inter_warp_td: int = 0
-    #: iteration distance histogram for true dependencies (capped)
+    #: iteration distance histogram for true dependencies
     td_distances: dict[int, int] = field(default_factory=dict)
     #: warp ids (by lane position) containing at least one TD target
     td_warps: set[int] = field(default_factory=set)
@@ -93,25 +36,10 @@ class DependencyProfile:
     #: (enables the renamed-privatization fast path: the last iteration
     #: overwrites every cell any iteration wrote)
     uniform_write_arrays: set[str] = field(default_factory=set)
-    #: sampled dependence pairs for diagnostics (capped)
-    sample_pairs: list[DepPair] = field(default_factory=list)
     #: effective memory coalescing estimated from the address traces
     coalescing: float = 1.0
-    #: SD3-style stride compression ratio of the access logs (raw
-    #: entries / compressed patterns); quantifies profiling memory cost
-    compression_ratio: float = 1.0
     #: simulated seconds spent profiling (instrumented run + analysis)
     profile_time_s: float = 0.0
-
-    def __deepcopy__(self, memo) -> "DependencyProfile":
-        """A profile whose sets, dicts and lists are fresh; their items
-        (ints, strings, :class:`DepPair`) are immutable and shared."""
-        out = copy.copy(self)
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, (dict, set, list)):
-                setattr(out, f.name, copy.copy(value))
-        return out
 
     @property
     def has_true(self) -> bool:

@@ -18,7 +18,6 @@ from ..ir.interpreter import ArrayStorage
 from .coalesce import estimate_coalescing
 from .density import analyze_lanes
 from .report import DependencyProfile
-from .strides import compression_ratio
 
 #: Cost multiplier of the instrumented kernel vs. the plain kernel.
 INSTRUMENTATION_FACTOR = 2.5
@@ -65,7 +64,6 @@ def profile_loop(
     lanes = launch.lanes
     profile = analyze_lanes(lanes, warp_size=wsize)
     profile.coalescing = estimate_coalescing(lanes, wsize)
-    profile.compression_ratio = compression_ratio(lanes)
     profile.profile_time_s = (
         launch.sim_time_s * INSTRUMENTATION_FACTOR
         + lanes.logged_accesses() * ANALYSIS_COST_PER_ACCESS

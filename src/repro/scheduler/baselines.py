@@ -21,13 +21,36 @@ from ..faults.resilience import (
     snapshot_arrays,
 )
 from ..ir.interpreter import ArrayStorage
-from ..profiler.report import DependencyProfile
 from ..runtime.clock import LANE_CPU, LANE_DMA, LANE_GPU, Timeline
 from ..runtime.result import ExecutionResult
 from ..tls.engine import GpuTlsEngine, TlsConfig
 from ..translate.translator import TranslatedLoop
-from .context import ExecutionContext
+from .context import ExecutionContext, loop_coalescing
 from .task import Task
+
+
+def _has_true_dep(
+    ctx: ExecutionContext, loop: TranslatedLoop, indices, scalar_env, storage
+) -> bool:
+    """Whether a baseline must treat the loop as carrying a true
+    dependence: the static verdict when there is one, else the profile's.
+    A profile that fails on a recoverable fault counts as a dependence
+    (degradation ``profile->assume-td``)."""
+    if loop.is_static_doall:
+        return False
+    if loop.analysis.has_static_true:
+        return True
+    try:
+        profile = ctx.ensure_profile(loop, indices, scalar_env, storage)
+    except RuntimeFaultError as err:
+        if not is_recoverable_fault(err):
+            raise
+        ctx.faults.degraded(
+            err.site, "profile->assume-td",
+            detail="profiling failed; assuming a true dependence",
+        )
+        return True
+    return profile.has_true
 
 
 class SerialExecutor:
@@ -96,7 +119,9 @@ class CpuParallelExecutor:
         tl = Timeline()
         threads = self.threads or self.ctx.config.cpu_threads
 
-        if loop.fn is None or self._has_true_dep(loop, indices, scalar_env, storage):
+        if loop.fn is None or _has_true_dep(
+            self.ctx, loop, indices, scalar_env, storage
+        ):
             serial = SerialExecutor(self.ctx)
             result = serial.execute(task, storage, scalar_env)
             result.mode = "cpu-seq"
@@ -129,25 +154,6 @@ class CpuParallelExecutor:
             arrays=storage.arrays, sim_time_s=tl.makespan, counts=run.counts,
             timeline=tl, mode="cpu-mt",
         )
-
-    def _has_true_dep(
-        self, loop: TranslatedLoop, indices, scalar_env, storage
-    ) -> bool:
-        if loop.is_static_doall:
-            return False
-        if loop.analysis.has_static_true:
-            return True
-        try:
-            profile = self.ctx.ensure_profile(loop, indices, scalar_env, storage)
-        except RuntimeFaultError as err:
-            if not is_recoverable_fault(err):
-                raise
-            self.ctx.faults.degraded(
-                err.site, "profile->assume-td",
-                detail="profiling failed; assuming a true dependence",
-            )
-            return True
-        return profile.has_true
 
 
 class GpuOnlyExecutor:
@@ -208,8 +214,9 @@ class GpuOnlyExecutor:
         b_in, b_out = mem.stage(loop.data_plan, storage.arrays, scalar_env)
         cyc = self.ctx.cost.cyclic_bytes  # GPU-alone moves extra bytes
 
-        has_td = self._has_true_dep(loop, indices, scalar_env, storage)
-        coalescing = self._coalescing(loop)
+        has_td = _has_true_dep(self.ctx, loop, indices, scalar_env, storage)
+        profile = self.ctx.profiles.get(loop.id)
+        coalescing = loop_coalescing(loop, profile)
 
         dma_in = tl.schedule(
             LANE_DMA,
@@ -218,7 +225,6 @@ class GpuOnlyExecutor:
         )
         tl.schedule(LANE_GPU, 0.0, after=[dma_in])
 
-        profile = self.ctx.profiles.get(loop.id)
         if has_td:
             # TLS-alone: optimistic relaunches, no CPU handoff.  Small
             # sub-loops bound the wasted speculative work when the loop
@@ -282,27 +288,6 @@ class GpuOnlyExecutor:
             arrays=storage.arrays, sim_time_s=tl.makespan, counts=counts,
             timeline=tl, mode="gpu-only",
         )
-
-    def _has_true_dep(self, loop, indices, scalar_env, storage) -> bool:
-        if loop.is_static_doall:
-            return False
-        if loop.analysis.has_static_true:
-            return True
-        try:
-            profile = self.ctx.ensure_profile(loop, indices, scalar_env, storage)
-        except RuntimeFaultError as err:
-            if not is_recoverable_fault(err):
-                raise
-            self.ctx.faults.degraded(
-                err.site, "profile->assume-td",
-                detail="profiling failed; assuming a true dependence",
-            )
-            return True
-        return profile.has_true
-
-    def _coalescing(self, loop: TranslatedLoop) -> float:
-        profile = self.ctx.profiles.get(loop.id)
-        return profile.coalescing if profile else loop.static_coalescing
 
 
 class CooperativeExecutor:

@@ -26,6 +26,14 @@ from ..translate.translator import TranslatedLoop
 PROFILE_SAMPLE = 8192
 
 
+def loop_coalescing(
+    loop: TranslatedLoop, profile: Optional[DependencyProfile]
+) -> float:
+    """The coalescing the profile measured, or the static estimate of a
+    loop that was not profiled."""
+    return profile.coalescing if profile else loop.static_coalescing
+
+
 @dataclass
 class JaponicaConfig:
     """Runtime tuning knobs."""

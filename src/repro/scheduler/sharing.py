@@ -55,7 +55,7 @@ from ..tls.engine import GpuTlsEngine
 from ..tls.privatize import run_privatized
 from ..translate.translator import TranslatedLoop
 from .boundary import split_at_boundary
-from .context import ExecutionContext
+from .context import ExecutionContext, loop_coalescing
 from .modes import RUNG_CPU_MT, RUNG_CPU_SEQ, ExecMode, decide_mode, downgrade_ladder
 from .sharding import partition_weighted, seeded_pick
 from .task import Task
@@ -93,9 +93,7 @@ class TaskSharingScheduler:
             loop=loop.id, iterations=len(indices),
         ) as sp:
             profile, mode = self._plan(loop, indices, scalar_env, storage, tl)
-            coalescing = (
-                profile.coalescing if profile else loop.static_coalescing
-            )
+            coalescing = loop_coalescing(loop, profile)
 
             result, label = self._run_ladder(
                 mode, loop, indices, scalar_env, storage, tl, profile,

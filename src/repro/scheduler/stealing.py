@@ -30,8 +30,7 @@ from ..pdg.toposort import JobPool
 from ..runtime.clock import LANE_CPU, Timeline, gpu_lane
 from ..runtime.result import ExecutionResult
 from ..tls.engine import GpuTlsEngine
-from ..translate.translator import TranslatedLoop
-from .context import ExecutionContext
+from .context import ExecutionContext, loop_coalescing
 from .queues import WorkerQueue
 from .sharding import seeded_pick
 from .task import Task
@@ -687,7 +686,7 @@ class TaskStealingScheduler:
                 mem.alloc(move.array, arr.shape, arr.dtype)
 
         profile = self.ctx.profiles.get(loop.id)
-        coalescing = profile.coalescing if profile else loop.static_coalescing
+        coalescing = loop_coalescing(loop, profile)
 
         if dd == "low":
             engine = GpuTlsEngine(

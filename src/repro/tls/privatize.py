@@ -31,7 +31,6 @@ from ..gpusim.device import GpuDevice
 from ..ir.columnar import lane_vector
 from ..ir.instructions import IRFunction
 from ..ir.interpreter import ArrayStorage, Counts
-from ..ir.vectorizer import can_vectorize
 from ..profiler.report import DependencyProfile
 from .depcheck import check_subloop
 from .rename import PRIV_BASE, priv_name, rename_privatized
@@ -48,7 +47,6 @@ class PrivatizeResult:
     kernel_time_s: float
     commit_time_s: float
     cells_committed: int
-    bytes_committed: int
     renamed: bool = False
 
     @property
@@ -112,7 +110,6 @@ def run_privatized(
         kernel_time_s=launch.sim_time_s * PRIVATIZATION_OVERHEAD,
         commit_time_s=commit_time,
         cells_committed=cells,
-        bytes_committed=nbytes,
     )
 
 
@@ -130,7 +127,7 @@ def _try_renamed(
     if profile.has_true:
         return None  # privatization alone cannot be legal
     privatized = profile.privatizable_arrays
-    if not privatized or not can_vectorize(fn):
+    if not privatized or not fn.is_straightline:
         return None
     if not privatized <= profile.uniform_write_arrays:
         return None
@@ -186,6 +183,5 @@ def _try_renamed(
         kernel_time_s=launch.sim_time_s * PRIVATIZATION_OVERHEAD,
         commit_time_s=commit_time,
         cells_committed=cells,
-        bytes_committed=nbytes,
         renamed=True,
     )

@@ -223,7 +223,7 @@ class TestEndToEnd:
         assert cache.stats()["hits"] == 1  # the second run's profile
         for loop_id, cold in ctx_cold.profiles.items():
             hit = ctx_hit.profiles[loop_id]
-            assert hit is not cold and hit.sample_pairs
+            assert hit is not cold and hit.td_distances
             assert dataclasses.asdict(hit) == dataclasses.asdict(cold)
             for field in dataclasses.fields(cold):
                 value = getattr(cold, field.name)

@@ -27,14 +27,6 @@ class TestAllocation:
         with pytest.raises(MemoryFault, match="out of memory"):
             mem.alloc("big", (1000,), np.float64)
 
-    def test_free(self):
-        mem = DeviceMemory()
-        mem.alloc("a", (4,), np.float64)
-        mem.free("a")
-        assert mem.allocated_bytes == 0
-        with pytest.raises(MemoryFault):
-            mem.free("a")
-
     def test_free_all(self):
         mem = DeviceMemory()
         mem.alloc("a", (4,), np.float64)

@@ -1,7 +1,7 @@
 """Production SE-log consumers vs. the scalar oracles, end to end.
 
 For every Table-II workload the full japonica strategy runs twice: as
-shipped, and with every consumer of the launches' SE logs — the three
+shipped, and with every consumer of the launches' SE logs — the two
 profiling analyses, the TLS dependency check, the commit and the
 logged-access count — swapped for its scalar oracle in ``tests/oracles``
 at the call site (each oracle reads the launch's ``ColumnarLanes`` as
@@ -29,7 +29,6 @@ from ..oracles import (
     as_states,
     check_subloop_scalar,
     commit_scalar,
-    compression_ratio_scalar,
     estimate_coalescing_scalar,
     logged_accesses_scalar,
 )
@@ -60,10 +59,6 @@ def _substitute_oracles(monkeypatch) -> Counter:
         lambda lanes, warp_size=32, floor=0.1: estimate_coalescing_scalar(
             as_states(lanes), order(lanes), warp_size, floor
         ),
-    ))
-    monkeypatch.setattr(trace, "compression_ratio", counted(
-        "compression",
-        lambda lanes: compression_ratio_scalar(as_states(lanes)),
     ))
     check = counted(
         "check",

@@ -11,7 +11,6 @@ from repro.ir import (
     IRBuilder,
     JType,
     VectorizedKernel,
-    can_vectorize,
     run_sequential,
 )
 
@@ -21,7 +20,7 @@ from ..conftest import lowered
 def both_paths(src, arrays, env, n):
     """Run scalar and vector paths on copies; return both storages+counts."""
     _, fn = lowered(src)
-    assert can_vectorize(fn), "test kernel must be straight-line"
+    assert fn.is_straightline, "test kernel must be straight-line"
     st1 = ArrayStorage({k: v.copy() for k, v in arrays.items()})
     c1 = run_sequential(fn, st1, env, 0, n)
     st2 = ArrayStorage({k: v.copy() for k, v in arrays.items()})
@@ -205,7 +204,7 @@ class TestGuards:
         } }
         """
         _, fn = lowered(src)
-        assert not can_vectorize(fn)
+        assert not fn.is_straightline
         a = np.linspace(-2.0, 2.0, 9)
         st1, st2 = ArrayStorage({"a": a.copy()}), ArrayStorage({"a": a.copy()})
         c1 = run_sequential(fn, st1, {"n": 9}, 0, 9)

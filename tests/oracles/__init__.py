@@ -1,5 +1,6 @@
-"""Scalar oracles of the SE-log analyses, the commit and the DC volume,
-and the hand-written lexer (:func:`tokenize_oracle`).
+"""Scalar oracles of the SE-log analyses, the commit, the DC volume and
+the log's array-id numbering (:func:`first_seen_codes`), and the
+hand-written lexer (:func:`tokenize_oracle`).
 
 Production reads one speculative-log format, :class:`repro.ir.columnar.
 ColumnarLanes`.  These are the original per-record implementations over
@@ -14,17 +15,16 @@ from .coalesce import estimate_coalescing_scalar
 from .commit import commit_scalar, logged_accesses_scalar
 from .density import analyze_lanes_scalar
 from .depcheck import check_subloop_scalar
-from .lanes import as_states, interpreter_lanes
+from .lanes import as_states, first_seen_codes, interpreter_lanes
 from .lexer import tokenize_oracle
-from .strides import compression_ratio_scalar
 
 __all__ = [
     "analyze_lanes_scalar",
     "as_states",
     "check_subloop_scalar",
     "commit_scalar",
-    "compression_ratio_scalar",
     "estimate_coalescing_scalar",
+    "first_seen_codes",
     "interpreter_lanes",
     "logged_accesses_scalar",
     "tokenize_oracle",

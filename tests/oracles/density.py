@@ -12,9 +12,7 @@ from collections import defaultdict
 from typing import Mapping, Sequence
 
 from repro.ir.interpreter import LaneSpecState
-from repro.profiler.density import SAMPLE_CAP
-from repro.profiler.intrawarp import classify_same_warp
-from repro.profiler.report import DepPair, DependencyProfile
+from repro.profiler.report import DependencyProfile
 
 
 def analyze_lanes_scalar(
@@ -78,35 +76,17 @@ def analyze_lanes_scalar(
             profile.td_warps.add(warp_of_iter(r))
             dist = rp - order_pos[src]
             profile.td_distances[dist] = profile.td_distances.get(dist, 0) + 1
-            same = classify_same_warp(order_pos[src], rp, warp_size)
-            if same:
+            if warp_of_iter(src) == warp_of_iter(r):  # same warp
                 profile.intra_warp_td += 1
             else:
                 profile.inter_warp_td += 1
-            if len(profile.sample_pairs) < SAMPLE_CAP:
-                profile.sample_pairs.append(
-                    DepPair(key[0], src, r, "true", same)
-                )
 
     # --- false dependencies: WAW between distinct writers, WAR read->write
     for key, ws in writers.items():
-        if len(ws) > 1:
-            for a, b in zip(ws, ws[1:]):
-                profile.fd_pairs += 1
-                fd_targets.add(b)
-                profile.fd_arrays.add(key[0])
-                if len(profile.sample_pairs) < SAMPLE_CAP:
-                    profile.sample_pairs.append(
-                        DepPair(
-                            key[0],
-                            a,
-                            b,
-                            "output",
-                            classify_same_warp(
-                                order_pos[a], order_pos[b], warp_size
-                            ),
-                        )
-                    )
+        for b in ws[1:]:
+            profile.fd_pairs += 1
+            fd_targets.add(b)
+            profile.fd_arrays.add(key[0])
         reads = readers.get(key)
         if not reads:
             continue
@@ -122,16 +102,6 @@ def analyze_lanes_scalar(
             profile.fd_pairs += 1
             fd_targets.add(later_writer)
             profile.fd_arrays.add(key[0])
-            if len(profile.sample_pairs) < SAMPLE_CAP:
-                profile.sample_pairs.append(
-                    DepPair(
-                        key[0],
-                        r,
-                        later_writer,
-                        "anti",
-                        classify_same_warp(rp, order_pos[later_writer], warp_size),
-                    )
-                )
 
     denom = max(1, n - 1)
     profile.td_density = len(td_targets) / denom

@@ -1,7 +1,8 @@
 """The interpreter's own SE log: the ``{index: LaneSpecState}`` dict of
 its :class:`~repro.ir.interpreter.SpeculativeBackend`, which every oracle
-reads (the dispatcher hands out columns), and :func:`as_states`, which
-turns a launch's columns back into that dict."""
+reads (the dispatcher hands out columns), :func:`as_states`, which turns
+a launch's columns back into that dict, and :func:`first_seen_codes`,
+the reference numbering of :meth:`ColumnarLanes.from_columns`."""
 
 from __future__ import annotations
 
@@ -64,3 +65,18 @@ def as_states(lanes: ColumnarLanes) -> dict[int, LaneSpecState]:
             buffer=buffer, reads=logs[0], writes=logs[1]
         )
     return states
+
+
+def first_seen_codes(arrays, reads, writes) -> list[int]:
+    """The array codes of :meth:`ColumnarLanes.from_columns` input in
+    first-seen order (lane by lane, its reads, then its writes): a code's
+    id is its index here.  One full-column compare per code and log."""
+    first: dict[int, tuple[int, int, int]] = {}
+    for kind, (pos, _op, code, _flat) in enumerate((reads, writes)):
+        for c in range(len(arrays)):
+            hit = code == c
+            if hit.any():
+                row = int(hit.argmax())
+                seen = (int(pos[row]), kind, row)
+                first[c] = min(first.get(c, seen), seen)
+    return sorted(first, key=first.__getitem__)

@@ -27,10 +27,8 @@ from repro.gpusim.warp import divergence_factor
 from repro.ir import ArrayStorage
 from repro.ir.columnar import ColumnarLanes
 from repro.ir.interpreter import AccessRecord, LaneSpecState
-from repro.ir.vectorizer import can_vectorize
 from repro.profiler.coalesce import estimate_coalescing
 from repro.profiler.density import analyze_lanes
-from repro.profiler.strides import compression_ratio
 from repro.profiler.trace import (
     ANALYSIS_COST_PER_ACCESS,
     INSTRUMENTATION_FACTOR,
@@ -44,8 +42,8 @@ from ..oracles import (
     analyze_lanes_scalar,
     check_subloop_scalar,
     commit_scalar,
-    compression_ratio_scalar,
     estimate_coalescing_scalar,
+    first_seen_codes,
     interpreter_lanes,
     logged_accesses_scalar,
 )
@@ -212,7 +210,7 @@ def assert_equivalent(src, arrays, env, n):
     )
     lanes = prod.lanes
     assert isinstance(lanes, ColumnarLanes)
-    assert prod.vectorized == (can_vectorize(fn) and n > 0)
+    assert prod.vectorized == (fn.is_straightline and n > 0)
     # oracle side: the interpreter's own {index: LaneSpecState} dict
     per_lane, counts, oracle_lanes = interpreter_lanes(
         fn, indices, env, st_oracle
@@ -229,8 +227,6 @@ def assert_equivalent(src, arrays, env, n):
     p_oracle = analyze_lanes_scalar(oracle_lanes, indices, warp_size=32)
     p_prod.coalescing = estimate_coalescing(lanes, 32)
     p_oracle.coalescing = estimate_coalescing_scalar(oracle_lanes, indices, 32)
-    p_prod.compression_ratio = compression_ratio(lanes)
-    p_oracle.compression_ratio = compression_ratio_scalar(oracle_lanes)
     assert_profiles_equal(p_prod, p_oracle)
 
     # TLS dependence check and the DC volume it is charged for
@@ -320,7 +316,6 @@ class TestProfileLoopEndToEnd:
         expected.coalescing = estimate_coalescing_scalar(
             oracle_lanes, range(64), 32
         )
-        expected.compression_ratio = compression_ratio_scalar(oracle_lanes)
         kernel_s = device.cost.gpu_kernel_time(
             counts, 64,
             divergence=divergence_factor(per_lane, 32),
@@ -503,3 +498,83 @@ class TestDedupFirst:
         ]
         for got_col, want in zip(got, _dedup_oracle(*rows)):
             assert got_col.tolist() == want.tolist()
+
+
+# ---------------------------------------------------------------------------
+# from_columns: array ids numbered in first-seen order
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _coded_logs(draw):
+    """``(order, arrays, reads, writes)`` for ``from_columns``: each log
+    draws its codes from its own subset of the arrays, so some codes are
+    absent and some only written, and lane 0 may open its reads with a
+    run of one code long enough to push the others past the prefix that
+    one compare covers."""
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 6))
+    lead = draw(st.sampled_from([0, 2, 1500]))
+
+    def log(allowed, lead):
+        pos, op, code = [], [], []
+        for p in range(n):
+            run = [allowed[0]] * lead if p == 0 and allowed else []
+            if allowed:
+                run += draw(st.lists(st.sampled_from(allowed), max_size=4))
+            pos += [p] * len(run)
+            op += range(len(run))
+            code += run
+        return tuple(np.array(c, dtype=np.int64) for c in (pos, op, code, op))
+
+    subset = st.sets(st.integers(0, k - 1)).map(sorted)
+    reads = log(draw(subset), lead)
+    writes = log(draw(subset), 0)
+    arrays = [f"a{c}" for c in range(k)]
+    return np.arange(n), arrays, reads, writes
+
+
+def _assert_numbered_as_the_oracle(order, arrays, reads, writes):
+    buffers = {
+        c: (np.zeros(1, np.int64), np.full(1, c), np.ones(1))
+        for c in set(writes[2].tolist())
+    }
+    cols = ColumnarLanes.from_columns(order, arrays, reads, writes, buffers)
+    by_seen = first_seen_codes(arrays, reads, writes)
+    ids = {c: i for i, c in enumerate(by_seen)}
+    assert cols.names == [arrays[c] for c in by_seen]
+    for got, code in ((cols.r_arr, reads[2]), (cols.w_arr, writes[2])):
+        assert got.dtype == np.int64
+        assert got.tolist() == [ids[c] for c in code.tolist()]
+    assert list(cols.buffers) == sorted(ids[c] for c in buffers)
+    for c, cells in buffers.items():
+        assert cols.buffers[ids[c]] is cells
+    return cols
+
+
+def _log(pos, code):
+    pos, code = np.array(pos, np.int64), np.array(code, np.int64)
+    return pos, np.zeros_like(pos), code, code
+
+
+class TestFromColumns:
+    @given(logs=_coded_logs())
+    def test_ids_match_the_oracle(self, logs):
+        _assert_numbered_as_the_oracle(*logs)
+
+    def test_read_and_write_first_seen_in_one_lane(self):
+        # lane 1 is the first to touch codes 1 and 2: its read comes first
+        cols = _assert_numbered_as_the_oracle(
+            np.arange(3), ["x", "y", "z", "unused"],
+            _log([1, 2], [2, 0]), _log([1, 1, 2], [1, 2, 0]),
+        )
+        assert cols.names == ["z", "y", "x"]
+
+    def test_code_first_seen_past_the_prefix(self):
+        # lane 0 reads x 1,500 times and writes z; lane 1 reads y, whose
+        # first row lies past the rows one compare covers
+        cols = _assert_numbered_as_the_oracle(
+            np.arange(2), ["x", "y", "z"],
+            _log([0] * 1500 + [1], [0] * 1500 + [1]), _log([0], [2]),
+        )
+        assert cols.names == ["x", "z", "y"]

@@ -1,7 +1,6 @@
 """Inter-warp analysis tests."""
 
-from repro.profiler.interwarp import next_warps_clear, td_free_prefix, warps_with_td
-from repro.profiler.intrawarp import classify_same_warp, warp_span
+from repro.profiler.interwarp import next_warps_clear
 from repro.profiler.report import DependencyProfile
 
 
@@ -22,22 +21,3 @@ class TestInterwarp:
     def test_lookahead_minimum_one(self):
         p = profile_with_td_warps({3})
         assert not next_warps_clear(p, 3, 0)
-
-    def test_td_free_prefix(self):
-        p = profile_with_td_warps({2, 5})
-        assert td_free_prefix(p, [0, 1, 2, 3]) == 2
-        assert td_free_prefix(p, [3, 4, 5]) == 2
-        assert td_free_prefix(p, [6, 7]) == 2
-
-    def test_warps_with_td(self):
-        p = profile_with_td_warps({1, 4})
-        assert warps_with_td(p) == {1, 4}
-
-
-class TestIntrawarp:
-    def test_same_warp(self):
-        assert classify_same_warp(0, 31)
-        assert not classify_same_warp(31, 32)
-
-    def test_span(self):
-        assert warp_span(2, 32) == (64, 96)
