@@ -390,9 +390,7 @@ def measure_control_flow_tier(workload_name: str, flavor: str, count) -> dict:
     }
 
 
-def check_against(report: dict, baseline_path: str, tolerance: float) -> int:
-    with open(baseline_path) as fh:
-        baseline = json.load(fh)
+def check_against(report: dict, baseline: dict, tolerance: float) -> int:
     base_cold = baseline["cache"]["cold"]["total_s"]
     base_warm = baseline["cache"]["warm"]["total_s"]
     cold = report["cache"]["cold"]["total_s"]
@@ -439,6 +437,11 @@ def main(argv=None) -> int:
                              "interpreter (default: 5 when n is the "
                              "full 256Ki size, off otherwise)")
     args = parser.parse_args(argv)
+    # read the baseline before measuring: ``--out`` may name the same file
+    baseline = None
+    if args.check:
+        with open(args.check) as fh:
+            baseline = json.load(fh)
 
     print(f"profiling phase: straight-line kernel, n={args.n} ...")
     profiling = measure_profiling(args.n)
@@ -542,8 +545,8 @@ def main(argv=None) -> int:
         print(f"FAIL: makespan not monotone with device count for "
               f"{', '.join(bad)}", file=sys.stderr)
         return 1
-    if args.check:
-        return check_against(report, args.check, args.tolerance)
+    if baseline is not None:
+        return check_against(report, baseline, args.tolerance)
     return 0
 
 

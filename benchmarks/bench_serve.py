@@ -293,9 +293,7 @@ def summarize(args, rows: list[dict], wall_s: float, stats: dict,
     }
 
 
-def check_against(report: dict, baseline_path: str, tolerance: float) -> int:
-    with open(baseline_path) as fh:
-        baseline = json.load(fh)
+def check_against(report: dict, baseline: dict, tolerance: float) -> int:
     failures = []
     # structural invariants: absolute, no tolerance
     if report["ledger"]["lost"] != 0:
@@ -365,6 +363,11 @@ def main(argv=None) -> int:
     parser.add_argument("--skip-obs", action="store_true",
                         help="skip the tracing-overhead leg")
     args = parser.parse_args(argv)
+    # read the baseline before measuring: ``--out`` may name the same file
+    baseline = None
+    if args.check:
+        with open(args.check) as fh:
+            baseline = json.load(fh)
 
     requests = build_requests(args)
     print(f"serve bench: {len(requests)} requests, {args.tenants} tenants "
@@ -410,8 +413,8 @@ def main(argv=None) -> int:
         obs, args.trace_tolerance, args.trace_slack_s
     ):
         return 1
-    if args.check:
-        return check_against(report, args.check, args.tolerance)
+    if baseline is not None:
+        return check_against(report, baseline, args.tolerance)
     return 0
 
 

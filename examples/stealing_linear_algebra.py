@@ -56,7 +56,7 @@ def main() -> None:
     pdg = TaskStealingScheduler(ctx).build_task_pdg(tasks, storage, env)
     dot = to_dot(pdg, name="bicg")
     print("\n".join(dot.splitlines()[:6] + ["  ..."]))
-    print(f"(edges: {pdg.g.number_of_edges()} — the eight sub-loops are "
+    print(f"(edges: {len(pdg.edges)} — the eight sub-loops are "
           f"mutually independent)")
 
     print()

@@ -7,11 +7,12 @@ back), but every kernel launch is checked against this allocation table —
 a kernel touching an array that was never ``copyin``'d or ``create``'d
 faults, exactly like dereferencing an unallocated device pointer.
 
-This module is also the one place that decides which bytes move when a
-loop (re-)enters a device: :meth:`DeviceMemory.stage` makes a loop's
-operands resident and :meth:`DeviceMemory.copy_back` charges its
-results' way home.  Every scheduler calls them on the device it runs
-on, so each transfer probes the fault plane with that device's id.
+This module is also the one record of residency.
+:meth:`DeviceMemory.stage` makes a loop's operands resident,
+:meth:`DeviceMemory.copy_back` charges its results' way home, and
+:meth:`DeviceMemory.mark_stale` is how a host write makes device copies
+stale.  Every scheduler calls them on the device it runs on, so each
+transfer probes the fault plane with that device's id.
 """
 
 from __future__ import annotations
@@ -44,9 +45,9 @@ class DeviceAllocation:
     #: True once host data has been copied in (reads are meaningful).
     valid: bool = False
     #: Fraction of the device copy that is out of date w.r.t. the host
-    #: (1.0 = all of it).  The sharing runtime's communication optimizer
-    #: transfers only the stale fraction on re-entry, which is how it
-    #: "removes cyclic communication" across repeated loop dispatches.
+    #: (1.0 = all of it); host writes raise it through ``mark_stale``.
+    #: ``stage`` transfers only this share on re-entry, which is how the
+    #: runtime "removes cyclic communication" across loop dispatches.
     stale_fraction: float = 1.0
 
     @property
@@ -223,6 +224,18 @@ class DeviceMemory:
                 arr = arrays[move.array]
                 self.alloc(move.array, arr.shape, arr.dtype)
         return b_in, plan.total_out_bytes(env, arrays)
+
+    def mark_stale(self, names, fraction: float) -> None:
+        """A host write made ``fraction`` of each named array's device
+        copy out of date; the next :meth:`stage` moves that share.
+
+        The one writer of staleness: shares accumulate, capped at the
+        whole copy, and names not allocated here are skipped.
+        """
+        for name in names:
+            alloc = self.allocations.get(name)
+            if alloc is not None:
+                alloc.stale_fraction = min(1.0, alloc.stale_fraction + fraction)
 
     def _charge(self, site: str, nbytes: float) -> float:
         """Bytes one transfer costs, re-issues included (device-probed)."""

@@ -153,6 +153,12 @@ class DevicePool:
             return 0.0
         return gpus / (gpus + cpu)
 
+    def mark_stale(self, names, fraction: float) -> None:
+        """A host write: ``fraction`` of each named array is stale on
+        every device (see :meth:`DeviceMemory.mark_stale`)."""
+        for d in self.devices:
+            d.memory.mark_stale(names, fraction)
+
     def reset_memory(self) -> None:
         """Fresh allocation tables everywhere + revive dead devices."""
         for d in self.devices:

@@ -192,11 +192,7 @@ class GpuOnlyExecutor:
             if not is_recoverable_fault(err):
                 raise
             restore_arrays(storage, snapshot)
-            mem = self.ctx.device.memory
-            for name in written:
-                alloc = mem.allocations.get(name)
-                if alloc is not None:
-                    alloc.stale_fraction = 1.0
+            self.ctx.device.memory.mark_stale(written, 1.0)
             faults.degraded(err.site, "gpu-only->serial", detail=str(err))
             result = SerialExecutor(self.ctx).execute(task, storage, scalar_env)
             result.mode = "gpu-only->serial"

@@ -193,14 +193,14 @@ class TaskSharingScheduler:
                 if pos > 0 and rung == RUNG_CPU_SEQ:
                     # a degraded sequential run rewrote the outputs on
                     # the host; any device copy is now fully stale
-                    self._cpu_wrote(loop, 1.0)
+                    self.ctx.pool.mark_stale(written, 1.0)
                 label = mode.value if pos == 0 else f"{mode.value}->{rung}"
                 return result, label
             except RuntimeFaultError as err:
                 if not is_recoverable_fault(err):
                     raise
                 restore_arrays(storage, snapshot)
-                self._invalidate_device(written)
+                self.ctx.pool.mark_stale(written, 1.0)
                 faults.recorder.clock_s = tl.makespan
                 last_err = err
                 nxt = rungs[pos + 1] if pos + 1 < len(rungs) else None
@@ -245,30 +245,6 @@ class TaskSharingScheduler:
             loop, indices, scalar_env, storage, tl, coalescing
         )
 
-    def _invalidate_device(self, names) -> None:
-        """After a rollback the host is authoritative again: any device
-        copy of a rolled-back array (on any pool device) is fully stale."""
-        for dev in self.ctx.pool.devices:
-            mem = dev.memory
-            for name in names:
-                alloc = mem.allocations.get(name)
-                if alloc is not None:
-                    alloc.stale_fraction = 1.0
-
-    def _cpu_wrote(self, loop: TranslatedLoop, fraction: float) -> None:
-        """The CPU side wrote ``fraction`` of the loop's output arrays:
-        that share of any device copy (on any pool device) is now stale."""
-        if fraction <= 0:
-            return
-        for dev in self.ctx.pool.devices:
-            mem = dev.memory
-            for name in loop.analysis.arrays_written():
-                alloc = mem.allocations.get(name)
-                if alloc is not None:
-                    alloc.stale_fraction = min(
-                        1.0, alloc.stale_fraction + fraction
-                    )
-
     # -- mode implementations ----------------------------------------------
 
     def _mode_a(
@@ -292,6 +268,7 @@ class TaskSharingScheduler:
         n_total = max(1, len(indices))
         n_gpu = len(gpu_idx)
         frac_gpu = n_gpu / n_total
+        written = loop.analysis.arrays_written()
 
         raw = [0] * N_COUNTERS  # hot loop: accumulate raw, fold at the end
         per_device: dict[int, int] = {}  # iterations executed per device id
@@ -349,7 +326,7 @@ class TaskSharingScheduler:
             )
             run.counts.add_to_raw(raw)
             tl.schedule(LANE_CPU, run.sim_time_s, label="cpu-mt-drain")
-            self._cpu_wrote(loop, len(pending) / n_total)
+            pool.mark_stale(written, len(pending) / n_total)
 
         # CPU side: the right part, multithreaded, walked descending
         if cpu_idx:
@@ -363,7 +340,7 @@ class TaskSharingScheduler:
             )
             cpu_run.counts.add_to_raw(raw)
             tl.schedule(LANE_CPU, cpu_run.sim_time_s, label="cpu-mt")
-            self._cpu_wrote(loop, 1.0 - frac_gpu)
+            pool.mark_stale(written, 1.0 - frac_gpu)
 
         if pool.size > 1:
             m = ctx.obs.metrics
@@ -569,7 +546,7 @@ class TaskSharingScheduler:
             allow_vectorized=not (profile is not None and profile.has_false),
         )
         tl.schedule(LANE_CPU, run.sim_time_s, label="cpu-mt-degraded")
-        self._cpu_wrote(loop, 1.0)
+        self.ctx.pool.mark_stale(loop.analysis.arrays_written(), 1.0)
         return ExecutionResult(
             arrays=storage.arrays,
             sim_time_s=tl.makespan,
@@ -662,7 +639,9 @@ class TaskSharingScheduler:
             )
             total = total + cpu_run.counts
             tl.schedule(LANE_CPU, cpu_run.sim_time_s, label="cpu-seq")
-            self._cpu_wrote(loop, 1.0 - frac_gpu)
+            self.ctx.pool.mark_stale(
+                loop.analysis.arrays_written(), 1.0 - frac_gpu
+            )
 
         return ExecutionResult(
             arrays=storage.arrays,

@@ -14,6 +14,7 @@ time are suited to GPU.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -110,6 +111,19 @@ def _intersects(a_map, b_map) -> bool:
                 if alo <= bhi and blo <= ahi:
                     return True
     return False
+
+
+def _covered_share(intervals, shape) -> float:
+    """Share of an array's cells that the union of its inclusive
+    flat-address ``intervals`` covers; all of it when none are known."""
+    if not intervals:
+        return 1.0
+    covered, end = 0, -1
+    for lo, hi in sorted(intervals):
+        if hi > end:
+            covered += hi - max(lo, end + 1) + 1
+            end = hi
+    return covered / math.prod(shape)
 
 
 @dataclass
@@ -577,10 +591,10 @@ class TaskStealingScheduler:
         Fault-free this is a straight call through to the raw runner.
         Under injection, a recoverable fault rolls the task's written
         arrays back to a pre-task snapshot, marks their device copies
-        invalid, and re-runs the task on the next-safer plan: GPU task ->
-        CPU (with its native dd class), then CPU-sequential as the last
-        resort.  When even sequential execution keeps dying the fault is
-        unrecoverable.
+        fully stale, and re-runs the task on the next-safer plan: GPU
+        task -> CPU (with its native dd class), then CPU-sequential as
+        the last resort.  When even sequential execution keeps dying the
+        fault is unrecoverable.
         """
         faults = self.ctx.faults
         if not faults.enabled:
@@ -600,11 +614,7 @@ class TaskStealingScheduler:
                 if not is_recoverable_fault(err):
                     raise
                 restore_arrays(storage, snapshot)
-                for dev in self.ctx.pool.devices:
-                    for name in written:
-                        alloc = dev.memory.allocations.get(name)
-                        if alloc is not None:
-                            alloc.valid = False
+                self.ctx.pool.mark_stale(written, 1.0)
                 dev_id = self._worker_device(w)
                 if dev_id is not None and self.ctx.pool.size > 1:
                     # a pool device that exhausted its retry budget is
@@ -636,54 +646,39 @@ class TaskStealingScheduler:
         indices = task.indices(scalar_env)
         frac = len(indices) / max(1, loop.analysis.info.trip_count(scalar_env))
         if worker == "cpu":
-            if dd in ("high", "low") or loop.fn is None:
-                if loop.fn is None:
-                    from ..runtime.hosteval import run_loop_sequential_host
+            if loop.fn is None:
+                from ..runtime.hosteval import run_loop_sequential_host
 
-                    counts, time_s = run_loop_sequential_host(
-                        loop, storage, scalar_env, self.ctx.cost
-                    )
-                    return time_s, counts
+                counts, time_s = run_loop_sequential_host(
+                    loop, storage, scalar_env, self.ctx.cost
+                )
+            elif dd in ("high", "low"):
                 run = self.ctx.cpu.run_serial(
                     loop.fn, storage, scalar_env, indices,
                     elem_bytes=loop.elem_bytes,
                 )
+                counts, time_s = run.counts, run.sim_time_s
             else:
                 run = self.ctx.cpu.run_parallel(
                     loop.fn, storage, scalar_env, indices,
                     threads=self.ctx.config.cpu_threads,
                     elem_bytes=loop.elem_bytes,
                 )
-            # a CPU write invalidates every pool device's copy of the array
-            for dev in self.ctx.pool.devices:
-                for name in loop.analysis.arrays_written():
-                    alloc = dev.memory.allocations.get(name)
-                    if alloc is not None:
-                        alloc.valid = False
-            return run.sim_time_s, run.counts
+                counts, time_s = run.counts, run.sim_time_s
+            # the sections this task wrote are stale on every device
+            wrote = self._sections.get(task.id, {}).get("W", {})
+            for name in loop.analysis.arrays_written():
+                ivs, shape = wrote.get(name), storage.shapes.get(name)
+                self.ctx.pool.mark_stale((name,), _covered_share(ivs, shape))
+            return time_s, counts
 
         # GPU worker: the pool device behind this worker name
         dev_id = self._worker_device(worker)
         device = self.ctx.pool.device(dev_id)
         cost = self.ctx.pool.cost_of(dev_id)
-        time_s = 0.0
         mem = device.memory
-        for move in loop.data_plan.copyin:
-            arr = storage.arrays[move.array]
-            alloc = mem.allocations.get(move.array)
-            if alloc is None or not alloc.valid:
-                nbytes = move.nbytes(scalar_env, arr)
-                # copyin's return already includes fault re-issues
-                moved = mem.copyin(move.array, arr.shape, arr.dtype, nbytes)
-                time_s += cost.transfer_time(moved, asynchronous=True)
-        for move in loop.data_plan.create:
-            arr = storage.arrays[move.array]
-            if move.array not in mem.allocations:
-                mem.alloc(move.array, arr.shape, arr.dtype)
-        for move in loop.data_plan.copyout:
-            arr = storage.arrays[move.array]
-            if move.array not in mem.allocations:
-                mem.alloc(move.array, arr.shape, arr.dtype)
+        b_in, b_out = mem.stage(loop.data_plan, storage.arrays, scalar_env)
+        time_s = cost.transfer_time(b_in, asynchronous=True) if b_in else 0.0
 
         profile = self.ctx.profiles.get(loop.id)
         coalescing = loop_coalescing(loop, profile)
@@ -719,9 +714,7 @@ class TaskStealingScheduler:
             time_s += launch.sim_time_s
             counts = launch.counts
 
-        out_bytes = mem.copy_back(
-            loop.data_plan.total_out_bytes(scalar_env, storage.arrays) * frac
-        )
+        out_bytes = mem.copy_back(b_out * frac)
         time_s += cost.transfer_time(out_bytes, asynchronous=True)
         for move in loop.data_plan.copyout:
             mem.mark_written(move.array)

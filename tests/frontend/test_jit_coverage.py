@@ -44,8 +44,8 @@ def write_fixture(path: str = FIXTURE) -> None:
         fh.write("\n")
 
 
-def load_fixture(path: str = FIXTURE) -> dict:
-    with open(path) as fh:
+def load_fixture() -> dict:
+    with open(FIXTURE) as fh:
         return json.load(fh)
 
 

@@ -130,6 +130,42 @@ class TestStage:
         assert mem.stats.h2d_count == 1  # no zero-byte refresh counted
 
 
+class TestMarkStale:
+    """``mark_stale`` is the one writer of staleness: CPU shares, CPU
+    tasks' written sections and rollbacks all go through it."""
+
+    def staged(self):
+        mem = DeviceMemory()
+        mem.stage(vec_plan(), vec_arrays(), {})
+        return mem
+
+    def test_shares_accumulate(self):
+        mem = self.staged()
+        mem.mark_stale(["a"], 0.25)
+        mem.mark_stale(["a"], 0.25)
+        assert mem.allocations["a"].stale_fraction == 0.5
+
+    def test_capped_at_the_whole_copy(self):
+        mem = self.staged()
+        mem.mark_stale(["a"], 0.75)
+        mem.mark_stale(["a"], 0.75)
+        assert mem.allocations["a"].stale_fraction == 1.0
+
+    def test_names_not_allocated_are_skipped(self):
+        mem = self.staged()
+        mem.mark_stale(["ghost", "a"], 0.5)
+        assert "ghost" not in mem.allocations
+        assert mem.allocations["a"].stale_fraction == 0.5
+
+    def test_next_stage_moves_the_stale_share(self):
+        mem = self.staged()
+        mem.mark_stale(["a"], 0.25)
+        b_in, _ = mem.stage(vec_plan(), vec_arrays(), {})
+        assert b_in == 128 * 0.25
+        assert mem.stats.h2d_bytes == 128 + 32
+        assert mem.allocations["a"].stale_fraction == 0.0
+
+
 def targeted(site, device):
     faults = FaultRuntime()
     faults.install(

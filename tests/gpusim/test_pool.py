@@ -1,5 +1,6 @@
 """Device-pool unit tests: topology, heterogeneity, liveness, weights."""
 
+import numpy as np
 import pytest
 
 from repro.gpusim.pool import (
@@ -9,6 +10,7 @@ from repro.gpusim.pool import (
     pool_spec,
 )
 from repro.scheduler.context import ExecutionContext, JaponicaConfig
+from repro.translate.datamove import DataMove, DataPlan
 
 
 def make_pool(size):
@@ -79,6 +81,18 @@ class TestLiveness:
         pool.mark_dead(1)
         pool.reset_memory()
         assert pool.alive_ids() == [0, 1]
+
+
+class TestResidency:
+    def test_mark_stale_reaches_every_device(self):
+        _, pool = make_pool(3)
+        plan = DataPlan(copyin=[DataMove("a", "in")])
+        for k in (0, 2):
+            pool.device(k).memory.stage(plan, {"a": np.zeros(4)}, {})
+        pool.mark_stale(["a"], 0.5)
+        for k in (0, 2):
+            assert pool.device(k).memory.allocations["a"].stale_fraction == 0.5
+        assert "a" not in pool.device(1).memory.allocations
 
 
 class TestWeights:

@@ -12,8 +12,9 @@ result loop by loop against the hand annotations:
   implicitly private, so a superset is fine).
 
 The full comparison document is pinned to the committed baseline at
-``tests/fixtures/infer_precision.json`` — the CI ``infer-gate`` job
-fails on any drift.  Regenerate after an intentional change with::
+``tests/fixtures/infer_precision.json``, and
+``test_matches_committed_baseline`` fails on any drift.  Regenerate
+after an intentional change with::
 
     PYTHONPATH=src python -m tests.integration.test_infer_precision --write
 """

@@ -177,3 +177,139 @@ class TestStealingWithTls:
         # low-TD tasks are suited to the CPU by the rule table, but TLS
         # handles them if stolen; either placement must be correct
         assert res.detail["stats"].placements[0].worker in ("cpu", "gpu")
+
+
+HALF_UPDATE_SRC = """
+class T {
+  static void run(double[] a, double[] b, int n) {
+    /* acc parallel scheme(stealing) */
+    for (int i = 0; i < n / 2; i++) { a[i] = a[i] * 2.0 + b[i]; }
+  }
+}
+"""
+
+
+HOST_EVALUATED_SRC = """
+class T {
+  static void run(double[] a, double[] b, int n) {
+    double s = 0.0;
+    /* acc parallel scheme(stealing) */
+    for (int i = 0; i < n; i++) { s = s + a[i]; b[i] = s; }
+    /* acc parallel */
+    for (int i = 0; i < n; i++) { a[i] = b[i] * 2.0; }
+  }
+}
+"""
+
+
+class TestResidency:
+    """Stealing stages through ``DeviceMemory``: a GPU task moves only
+    what is stale, and a host write marks device copies stale."""
+
+    def test_crypt_restages_only_the_cpu_written_share(self, monkeypatch):
+        from repro.gpusim.memory import DeviceMemory
+        from repro.workloads import get
+
+        restaged = []  # bytes each re-stage of a resident crypt1 moved
+        stage = DeviceMemory.stage
+
+        def spy(mem, plan, arrays, env):
+            resident = "crypt1" in plan.arrays_in() and (
+                "crypt1" in mem.allocations
+            )
+            fresh = sum(
+                m.nbytes(env, arrays[m.array])
+                for m in plan.copyin if m.array not in mem.allocations
+            )
+            before = mem.stats.h2d_bytes
+            out = stage(mem, plan, arrays, env)
+            if resident:
+                restaged.append(mem.stats.h2d_bytes - before - fresh)
+            return out
+
+        monkeypatch.setattr(DeviceMemory, "stage", spy)
+        result = get("Crypt").run("japonica", devices=4)
+        crypt1 = result.arrays["crypt1"].nbytes
+        assert crypt1 == 32768
+        # two of the eight encryption sub-loops ran on the CPU: a device
+        # copy re-stages their quarter of crypt1, not the whole array
+        assert sorted(b for b in restaged if b) == [crypt1 // 4] * 2
+
+    def test_gpu_task_with_fresh_operands_charges_no_transfer(
+        self, monkeypatch
+    ):
+        ctx, sched, tasks, storage, env = setup()
+        task = tasks[0]
+        sched._run_on_raw("gpu", task, storage, env, "doall")
+        mem = ctx.device.memory
+        h2d = mem.stats.h2d_count
+        charged = []
+        transfer_time = ctx.cost.transfer_time
+        monkeypatch.setattr(
+            ctx.cost, "transfer_time",
+            lambda nbytes, asynchronous: charged.append(nbytes)
+            or transfer_time(nbytes, asynchronous),
+        )
+        sched._run_on_raw("gpu", task, storage, env, "doall")
+        assert mem.stats.h2d_count == h2d
+        out_bytes = task.loop.data_plan.total_out_bytes(env, storage.arrays)
+        assert charged == [out_bytes]  # the copy-back, nothing inbound
+
+    def test_gpu_fault_leaves_written_arrays_fully_stale(self):
+        from repro.faults import FaultSchedule, SiteRule
+        from repro.scheduler.context import JaponicaConfig
+
+        n = 256
+        ctx = ExecutionContext(config=JaponicaConfig(devices=2))
+        unit = Translator().translate_source(HALF_UPDATE_SRC)
+        task = Task(unit.all_loops[0])
+        rng = np.random.default_rng(3)
+        storage = ArrayStorage(
+            {"a": rng.standard_normal(n), "b": rng.standard_normal(n)}
+        )
+        env = {"n": n}
+        sched = TaskStealingScheduler(ctx)
+        sched.build_task_pdg([task], storage, env)
+        for worker in ("gpu", "gpu1"):  # resident and fresh on both
+            sched._run_on_raw(worker, task, storage, env, "doall")
+        a_before = storage.arrays["a"].copy()
+
+        ctx.faults.install(
+            FaultSchedule([SiteRule("gpu.launch", rate=1.0, device=0)])
+        )
+        sched._run_on("gpu", task, storage, env, "doall")
+        assert ("gpu.launch", "gpu->cpu") in [
+            (e.site, e.action) for e in ctx.faults.recorder.events
+        ]
+        # the CPU re-run wrote half of a; the rollback staled all of it
+        for dev in ctx.pool.devices:
+            assert dev.memory.allocations["a"].stale_fraction == 1.0
+            assert dev.memory.allocations["b"].stale_fraction == 0.0
+        half = n // 2
+        assert np.array_equal(
+            storage.arrays["a"][:half],
+            a_before[:half] * 2.0 + storage.arrays["b"][:half],
+        )
+
+        mem = ctx.pool.device(1).memory
+        before = mem.stats.h2d_bytes
+        b_in, _ = mem.stage(task.loop.data_plan, storage.arrays, env)
+        assert b_in == storage.arrays["a"].nbytes
+        assert mem.stats.h2d_bytes - before == b_in
+
+    def test_host_evaluated_task_marks_its_writes_stale(self):
+        # the scalar live-out ``s`` keeps loop 0 from lowering to a kernel
+        n = 64
+        ctx = ExecutionContext()
+        unit = Translator().translate_source(HOST_EVALUATED_SRC)
+        host, kernel = (Task(tl) for tl in unit.all_loops)
+        assert host.loop.fn is None
+        storage = ArrayStorage({"a": np.ones(n), "b": np.zeros(n)})
+        env = {"n": n, "s": 0.0}
+        sched = TaskStealingScheduler(ctx)
+        sched._run_on_raw("gpu", kernel, storage, env, "doall")
+        sched._run_on_raw("cpu", host, storage, env, "high")
+        mem = ctx.device.memory
+        before = mem.stats.h2d_bytes
+        sched._run_on_raw("gpu", kernel, storage, env, "doall")
+        assert mem.stats.h2d_bytes - before == storage.arrays["b"].nbytes
