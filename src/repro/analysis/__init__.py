@@ -6,7 +6,6 @@ from .classify import (
     LoopStatus,
     VariableClasses,
     analyze_loop,
-    analyze_method,
 )
 from .consteval import eval_int, eval_invariant
 from .deps import (
@@ -52,7 +51,6 @@ __all__ = [
     "StaticDep",
     "VariableClasses",
     "analyze_loop",
-    "analyze_method",
     "collect_accesses",
     "compress",
     "declared_inside",

@@ -28,7 +28,7 @@ from .deps import (
     pair_test,
 )
 from .loopinfo import LoopInfo, extract_loop_info
-from .symbols import MethodScope, declared_inside, outer_scope_at_loop
+from .symbols import MethodScope, loop_names, outer_scope_at_loop
 
 
 class LoopStatus(enum.Enum):
@@ -67,10 +67,6 @@ class LoopAnalysis:
     def has_static_false(self) -> bool:
         return any(d.kind.is_false for d in self.static_deps)
 
-    @property
-    def needs_profiling(self) -> bool:
-        return self.status is LoopStatus.UNCERTAIN
-
     def arrays_written(self) -> set[str]:
         return {a.array for a in self.accesses if a.kind == "W"}
 
@@ -78,17 +74,26 @@ class LoopAnalysis:
         return {a.array for a in self.accesses if a.kind == "R"}
 
 
-def analyze_loop(method: A.Method, loop: A.For) -> LoopAnalysis:
-    """Run the full static analysis of one annotated loop."""
+def analyze_loop(
+    method: A.Method, loop: A.For, scope: Optional[MethodScope] = None
+) -> LoopAnalysis:
+    """Run the full static analysis of one annotated loop.
+
+    ``scope`` is the loop's outer scope when the caller already has it
+    (the translator finds every loop's in one walk, see
+    :func:`~repro.analysis.symbols.outer_scopes`); a caller analyzing a
+    single loop leaves it out, and the method is walked up to the loop.
+    """
     info = extract_loop_info(loop)
-    scope = outer_scope_at_loop(method, loop)
-    temps = declared_inside(loop)
+    if scope is None:
+        scope = outer_scope_at_loop(method, loop)
+    temps, read, written = loop_names(loop)
     if info.index not in temps:
         # canonical loops declare the index in the init clause; an index
         # declared outside would be a scalar live-out
         temps = set(temps) | {info.index}
 
-    variables = _classify_variables(loop, scope, temps, info.index)
+    variables = _classify_variables(scope, temps, info.index, read, written)
     scalar_live_outs = {
         name
         for name in variables.live_out
@@ -170,12 +175,14 @@ def _dedup_deps(deps: list[StaticDep]) -> list[StaticDep]:
 
 
 def _classify_variables(
-    loop: A.For,
     scope: MethodScope,
     temps: set[str],
     index: str,
+    read: set[str],
+    written: set[str],
 ) -> VariableClasses:
-    """AST-traversal variable classification.
+    """Variable classification from the names the loop reads and writes
+    (see :func:`~repro.analysis.symbols.loop_names`).
 
     (The paper's prose swaps the live-in/live-out definitions mid-
     sentence; we implement the consistent reading it states first:
@@ -183,32 +190,6 @@ def _classify_variables(
     whether the loop *updates* them.)
     """
     classes = VariableClasses(temp=set(temps))
-    read: set[str] = set()
-    written: set[str] = set()
-
-    for node in A.walk(loop.body):
-        if isinstance(node, A.Assign):
-            if isinstance(node.target, A.VarRef):
-                written.add(node.target.name)
-                if node.op:
-                    read.add(node.target.name)
-            else:
-                written.add(node.target.base.name)
-                if node.op:
-                    read.add(node.target.base.name)
-        elif isinstance(node, A.IncDec):
-            name = (
-                node.target.name
-                if isinstance(node.target, A.VarRef)
-                else node.target.base.name
-            )
-            written.add(name)
-            read.add(name)
-        elif isinstance(node, A.VarRef):
-            read.add(node.name)
-        elif isinstance(node, A.Length):
-            read.add(node.array.name)
-
     outside = set(scope.types) - temps - {index}
     for name in outside:
         if name in written:
@@ -216,16 +197,3 @@ def _classify_variables(
         elif name in read:
             classes.live_in.add(name)
     return classes
-
-
-def analyze_method(method: A.Method) -> dict[int, LoopAnalysis]:
-    """Analyze every annotated loop in a method, keyed by order of
-    appearance."""
-    from ..lang import annotated_loops
-
-    out: dict[int, LoopAnalysis] = {}
-    for k, loop in enumerate(annotated_loops(method)):
-        out[k] = analyze_loop(method, loop)
-    if not out:
-        raise AnalysisError(f"method {method.name!r} has no annotated loops")
-    return out

@@ -80,14 +80,12 @@ def collect_accesses(
     and a write of the same cell.
     """
     accesses: list[Access] = []
-    counter = [0]
 
     def add(array: str, kind: str, subs, depth: int) -> None:
         forms = tuple(compress(s, index, temps) for s in subs)
         accesses.append(
-            Access(array, kind, tuple(subs), forms, counter[0], depth)
+            Access(array, kind, tuple(subs), forms, len(accesses), depth)
         )
-        counter[0] += 1
 
     def scan_expr(e: A.Expr, depth: int) -> None:
         if isinstance(e, A.ArrayRef):
@@ -95,9 +93,8 @@ def collect_accesses(
                 scan_expr(s, depth)
             add(e.base.name, "R", e.indices, depth)
             return
-        for child in e.children():
-            if isinstance(child, A.Expr):
-                scan_expr(child, depth)
+        for child in e.children():  # each an expression too
+            scan_expr(child, depth)
 
     def scan_stmt(s: A.Stmt, depth: int) -> None:
         if isinstance(s, A.Block):

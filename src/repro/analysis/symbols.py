@@ -10,7 +10,7 @@ declared inside the loop (including the induction variable) are ``temp``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Sequence
 
 from ..errors import AnalysisError
 from ..lang import ast_nodes as A
@@ -39,60 +39,91 @@ def outer_scope_at_loop(method: A.Method, loop: A.For) -> MethodScope:
     are still conservatively included only if they lexically precede it in
     the same block chain (mini-Java has no shadowing, so this is safe).
     """
-    scope = MethodScope()
-    for p in method.params:
-        scope.declare(p.name, p.type)
-    found = _collect_until(method.body, loop, scope)
+    found = outer_scopes(method, [loop])
     if not found:
         raise AnalysisError(
             f"loop at {loop.pos} is not part of method {method.name!r}"
         )
-    return scope
+    return found[id(loop)]
 
 
-def _collect_until(stmt: A.Stmt, target: A.For, scope: MethodScope) -> bool:
-    """Record declarations in pre-order until ``target``; True if found.
+def outer_scopes(
+    method: A.Method, loops: Sequence[A.For]
+) -> dict[int, MethodScope]:
+    """The scope visible to each of ``loops``, keyed by ``id(loop)``,
+    from one walk of the method that stops once it has found them all;
+    a redeclaration on the way raises :class:`AnalysisError`."""
+    found: dict[int, MethodScope] = {}
+    if loops:
+        targets = {id(loop) for loop in loops}
+        _collect_until(method, targets, MethodScope(), found)
+    return found
+
+
+def _collect_until(
+    node: A.Node,
+    targets: set[int],
+    scope: MethodScope,
+    found: dict[int, MethodScope],
+) -> bool:
+    """Record declarations in pre-order, and a copy of the scope at each
+    target loop; True once every target is found.
 
     Declarations inside a compound statement (block, branch, loop) are
-    scoped to it: when the target is not found within, they are rolled
-    back, matching Java's block scoping — so two sibling loops may both
-    declare ``int i``.
+    scoped to it: they are rolled back when the walk leaves it, matching
+    Java's block scoping — so two sibling loops may both declare
+    ``int i``.
     """
-    if stmt is target:
-        return True
-    if isinstance(stmt, A.VarDecl):
-        scope.declare(stmt.name, stmt.type)
+    if id(node) in targets:
+        found[id(node)] = scope.copy()
+        if len(found) == len(targets):
+            return True
+    if isinstance(node, (A.VarDecl, A.Param)):
+        scope.declare(node.name, node.type)
         return False
-
-    def scoped(*parts: A.Stmt) -> bool:
-        before = set(scope.types)
-        for part in parts:
-            if part is not None and _collect_until(part, target, scope):
-                return True
-        for name in set(scope.types) - before:
-            del scope.types[name]
+    if isinstance(node, A.Block):
+        parts = node.stmts
+    elif isinstance(node, A.If):
+        parts = (node.then, node.els)
+    elif isinstance(node, A.While):
+        parts = (node.body,)
+    elif isinstance(node, A.For):
+        parts = (node.init, node.body)
+    elif isinstance(node, A.Method):
+        parts = (*node.params, node.body)
+    else:
         return False
-
-    if isinstance(stmt, A.Block):
-        return scoped(*stmt.stmts)
-    if isinstance(stmt, A.If):
-        return scoped(stmt.then, stmt.els)
-    if isinstance(stmt, A.While):
-        return scoped(stmt.body)
-    if isinstance(stmt, A.For):
-        return scoped(stmt.init, stmt.body)
+    before = set(scope.types)
+    for part in parts:
+        if part is not None and _collect_until(part, targets, scope, found):
+            return True
+    for name in set(scope.types) - before:
+        del scope.types[name]
     return False
+
+
+def loop_names(loop: A.For) -> tuple[set[str], set[str], set[str]]:
+    """The names a loop declares (with its index), references and
+    assigns, from one walk of its body."""
+    declared: set[str] = set()
+    if isinstance(loop.init, A.VarDecl):
+        declared.add(loop.init.name)
+    read: set[str] = set()
+    written: set[str] = set()
+    for node in A.walk(loop.body):
+        if isinstance(node, A.VarRef):
+            read.add(node.name)
+        elif isinstance(node, (A.Assign, A.IncDec)):
+            target = node.target
+            written.add(getattr(target, "base", target).name)
+        elif isinstance(node, A.VarDecl):
+            declared.add(node.name)
+    return declared, read, written
 
 
 def declared_inside(loop: A.For) -> set[str]:
     """Names declared inside the loop (``temp`` class), incl. the index."""
-    names: set[str] = set()
-    if isinstance(loop.init, A.VarDecl):
-        names.add(loop.init.name)
-    for node in A.walk(loop.body):
-        if isinstance(node, A.VarDecl):
-            names.add(node.name)
-    return names
+    return loop_names(loop)[0]
 
 
 def method_types(method: A.Method) -> dict[str, A.Type]:

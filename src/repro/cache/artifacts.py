@@ -4,7 +4,8 @@ The pipeline's two expensive host-side phases — parse→analyze→translate
 and dependency profiling — are pure functions of their inputs, so their
 outputs memoize by content:
 
-* **translation units** key on ``(schema, cpu_threads, source sha256)``;
+* **translation units** key on ``(schema, unit format, cpu_threads,
+  source sha256)``;
 * **dependency profiles** key on ``(schema, kernel fingerprint, warp
   size, platform signature, sampled indices, scalar env, array contents)``
   — array *contents* matter because irregular kernels (BFS, CFD) compute
@@ -51,6 +52,13 @@ from ..ir.columnar import lane_vector
 #: Bump to invalidate every previously persisted artifact (3: a
 #: profile holds no sample pairs and no stride-compression ratio).
 CACHE_SCHEMA = 3
+
+#: Bump when the pickled form of a translation unit changes while
+#: fingerprints and profiles stay valid, so that units persisted by an
+#: earlier version miss instead of failing to unpickle and being
+#: quarantined as corrupt (2: IR registers and instructions have
+#: ``__slots__``, and a loop generates its CUDA/Java text on first read).
+UNIT_FORMAT = 2
 
 
 class ArtifactCache:
@@ -194,7 +202,8 @@ def unit_key(source: str, cpu_threads: int, infer: bool = False) -> str:
     (and an inference report), so the two must never alias in the cache.
     """
     h = hashlib.sha256()
-    h.update(f"unit/{CACHE_SCHEMA}/{cpu_threads}/{int(infer)}\n".encode())
+    tag = f"unit/{CACHE_SCHEMA}.{UNIT_FORMAT}/{cpu_threads}/{int(infer)}\n"
+    h.update(tag.encode())
     h.update(source.encode())
     return "unit-" + h.hexdigest()
 
@@ -211,7 +220,7 @@ def jit_unit_key(
     specialized against.
     """
     h = hashlib.sha256()
-    h.update(f"jit/{CACHE_SCHEMA}/{cpu_threads}\n".encode())
+    h.update(f"jit/{CACHE_SCHEMA}.{UNIT_FORMAT}/{cpu_threads}\n".encode())
     h.update(code_fingerprint.encode())
     h.update(b"\n")
     h.update(signature.encode())

@@ -19,7 +19,7 @@ from ..faults.resilience import (
     restore_arrays,
     snapshot_arrays,
 )
-from ..ir.instructions import IRFunction, stored_arrays
+from ..ir.instructions import IRFunction
 from ..ir.interpreter import (
     ArrayStorage,
     Counts,
@@ -140,7 +140,7 @@ class CpuExecutor:
             return self._execute_once(fn, storage, scalar_env, indices,
                                       allow_vectorized, None), 0.0
         policy = faults.policy
-        written = stored_arrays(fn)
+        written = fn.stored_arrays
         extra_s = 0.0
         retries = 0
         while True:

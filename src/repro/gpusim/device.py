@@ -37,7 +37,7 @@ from ..errors import (
 )
 from ..faults.plane import SITE_GPU_HANG, SITE_GPU_LAUNCH
 from ..faults.resilience import FaultRuntime
-from ..ir.instructions import IRFunction, stored_arrays
+from ..ir.instructions import IRFunction
 from ..ir.interpreter import ArrayStorage, Counts
 from ..ir.columnar import ColumnarLanes
 from ..ir.native import KernelDispatcher
@@ -252,10 +252,10 @@ class GpuDevice:
         return padded / block_size
 
     def _check_allocations(self, fn: IRFunction) -> None:
-        written = stored_arrays(fn)
+        written = fn.stored_arrays
         for arr in fn.arrays:
             self.memory.require(arr.name, for_read=arr.name not in written)
 
     def _mark_writes(self, fn: IRFunction) -> None:
-        for name in stored_arrays(fn):
+        for name in fn.stored_arrays:
             self.memory.mark_written(name)

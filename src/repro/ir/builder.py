@@ -14,6 +14,7 @@ from .instructions import (
     Opcode,
     Reg,
     ScalarParam,
+    TERMINATORS,
 )
 
 
@@ -69,13 +70,14 @@ class IRBuilder:
     # -- emission ------------------------------------------------------
 
     def _emit(self, instr: Instr) -> None:
-        if self.current is None:
+        blk = self.current
+        if blk is None:
             raise LoweringError("no insertion block")
-        if self.current.terminator is not None:
+        if blk.instrs and blk.instrs[-1].op in TERMINATORS:
             raise LoweringError(
-                f"emitting after terminator in block {self.current.name}"
+                f"emitting after terminator in block {blk.name}"
             )
-        self.current.instrs.append(instr)
+        blk.instrs.append(instr)
 
     def const(self, value, jtype: JType) -> Reg:
         dst = self.new_reg(jtype)

@@ -16,7 +16,8 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from functools import cached_property
+from typing import Optional
 
 
 class JType(enum.Enum):
@@ -39,13 +40,10 @@ class JType(enum.Enum):
 
 def jtype_of_prim(name: str) -> JType:
     """Map a mini-Java primitive type name to a :class:`JType`."""
-    return {
-        "int": JType.INT,
-        "long": JType.LONG,
-        "float": JType.FLOAT,
-        "double": JType.DOUBLE,
-        "boolean": JType.BOOL,
-    }[name]
+    return _JTYPE_OF_PRIM[name]
+
+
+_JTYPE_OF_PRIM = {t.value: t for t in JType}
 
 
 class Opcode(enum.Enum):
@@ -107,8 +105,11 @@ INTRINSICS = {
 #: Operators charged as "special function unit" work by the cost model.
 SPECIAL_OPS = frozenset({"/", "%"})
 
+#: Opcodes that end a basic block.
+TERMINATORS = (Opcode.BR, Opcode.CBR, Opcode.RET)
 
-@dataclass(frozen=True)
+
+@dataclass(slots=True, unsafe_hash=True)
 class Reg:
     """A virtual register (mutable slot) with a fixed type."""
 
@@ -121,7 +122,7 @@ class Reg:
         return f"%{label}"
 
 
-@dataclass
+@dataclass(slots=True)
 class Instr:
     """One IR instruction.
 
@@ -191,7 +192,7 @@ class Block:
 
     @property
     def terminator(self) -> Optional[Instr]:
-        if self.instrs and self.instrs[-1].op in (Opcode.BR, Opcode.CBR, Opcode.RET):
+        if self.instrs and self.instrs[-1].op in TERMINATORS:
             return self.instrs[-1]
         return None
 
@@ -260,7 +261,7 @@ class IRFunction:
             term = blk.terminator
             assert term is not None, f"block {blk.name} lacks a terminator"
             for instr in blk.instrs[:-1]:
-                assert instr.op not in (Opcode.BR, Opcode.CBR, Opcode.RET), (
+                assert instr.op not in TERMINATORS, (
                     f"terminator mid-block in {blk.name}"
                 )
             if term.op is Opcode.BR:
@@ -272,6 +273,14 @@ class IRFunction:
     def is_straightline(self) -> bool:
         """True when the body is a single block (vectorizable fast path)."""
         return len(self.blocks) == 1
+
+    @cached_property
+    def stored_arrays(self) -> frozenset[str]:
+        """Names of the arrays the kernel writes (its rollback set)."""
+        return frozenset(
+            i.array for blk in self.blocks for i in blk.instrs
+            if i.op is Opcode.STORE
+        )
 
     def fingerprint(self) -> str:
         """Stable content identity: ``name:<sha256 prefix>``.
@@ -303,14 +312,18 @@ def ir_fingerprint(fn: IRFunction) -> str:
 
     Unlike ``str(fn)`` this includes register ids and types everywhere
     (two distinct registers sharing a source name print identically),
-    so equal serializations imply behaviourally identical kernels.
+    so equal serializations imply behaviourally identical kernels.  Each
+    register's label is formatted once per call.
     """
+    labels: dict[int, str] = {id(None): "_"}
+    get = labels.get
+
+    def label(r: Reg) -> str:
+        text = labels[id(r)] = f"r{r.id}:{r.type._value_}"
+        return text
 
     def reg(r: Optional[Reg]) -> str:
-        return "_" if r is None else f"r{r.id}:{r.type.value}"
-
-    def regs(rs: Sequence[Reg]) -> str:
-        return ",".join(reg(r) for r in rs)
+        return get(id(r)) or label(r)
 
     parts = [
         f"fn {fn.name} nregs={fn.num_regs} index={reg(fn.index)}",
@@ -322,23 +335,16 @@ def ir_fingerprint(fn: IRFunction) -> str:
             f"{a.name}:{a.elem.value}:{a.dims}" for a in fn.arrays
         ),
     ]
+    append = parts.append
     for blk in fn.blocks:
-        parts.append(f"block {blk.name}")
+        append(f"block {blk.name}")
         for i in blk.instrs:
-            parts.append(
-                f"{i.op.value} dst={reg(i.dst)} a={reg(i.a)} b={reg(i.b)} "
+            idx, args = i.idx, i.args
+            append(
+                f"{i.op._value_} dst={reg(i.dst)} a={reg(i.a)} b={reg(i.b)} "
                 f"binop={i.binop} value={i.value!r} array={i.array} "
-                f"idx=[{regs(i.idx)}] args=[{regs(i.args)}] "
+                f"idx=[{','.join(map(reg, idx)) if idx else ''}] "
+                f"args=[{','.join(map(reg, args)) if args else ''}] "
                 f"intr={i.intrinsic} tgt={i.target} else={i.else_target}"
             )
     return "\n".join(parts)
-
-
-def stored_arrays(fn: IRFunction) -> set[str]:
-    """Names of the arrays the kernel writes (its rollback set)."""
-    return {
-        instr.array
-        for blk in fn.blocks
-        for instr in blk.instrs
-        if instr.op is Opcode.STORE
-    }

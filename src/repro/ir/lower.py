@@ -21,6 +21,7 @@ from ..errors import LoweringError, TypeCheckError
 from ..lang import ast_nodes as A
 from .builder import IRBuilder
 from .instructions import INTRINSICS, IRFunction, JType, Reg, jtype_of_prim
+from .java_ops import default_value, wrap_int, wrap_long
 
 
 def length_param(array: str, axis: int) -> str:
@@ -30,11 +31,11 @@ def length_param(array: str, axis: int) -> str:
 
 def promote(a: JType, b: JType) -> JType:
     """Java binary numeric promotion."""
-    if JType.DOUBLE in (a, b):
+    if a is JType.DOUBLE or b is JType.DOUBLE:
         return JType.DOUBLE
-    if JType.FLOAT in (a, b):
+    if a is JType.FLOAT or b is JType.FLOAT:
         return JType.FLOAT
-    if JType.LONG in (a, b):
+    if a is JType.LONG or b is JType.LONG:
         return JType.LONG
     return JType.INT
 
@@ -97,38 +98,10 @@ class _Lowerer:
     # -- expressions ---------------------------------------------------------
 
     def expr(self, e: A.Expr) -> Reg:
-        if isinstance(e, A.IntLit):
-            from .java_ops import wrap_int
-
-            return self.b.const(wrap_int(e.value), JType.INT)
-        if isinstance(e, A.LongLit):
-            from .java_ops import wrap_long
-
-            return self.b.const(wrap_long(e.value), JType.LONG)
-        if isinstance(e, A.DoubleLit):
-            return self.b.const(e.value, JType.DOUBLE)
-        if isinstance(e, A.FloatLit):
-            return self.b.const(e.value, JType.FLOAT)
-        if isinstance(e, A.BoolLit):
-            return self.b.const(e.value, JType.BOOL)
-        if isinstance(e, A.VarRef):
-            return self._scalar_reg(e.name, e.pos)
-        if isinstance(e, A.Length):
-            return self._length_reg(e.array.name, e.axis)
-        if isinstance(e, A.ArrayRef):
-            return self._load(e)
-        if isinstance(e, A.Cast):
-            src = self.expr(e.operand)
-            return self.b.cast(src, jtype_of_prim(e.target.name))
-        if isinstance(e, A.Unary):
-            return self._unary(e)
-        if isinstance(e, A.Binary):
-            return self._binary(e)
-        if isinstance(e, A.Ternary):
-            return self._ternary(e)
-        if isinstance(e, A.Call):
-            return self._call(e)
-        raise LoweringError(f"cannot lower expression {type(e).__name__}")
+        lower = self._EXPR.get(e.__class__)
+        if lower is None:
+            raise LoweringError(f"cannot lower expression {type(e).__name__}")
+        return lower(self, e)
 
     def _load(self, e: A.ArrayRef) -> Reg:
         at = self._ensure_array(e.base.name)
@@ -162,8 +135,9 @@ class _Lowerer:
             raise TypeCheckError(f"- requires a numeric operand at {e.pos}")
         return self.b.un("-", a, out)
 
-    _CMP = ("<", "<=", ">", ">=", "==", "!=")
-    _SHIFTS = ("<<", ">>", ">>>")
+    _CMP = frozenset(("<", "<=", ">", ">=", "==", "!="))
+    _SHIFTS = frozenset(("<<", ">>", ">>>"))
+    _BITWISE = frozenset(("&", "|", "^"))
 
     def _binary(self, e: A.Binary) -> Reg:
         if e.op in ("&&", "||"):
@@ -184,7 +158,7 @@ class _Lowerer:
             out = a.type
             c = self.b.cast(c, JType.INT)
             return self.b.bin(e.op, a, c, out)
-        if e.op in ("&", "|", "^") and (
+        if e.op in self._BITWISE and (
             a.type is JType.BOOL or c.type is JType.BOOL
         ):
             if a.type is not JType.BOOL or c.type is not JType.BOOL:
@@ -192,7 +166,7 @@ class _Lowerer:
             return self.b.bin(e.op, a, c, JType.BOOL)
         if a.type is JType.BOOL or c.type is JType.BOOL:
             raise TypeCheckError(f"arithmetic on boolean at {e.pos}")
-        if e.op in ("&", "|", "^") and (a.type.is_floating or c.type.is_floating):
+        if e.op in self._BITWISE and (a.type.is_floating or c.type.is_floating):
             raise TypeCheckError(f"bitwise {e.op} on floating type at {e.pos}")
         common = promote(a.type, c.type)
         a = self.b.cast(a, common)
@@ -278,36 +252,22 @@ class _Lowerer:
     # -- statements ------------------------------------------------------
 
     def stmt(self, s: A.Stmt) -> None:
-        if isinstance(s, A.Block):
-            for sub in s.stmts:
-                self.stmt(sub)
-            return
-        if isinstance(s, A.VarDecl):
-            self._var_decl(s)
-            return
-        if isinstance(s, A.Assign):
-            self._assign(s)
-            return
-        if isinstance(s, A.IncDec):
-            one = A.IntLit(s.pos, 1)
-            op = "+" if s.op == "++" else "-"
-            self._assign(A.Assign(s.pos, s.target, op, one))
-            return
-        if isinstance(s, A.ExprStmt):
-            self.expr(s.expr)
-            return
-        if isinstance(s, A.If):
-            self._if(s)
-            return
-        if isinstance(s, A.While):
-            self._while(s)
-            return
-        if isinstance(s, A.For):
-            self._inner_for(s)
-            return
-        if isinstance(s, A.Return):
-            raise LoweringError(f"return inside a parallel loop at {s.pos}")
-        raise LoweringError(f"cannot lower statement {type(s).__name__}")
+        lower = self._STMT.get(s.__class__)
+        if lower is None:
+            raise LoweringError(f"cannot lower statement {type(s).__name__}")
+        lower(self, s)
+
+    def _block(self, s: A.Block) -> None:
+        for sub in s.stmts:
+            self.stmt(sub)
+
+    def _inc_dec(self, s: A.IncDec) -> None:
+        one = A.IntLit(s.pos, 1)
+        op = "+" if s.op == "++" else "-"
+        self._assign(A.Assign(s.pos, s.target, op, one))
+
+    def _return(self, s: A.Return) -> None:
+        raise LoweringError(f"return inside a parallel loop at {s.pos}")
 
     def _var_decl(self, s: A.VarDecl) -> None:
         if isinstance(s.type, A.ArrayType):
@@ -325,8 +285,6 @@ class _Lowerer:
             value = self.expr(s.init)
             self.b.mov(slot, self._coerce(value, jt, s.pos))
         else:
-            from .java_ops import default_value
-
             self.b.mov(slot, self.b.const(default_value(jt), jt))
 
     def _coerce(self, reg: Reg, to: JType, pos) -> Reg:
@@ -380,7 +338,7 @@ class _Lowerer:
         lhs = current()
         if lhs.type is JType.BOOL or value.type is JType.BOOL:
             if (
-                s.op in ("&", "|", "^")
+                s.op in self._BITWISE
                 and lhs.type is JType.BOOL
                 and value.type is JType.BOOL
             ):
@@ -458,6 +416,38 @@ class _Lowerer:
         if self.b.current.terminator is None:
             self.b.br(head)
         self.b.set_insert(end)
+
+    #: the lowering of each AST class, by exact type
+    _EXPR = {
+        A.IntLit: lambda self, e: self.b.const(wrap_int(e.value), JType.INT),
+        A.LongLit: lambda self, e: self.b.const(
+            wrap_long(e.value), JType.LONG
+        ),
+        A.DoubleLit: lambda self, e: self.b.const(e.value, JType.DOUBLE),
+        A.FloatLit: lambda self, e: self.b.const(e.value, JType.FLOAT),
+        A.BoolLit: lambda self, e: self.b.const(e.value, JType.BOOL),
+        A.VarRef: lambda self, e: self._scalar_reg(e.name, e.pos),
+        A.Length: lambda self, e: self._length_reg(e.array.name, e.axis),
+        A.ArrayRef: _load,
+        A.Cast: lambda self, e: self.b.cast(
+            self.expr(e.operand), jtype_of_prim(e.target.name)
+        ),
+        A.Unary: _unary,
+        A.Binary: _binary,
+        A.Ternary: _ternary,
+        A.Call: _call,
+    }
+    _STMT = {
+        A.Block: _block,
+        A.VarDecl: _var_decl,
+        A.Assign: _assign,
+        A.IncDec: _inc_dec,
+        A.ExprStmt: lambda self, s: self.expr(s.expr),
+        A.If: _if,
+        A.While: _while,
+        A.For: _inner_for,
+        A.Return: _return,
+    }
 
 
 def lower_loop_body(

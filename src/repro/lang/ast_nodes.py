@@ -74,9 +74,9 @@ class Node:
 
     pos: Pos
 
-    def children(self) -> Iterator["Node"]:
-        """Yield direct child nodes (default: none)."""
-        return iter(())
+    def children(self) -> tuple["Node", ...]:
+        """Direct child nodes, in source order (default: none)."""
+        return ()
 
 
 @dataclass
@@ -123,9 +123,8 @@ class ArrayRef(Expr):
     base: VarRef
     indices: list[Expr]
 
-    def children(self) -> Iterator[Node]:
-        yield self.base
-        yield from self.indices
+    def children(self) -> tuple[Node, ...]:
+        return (self.base, *self.indices)
 
 
 @dataclass
@@ -135,8 +134,8 @@ class Unary(Expr):
     op: str
     operand: Expr
 
-    def children(self) -> Iterator[Node]:
-        yield self.operand
+    def children(self) -> tuple[Node, ...]:
+        return (self.operand,)
 
 
 @dataclass
@@ -147,9 +146,8 @@ class Binary(Expr):
     left: Expr
     right: Expr
 
-    def children(self) -> Iterator[Node]:
-        yield self.left
-        yield self.right
+    def children(self) -> tuple[Node, ...]:
+        return (self.left, self.right)
 
 
 @dataclass
@@ -160,10 +158,8 @@ class Ternary(Expr):
     then: Expr
     other: Expr
 
-    def children(self) -> Iterator[Node]:
-        yield self.cond
-        yield self.then
-        yield self.other
+    def children(self) -> tuple[Node, ...]:
+        return (self.cond, self.then, self.other)
 
 
 @dataclass
@@ -173,8 +169,8 @@ class Cast(Expr):
     target: PrimType
     operand: Expr
 
-    def children(self) -> Iterator[Node]:
-        yield self.operand
+    def children(self) -> tuple[Node, ...]:
+        return (self.operand,)
 
 
 @dataclass
@@ -184,8 +180,8 @@ class Call(Expr):
     name: str
     args: list[Expr]
 
-    def children(self) -> Iterator[Node]:
-        yield from self.args
+    def children(self) -> tuple[Node, ...]:
+        return tuple(self.args)
 
 
 @dataclass
@@ -195,8 +191,8 @@ class Length(Expr):
     array: VarRef
     axis: int = 0
 
-    def children(self) -> Iterator[Node]:
-        yield self.array
+    def children(self) -> tuple[Node, ...]:
+        return (self.array,)
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +213,8 @@ class VarDecl(Stmt):
     name: str
     init: Optional[Expr]
 
-    def children(self) -> Iterator[Node]:
-        if self.init is not None:
-            yield self.init
+    def children(self) -> tuple[Node, ...]:
+        return () if self.init is None else (self.init,)
 
 
 @dataclass
@@ -230,9 +225,8 @@ class Assign(Stmt):
     op: str
     value: Expr
 
-    def children(self) -> Iterator[Node]:
-        yield self.target
-        yield self.value
+    def children(self) -> tuple[Node, ...]:
+        return (self.target, self.value)
 
 
 @dataclass
@@ -242,8 +236,8 @@ class IncDec(Stmt):
     target: Union[VarRef, ArrayRef]
     op: str  # '++' or '--'
 
-    def children(self) -> Iterator[Node]:
-        yield self.target
+    def children(self) -> tuple[Node, ...]:
+        return (self.target,)
 
 
 @dataclass
@@ -252,8 +246,8 @@ class ExprStmt(Stmt):
 
     expr: Expr
 
-    def children(self) -> Iterator[Node]:
-        yield self.expr
+    def children(self) -> tuple[Node, ...]:
+        return (self.expr,)
 
 
 @dataclass
@@ -262,8 +256,8 @@ class Block(Stmt):
 
     stmts: list[Stmt] = field(default_factory=list)
 
-    def children(self) -> Iterator[Node]:
-        yield from self.stmts
+    def children(self) -> tuple[Node, ...]:
+        return tuple(self.stmts)
 
 
 @dataclass
@@ -272,11 +266,10 @@ class If(Stmt):
     then: Stmt
     els: Optional[Stmt]
 
-    def children(self) -> Iterator[Node]:
-        yield self.cond
-        yield self.then
-        if self.els is not None:
-            yield self.els
+    def children(self) -> tuple[Node, ...]:
+        if self.els is None:
+            return (self.cond, self.then)
+        return (self.cond, self.then, self.els)
 
 
 @dataclass
@@ -284,9 +277,8 @@ class While(Stmt):
     cond: Expr
     body: Stmt
 
-    def children(self) -> Iterator[Node]:
-        yield self.cond
-        yield self.body
+    def children(self) -> tuple[Node, ...]:
+        return (self.cond, self.body)
 
 
 @dataclass
@@ -303,23 +295,19 @@ class For(Stmt):
     body: Stmt
     annotation: Optional["object"] = None  # lang.annotations.Annotation
 
-    def children(self) -> Iterator[Node]:
-        if self.init is not None:
-            yield self.init
-        if self.cond is not None:
-            yield self.cond
-        if self.update is not None:
-            yield self.update
-        yield self.body
+    def children(self) -> tuple[Node, ...]:
+        return tuple(
+            n for n in (self.init, self.cond, self.update, self.body)
+            if n is not None
+        )
 
 
 @dataclass
 class Return(Stmt):
     value: Optional[Expr]
 
-    def children(self) -> Iterator[Node]:
-        if self.value is not None:
-            yield self.value
+    def children(self) -> tuple[Node, ...]:
+        return () if self.value is None else (self.value,)
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +330,8 @@ class Method(Node):
     params: list[Param]
     body: Block
 
-    def children(self) -> Iterator[Node]:
-        yield from self.params
-        yield self.body
+    def children(self) -> tuple[Node, ...]:
+        return (*self.params, self.body)
 
 
 @dataclass
@@ -354,8 +341,8 @@ class ClassDecl(Node):
     name: str
     methods: list[Method]
 
-    def children(self) -> Iterator[Node]:
-        yield from self.methods
+    def children(self) -> tuple[Node, ...]:
+        return tuple(self.methods)
 
     def method(self, name: str) -> Method:
         """Look up a method by name."""
@@ -371,10 +358,19 @@ class ClassDecl(Node):
 
 
 def walk(node: Node) -> Iterator[Node]:
-    """Pre-order traversal of an AST subtree."""
-    yield node
-    for child in node.children():
-        yield from walk(child)
+    """Pre-order traversal of an AST subtree.
+
+    Iterative over an explicit stack, so it costs no generator per level
+    and no depth of nesting can exhaust the interpreter's stack.
+    """
+    stack = [node]
+    pop, push = stack.pop, stack.extend
+    while stack:
+        node = pop()
+        yield node
+        kids = node.children()
+        if kids:
+            push(reversed(kids))
 
 
 def find_loops(node: Node) -> list[For]:

@@ -27,11 +27,13 @@ from . import ast_nodes as A
 from .annotations import parse_annotation
 from .tokens import BINARY_PRECEDENCE, COMPOUND_ASSIGN_OPS, TokKind, Token
 
-_BINARY_PREC = {TokKind(op): prec for op, prec in BINARY_PRECEDENCE.items()}
-
 
 class Parser:
-    """Parse a token stream (from :mod:`repro.lang.lexer`) into an AST."""
+    """Parse a token stream (from :mod:`repro.lang.lexer`) into an AST.
+
+    The stream is EOF-terminated and :meth:`_next` never moves past the
+    EOF token, so a lookahead past a non-EOF token stays in bounds.
+    """
 
     def __init__(self, tokens: list[Token]):
         self.toks = tokens
@@ -40,8 +42,7 @@ class Parser:
     # -- token helpers ---------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
-        j = min(self.i + offset, len(self.toks) - 1)
-        return self.toks[j]
+        return self.toks[self.i + offset]
 
     def _next(self) -> Token:
         tok = self.toks[self.i]
@@ -50,7 +51,7 @@ class Parser:
         return tok
 
     def _check(self, kind: TokKind) -> bool:
-        return self._peek().kind is kind
+        return self.toks[self.i].kind is kind
 
     def _accept(self, kind: TokKind) -> Optional[Token]:
         if self._check(kind):
@@ -83,7 +84,12 @@ class Parser:
 
     def parse_program(self) -> A.ClassDecl:
         """Parse a single top-level class and require EOF after it."""
-        cls = self._classdecl()
+        try:
+            cls = self._classdecl()
+        except RecursionError:
+            raise ParseError(
+                f"source nested too deeply at {self._peek().pos}"
+            ) from None
         tok = self._peek()
         if tok.kind is not TokKind.EOF:
             raise ParseError(f"trailing input after class at {tok.pos}")
@@ -262,15 +268,13 @@ class Parser:
     # -- expressions --------------------------------------------------------
 
     def _expr(self) -> A.Expr:
-        return self._ternary()
-
-    def _ternary(self) -> A.Expr:
+        """A conditional expression over the binary operators."""
         cond = self._binary(1)
-        if self._check(TokKind.QUESTION):
+        if self.toks[self.i].kind is TokKind.QUESTION:
             q = self._next()
             then = self._expr()
             self._expect(TokKind.COLON)
-            other = self._ternary()
+            other = self._expr()
             return A.Ternary(q.pos, cond, then, other)
         return cond
 
@@ -278,21 +282,24 @@ class Parser:
         """Precedence climbing over operators that bind at ``floor`` or
         tighter; every level is left-associative."""
         left = self._unary()
+        toks = self.toks
         while True:
-            tok = self._peek()
-            prec = _BINARY_PREC.get(tok.kind, 0)
+            tok = toks[self.i]
+            # an operator's value is its spelling, and no other token's
+            # value is an operator spelling
+            prec = BINARY_PRECEDENCE.get(tok.value, 0)
             if prec < floor:
                 return left
-            self._next()
+            self.i += 1
             right = self._binary(prec + 1)
             left = A.Binary(tok.pos, tok.value, left, right)
 
     _CASTABLE = ("int", "long", "float", "double", "boolean")
 
     def _unary(self) -> A.Expr:
-        tok = self._peek()
+        tok = self.toks[self.i]
         if tok.kind in (TokKind.MINUS, TokKind.PLUS, TokKind.NOT, TokKind.TILDE):
-            self._next()
+            self.i += 1
             operand = self._unary()
             if tok.kind is TokKind.PLUS:
                 return operand
@@ -315,7 +322,8 @@ class Parser:
     def _postfix(self) -> A.Expr:
         expr = self._primary()
         while True:
-            if self._check(TokKind.LBRACKET):
+            kind = self.toks[self.i].kind
+            if kind is TokKind.LBRACKET:
                 if not isinstance(expr, (A.VarRef, A.ArrayRef)):
                     tok = self._peek()
                     raise ParseError(f"cannot index non-variable at {tok.pos}")
@@ -331,7 +339,7 @@ class Parser:
                             f"supported at {tok.pos}"
                         )
                     expr.indices.append(index)
-            elif self._check(TokKind.DOT):
+            elif kind is TokKind.DOT:
                 dot = self._next()
                 member = self._expect(TokKind.IDENT, "member name")
                 if member.value == "length":
@@ -364,33 +372,34 @@ class Parser:
         return A.Call(pos, name, args)
 
     def _primary(self) -> A.Expr:
-        tok = self._peek()
-        if tok.kind is TokKind.INT_LIT:
-            self._next()
-            return A.IntLit(tok.pos, int(tok.value))
-        if tok.kind is TokKind.LONG_LIT:
-            self._next()
-            return A.LongLit(tok.pos, int(tok.value))
-        if tok.kind is TokKind.DOUBLE_LIT:
-            self._next()
-            return A.DoubleLit(tok.pos, float(tok.value))
-        if tok.kind is TokKind.FLOAT_LIT:
-            self._next()
-            return A.FloatLit(tok.pos, float(tok.value))
-        if tok.kind is TokKind.BOOL_LIT:
-            self._next()
-            return A.BoolLit(tok.pos, bool(tok.value))
-        if tok.kind is TokKind.IDENT:
-            self._next()
-            if self._check(TokKind.LPAREN):
+        tok = self.toks[self.i]
+        kind = tok.kind
+        if kind is TokKind.IDENT:
+            self.i += 1
+            if self.toks[self.i].kind is TokKind.LPAREN:
                 return self._call(str(tok.value), tok.pos)
             return A.VarRef(tok.pos, str(tok.value))
-        if tok.kind is TokKind.LPAREN:
-            self._next()
+        if kind is TokKind.INT_LIT:
+            self.i += 1
+            return A.IntLit(tok.pos, int(tok.value))
+        if kind is TokKind.LPAREN:
+            self.i += 1
             inner = self._expr()
             self._expect(TokKind.RPAREN)
             return inner
-        raise ParseError(f"unexpected token {tok.kind.value!r} at {tok.pos}")
+        if kind is TokKind.LONG_LIT:
+            self.i += 1
+            return A.LongLit(tok.pos, int(tok.value))
+        if kind is TokKind.DOUBLE_LIT:
+            self.i += 1
+            return A.DoubleLit(tok.pos, float(tok.value))
+        if kind is TokKind.FLOAT_LIT:
+            self.i += 1
+            return A.FloatLit(tok.pos, float(tok.value))
+        if kind is TokKind.BOOL_LIT:
+            self.i += 1
+            return A.BoolLit(tok.pos, bool(tok.value))
+        raise ParseError(f"unexpected token {kind.value!r} at {tok.pos}")
 
 
 def parse_program(source: str) -> A.ClassDecl:

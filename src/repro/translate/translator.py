@@ -4,7 +4,8 @@ For every annotated loop the translator produces:
 
 * the static analysis result (variable classes, dependence verdict),
 * the kernel IR (executed by both device models),
-* the generated CUDA and multithreaded-Java source texts,
+* the generated CUDA and multithreaded-Java source texts, on first read
+  (a traced compile reads them to put their line counts on its spans),
 * the data-movement plan (copyin/copyout/create),
 * kernel metadata: element width and a static coalescing estimate used
   until the profiler refines it.
@@ -12,11 +13,14 @@ For every annotated loop the translator produces:
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from ..analysis.classify import LoopAnalysis, LoopStatus, analyze_loop
-from ..errors import AnalysisError, LoweringError
+from ..analysis.symbols import MethodScope, outer_scopes
+from ..errors import LoweringError
 from ..ir.instructions import IRFunction
 from ..ir.lower import lower_loop_body
 from ..lang import ast_nodes as A
@@ -41,12 +45,27 @@ class TranslatedLoop:
     annotation: Annotation
     analysis: LoopAnalysis
     fn: Optional[IRFunction]  # None when the loop must stay sequential
-    cuda_source: str
-    java_source: str
     data_plan: DataPlan
     elem_bytes: float
     static_coalescing: float
+    cpu_threads: int  # workers of the generated Java text
     cpu_only_reason: str = ""
+
+    @cached_property
+    def cuda_source(self) -> str:
+        """The CUDA kernel and host stub, generated on first read."""
+        with _nesting_guard(self.id):
+            return generate_cuda_kernel(
+                self.id.replace("#", "_kernel"), self.analysis, self.data_plan
+            )
+
+    @cached_property
+    def java_source(self) -> str:
+        """The multithreaded Java text, generated on first read."""
+        with _nesting_guard(self.id):
+            return generate_java_threads(
+                self.id, self.analysis, self.cpu_threads
+            )
 
     @property
     def is_static_doall(self) -> bool:
@@ -59,6 +78,18 @@ class TranslatedLoop:
     @property
     def cpu_only(self) -> bool:
         return self.fn is None
+
+
+@contextmanager
+def _nesting_guard(loop_id: str):
+    """Report a recursion overflow in a loop's front end as a
+    :class:`LoweringError` naming the loop."""
+    try:
+        yield
+    except RecursionError:
+        raise LoweringError(
+            f"loop {loop_id}: source nested too deeply to translate"
+        ) from None
 
 
 @dataclass
@@ -119,28 +150,31 @@ class Translator:
         unit = TranslationUnit(cls)
         for method in cls.methods:
             mt = MethodTranslation(method)
-            from ..lang import annotated_loops
-
-            for ordinal, loop in enumerate(annotated_loops(method)):
-                mt.loops.append(self._translate_loop(method, loop, ordinal))
+            loops = A.annotated_loops(method)
+            scopes = outer_scopes(method, loops)
+            for ordinal, loop in enumerate(loops):
+                mt.loops.append(self._translate_loop(
+                    method, loop, ordinal, scopes[id(loop)]
+                ))
             if mt.loops:
                 unit.methods[method.name] = mt
         self.obs.metrics.counter("translate.loops").inc(len(unit.all_loops))
         return unit
 
     def _translate_loop(
-        self, method: A.Method, loop: A.For, ordinal: int
+        self, method: A.Method, loop: A.For, ordinal: int,
+        scope: MethodScope,
     ) -> TranslatedLoop:
         loop_id = f"{method.name}#{ordinal}"
-        with self.obs.tracer.span(
+        with _nesting_guard(loop_id), self.obs.tracer.span(
             f"analyze:{loop_id}", PHASE_ANALYZE, loop=loop_id
         ) as sp:
-            analysis = analyze_loop(method, loop)
+            analysis = analyze_loop(method, loop, scope)
             sp.annotate(
                 status=analysis.status.name,
                 accesses=len(analysis.accesses),
             )
-        with self.obs.tracer.span(
+        with _nesting_guard(loop_id), self.obs.tracer.span(
             f"translate:{loop_id}", PHASE_TRANSLATE, loop=loop_id
         ) as tr_span:
             return self._lower_and_generate(
@@ -178,30 +212,26 @@ class Translator:
             except LoweringError as exc:
                 cpu_only_reason = str(exc)
 
-        cuda = generate_cuda_kernel(
-            loop_id.replace("#", "_kernel"), analysis, plan
-        )
-        java = generate_java_threads(loop_id, analysis, self.cpu_threads)
-
-        tr_span.annotate(
-            cpu_only=fn is None,
-            cuda_lines=cuda.count("\n"),
-            java_lines=java.count("\n"),
-        )
-        return TranslatedLoop(
+        tl = TranslatedLoop(
             id=loop_id,
             method=method.name,
             ordinal=ordinal,
             annotation=loop.annotation,
             analysis=analysis,
             fn=fn,
-            cuda_source=cuda,
-            java_source=java,
             data_plan=plan,
             elem_bytes=self._elem_bytes(analysis),
             static_coalescing=self._static_coalescing(analysis),
+            cpu_threads=self.cpu_threads,
             cpu_only_reason=cpu_only_reason,
         )
+        if self.obs.tracer.enabled:
+            tr_span.annotate(
+                cpu_only=fn is None,
+                cuda_lines=tl.cuda_source.count("\n"),
+                java_lines=tl.java_source.count("\n"),
+            )
+        return tl
 
     @staticmethod
     def _validate_private_clause(

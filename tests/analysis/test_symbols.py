@@ -6,10 +6,12 @@ from repro.analysis.symbols import (
     declared_inside,
     method_types,
     outer_scope_at_loop,
+    outer_scopes,
 )
 from repro.errors import AnalysisError
 from repro.lang import ast_nodes as A
 from repro.lang.parser import parse_program
+from repro.workloads import ALL_WORKLOADS
 
 
 SRC = """
@@ -57,6 +59,43 @@ class TestOuterScope:
         other_m, other_ls = loops()
         with pytest.raises(AnalysisError):
             outer_scope_at_loop(m, other_ls[0])
+
+
+REDECLARED = """
+class T {
+  static void f(double[] a, int n) {
+    for (int i = 0; i < n; i++) { a[i] = 1.0; }
+    int x = 1;
+    int x = 2;
+    for (int i = 0; i < n; i++) { a[i] = 2.0; }
+  }
+}
+"""
+
+
+class TestOuterScopes:
+    @pytest.mark.parametrize("workload", ALL_WORKLOADS, ids=lambda w: w.name)
+    def test_one_walk_matches_a_walk_per_loop(self, workload):
+        for m in parse_program(workload.source).methods:
+            ls = A.annotated_loops(m)
+            scopes = outer_scopes(m, ls)
+            assert len(scopes) == len(ls)
+            for loop in ls:
+                assert scopes[id(loop)] == outer_scope_at_loop(m, loop)
+
+    def test_redeclaration_before_a_later_loop_raises(self):
+        m, ls = loops(REDECLARED)
+        assert "x" not in outer_scope_at_loop(m, ls[0]).types
+        with pytest.raises(AnalysisError, match="redeclaration of 'x'"):
+            outer_scopes(m, ls)
+
+    def test_redeclaration_after_the_last_loop_is_not_reached(self):
+        m, ls = loops(REDECLARED)
+        assert set(outer_scopes(m, ls[:1])) == {id(ls[0])}
+
+    def test_no_loops_walks_nothing(self):
+        m, _ = loops(REDECLARED)
+        assert outer_scopes(m, []) == {}
 
 
 class TestDeclaredInside:

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import os
 
 import numpy as np
 import pytest
 
 from repro.api import Japonica
-from repro.cache import ArtifactCache, profile_key, unit_key
+from repro.cache import CACHE_SCHEMA, ArtifactCache, profile_key, unit_key
 from repro.ir import ArrayStorage
 from repro.workloads import get
 
@@ -172,6 +173,20 @@ class TestEndToEnd:
         for m in p_cold.methods:
             assert p_warm.cuda_source(m) == p_cold.cuda_source(m)
             assert p_warm.java_source(m) == p_cold.java_source(m)
+
+    def test_unit_of_an_earlier_format_is_a_plain_miss(self, tmp_path):
+        # the key a unit had before the unit format entered it; such a
+        # unit no longer unpickles, so reading it would count as corrupt
+        h = hashlib.sha256(f"unit/{CACHE_SCHEMA}/16/0\n".encode())
+        h.update(SRC.encode())
+        d = tmp_path / "cache"
+        d.mkdir()
+        old = d / f"unit-{h.hexdigest()}.pkl"
+        old.write_bytes(b"a unit pickled by an earlier version")
+        cache = ArtifactCache(cache_dir=str(d))
+        Japonica(cache=cache).compile(SRC)
+        assert (cache.misses, cache.quarantined) == (1, 0)
+        assert old.read_bytes() == b"a unit pickled by an earlier version"
 
     def test_source_edit_invalidates(self):
         cache = ArtifactCache()

@@ -3,9 +3,11 @@
 For each of the 11 Table-II workloads, over its annotated source and its
 ``stripped_source()``, one SHA-256 of ``repr(tokenize(src))`` and one of
 ``repr(parse_program(src))`` (positions included, down to the bound
-expressions inside acc directives).  For each annotated source, one more
-per translated method over the generated CUDA and Java text of its
-loops.  A front-end refactor that claims to keep behaviour proves it
+expressions inside acc directives).  For each annotated source, two more
+per translated method: one over the generated CUDA and Java text of its
+loops, and one over its loops' kernel IR (``ir_fingerprint`` of each
+loop's function, ``cpu-only`` for a loop left sequential).  A front-end
+refactor that claims to keep behaviour proves it
 source by source.  The committed baseline is
 ``tests/fixtures/frontend_v1.json``; regenerate it after an intentional
 front-end change with::
@@ -19,6 +21,7 @@ import hashlib
 import json
 import os
 
+from repro.ir.instructions import ir_fingerprint
 from repro.lang import parse_program, tokenize
 from repro.translate.translator import Translator
 from repro.workloads import ALL_WORKLOADS
@@ -48,6 +51,18 @@ def codegen_digests(source: str) -> dict[str, str]:
     }
 
 
+def ir_digests(source: str) -> dict[str, str]:
+    """Per method: SHA-256 of its loops' canonical IR serializations."""
+    unit = Translator().translate_source(source)
+    return {
+        name: sha("\n".join(
+            "cpu-only" if tl.fn is None else ir_fingerprint(tl.fn)
+            for tl in mt.loops
+        ))
+        for name, mt in unit.methods.items()
+    }
+
+
 def build_fixture() -> dict:
     doc = {"schema": "repro.frontend/v1", "workloads": {}}
     for w in ALL_WORKLOADS:
@@ -55,6 +70,7 @@ def build_fixture() -> dict:
             "annotated": source_digests(w.source),
             "stripped": source_digests(w.stripped_source()),
             "codegen": codegen_digests(w.source),
+            "ir": ir_digests(w.source),
         }
     return doc
 

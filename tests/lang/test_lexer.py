@@ -1,6 +1,10 @@
 """Lexer unit tests, and a differential against the hand-written lexer."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +14,8 @@ from repro.lang.lexer import tokenize
 from repro.lang.tokens import TokKind
 from repro.workloads import ALL_WORKLOADS
 from tests.oracles import tokenize_oracle
+
+ROOT = Path(__file__).resolve().parents[2]
 
 
 def kinds(src):
@@ -46,6 +52,27 @@ class TestBasics:
         toks = tokenize("a\n  b")
         assert (toks[0].pos.line, toks[0].pos.col) == (1, 1)
         assert (toks[1].pos.line, toks[1].pos.col) == (2, 3)
+
+    def test_trailing_blanks_lex_in_linear_time(self):
+        # a scan that retried a run of blanks with no token after it at
+        # each of the run's positions grew with the square of its length;
+        # run in a child process so such a scan fails the test by its
+        # timeout instead of hanging it
+        script = (
+            "import time\n"
+            "from repro.lang.lexer import tokenize\n"
+            "t = time.perf_counter()\n"
+            "toks = tokenize('int x;' + ' ' * 100_000)\n"
+            "print(time.perf_counter() - t, toks[-1].pos.col)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        run = subprocess.run(
+            [sys.executable, "-c", script], env=env,
+            capture_output=True, text=True, timeout=30, check=True,
+        )
+        seconds, eof_col = run.stdout.split()
+        assert float(seconds) < 0.5
+        assert eof_col == "100007"
 
 
 class TestNumbers:
@@ -250,6 +277,7 @@ DIRECTED = [
     "// x\ny", "1.5L", "x + 1e5L", "1e5", "1e+5f", "1E-2d", "1e", "1e+",
     "1.e5", ".5e-3F", "1.2.3", "1..2", "007", "0x1fL", "0xg", "00x1", "0xL",
     "x>>>=1", "a>>>b", "a>> >b", "\r\n\t x", "\x0bx", "\x0c", "$a",
+    "a \t\r ", "/* a \r\t ", "/* a\n \t", "// a  ",
 ]
 
 

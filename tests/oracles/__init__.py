@@ -1,6 +1,7 @@
 """Scalar oracles of the SE-log analyses, the commit, the DC volume and
-the log's array-id numbering (:func:`first_seen_codes`), and the
-hand-written lexer (:func:`tokenize_oracle`).
+the log's array-id numbering (:func:`first_seen_codes`), the hand-written
+lexer (:func:`tokenize_oracle`) and the recursive AST walk
+(:func:`walk_recursive`).
 
 Production reads one speculative-log format, :class:`repro.ir.columnar.
 ColumnarLanes`.  These are the original per-record implementations over
@@ -17,6 +18,7 @@ from .density import analyze_lanes_scalar
 from .depcheck import check_subloop_scalar
 from .lanes import as_states, first_seen_codes, interpreter_lanes
 from .lexer import tokenize_oracle
+from .walk import walk_recursive
 
 __all__ = [
     "analyze_lanes_scalar",
@@ -28,4 +30,5 @@ __all__ = [
     "interpreter_lanes",
     "logged_accesses_scalar",
     "tokenize_oracle",
+    "walk_recursive",
 ]
