@@ -46,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from ..errors import AnalysisError
+from ..errors import AnalysisError, nesting_guard
 from ..lang import ast_nodes as A
 from ..lang.annotations import Annotation, ArraySection
 from ..lang.pretty import format_annotation
@@ -173,7 +173,8 @@ class InferenceReport:
 def propose_loop(method: A.Method, loop: A.For, index: int, depth: int) -> LoopProposal:
     """Analyze one bare loop and score it for placement."""
     try:
-        analysis = analyze_loop(method, loop)
+        with nesting_guard(f"{method.name}#{index}"):
+            analysis = analyze_loop(method, loop)
     except AnalysisError as exc:
         return LoopProposal(
             method=method.name,

@@ -180,7 +180,8 @@ class ArtifactCache:
             except BaseException:
                 os.unlink(tmp)
                 raise
-        except (OSError, pickle.PicklingError, TypeError, AttributeError):
+        except (OSError, pickle.PicklingError, TypeError, AttributeError,
+                RecursionError):  # RecursionError: a deeply nested AST
             pass  # disk layer is best-effort; the memory layer still has it
 
     def stats(self) -> dict[str, int]:

@@ -591,11 +591,17 @@ def _cmd_infer(args) -> int:
             strip_annotations(cls)
         report = infer_class(cls)
 
+    try:
+        text = fmt_class(cls)
+    except RecursionError:
+        raise LoweringError(
+            f"class {cls.name}: source nested too deeply to print"
+        ) from None
     for line in report.summary_lines():
         print(line, file=sys.stderr)
     if not report.chosen:
         print("no loop qualified for an acc directive", file=sys.stderr)
-    print(fmt_class(cls))
+    print(text)
     return 0
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 
 class JaponicaError(Exception):
     """Base class for all errors raised by this package."""
@@ -29,6 +31,18 @@ class TypeCheckError(JaponicaError):
 
 class LoweringError(JaponicaError):
     """Raised when an AST construct cannot be lowered to the kernel IR."""
+
+
+@contextmanager
+def nesting_guard(loop_id: str):
+    """Report a recursion overflow in a loop's front end as a
+    :class:`LoweringError` naming the loop."""
+    try:
+        yield
+    except RecursionError:
+        raise LoweringError(
+            f"loop {loop_id}: source nested too deeply to translate"
+        ) from None
 
 
 class DeviceError(JaponicaError):

@@ -555,11 +555,20 @@ def _a_max(a, b):
     return np.where(zeros, np.where(np.signbit(a), b, a), r)
 
 
-def _a_lanes(fn):
-    """Array form that applies the scalar form lane by lane."""
+def _a_lanes(fn, c=None, domain=None):
+    """Array form that applies the scalar form lane by lane, or maps the
+    C function ``c`` over lanes that are all in ``domain``: ``fn`` is
+    ``c`` there wherever ``c`` does not raise."""
     def lanes(*args):
         cols = np.broadcast_arrays(*(np.asarray(x, np.float64) for x in args))
-        rows = zip(*(c.ravel().tolist() for c in cols))
+        if c is not None and (domain is None or domain(*cols).all()):
+            try:
+                out = np.fromiter(map(c, *(x.ravel().tolist() for x in cols)),
+                                  np.float64, cols[0].size)
+                return out.reshape(cols[0].shape)
+            except OverflowError:
+                pass
+        rows = zip(*(col.ravel().tolist() for col in cols))
         out = np.array([fn(*row) for row in rows], dtype=np.float64)
         return out.reshape(cols[0].shape)
     return lanes
@@ -569,8 +578,9 @@ def _a_lanes(fn):
 #: conversion to the result type
 _INTRINSICS = {
     "Math.sqrt": (_intr_sqrt, _a_sqrt),
-    "Math.exp": (_intr_exp, _a_lanes(_intr_exp)),
-    "Math.log": (_intr_log, _a_lanes(_intr_log)),
+    # a NaN lane is not > 0: it keeps _intr_log's canonical NaN
+    "Math.exp": (_intr_exp, _a_lanes(_intr_exp, math.exp)),
+    "Math.log": (_intr_log, _a_lanes(_intr_log, math.log, lambda x: x > 0)),
     "Math.pow": (_intr_pow, _a_lanes(_intr_pow)),
     "Math.abs": (abs, np.abs),
     "Math.min": (_intr_min, _a_min),

@@ -53,13 +53,17 @@ Flavors:
               VectorizedKernel` runs it over direct memory, checked for
               cross-lane conflicts, and :class:`repro.ir.specvec.
               VectorizedSpecKernel` over buffered memory, the SE log.
+``collapsed`` the ``lockstep`` body of a kernel whose lane body is one
+              independent counted loop (:func:`collapse`), with one lane
+              per (index, iteration); an index's work is its lanes' and
+              the static folds of the blocks around the loop body.
 """
 
 from __future__ import annotations
 
 import itertools
 import linecache
-from collections import Counter
+from collections import Counter, namedtuple
 
 import numpy as np
 
@@ -117,6 +121,7 @@ _BASE_GLOBALS = {
     # the lock-step flavor's lane vectors
     "_ones": np.ones, "_zeros": np.zeros, "_i64": np.int64,
     "_cnt": np.count_nonzero, "_sel": np.where, "_rep": itertools.repeat,
+    "_ar": np.arange,
     "_I1": np.int32(1), "_J1": np.int64(1),
     **{f"_T_{jt.value}": java_ops.NP_TYPE[jt] for jt in JType},
     **java_ops.SRC_GLOBALS,
@@ -262,6 +267,7 @@ class _Cfg:
                 end[u] = count - 1
                 post.append(u)
 
+        self.post = post
         preds: list[list[int]] = [[] for _ in range(n)]
         for u in post:
             for v in succ[u]:
@@ -392,6 +398,155 @@ class _Cfg:
         return None
 
 
+#: a counted loop's compare with its operands swapped, and what it adds
+#: to the bound to make it an exclusive end
+_FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+_END = {"<": 0, "<=": 1, ">": 0, ">=": -1}
+
+
+class Collapse(namedtuple(
+    "Collapse", "header body exit counter op init bound step"
+)):
+    """A lane body that is one independent counted loop (see
+    :func:`collapse`): the prologue (block 0), the loop ``header`` whose
+    body starts at ``body``, and ``exit``, a lone RET.  The ``counter``
+    register starts at ``init`` and steps by ``step`` while ``counter
+    <op> bound``; ``init`` and ``bound`` are constants or names of scalar
+    parameters."""
+
+    __slots__ = ()
+
+    def trip(self, env) -> int:
+        """The loop's trip count under ``env``; 0 as well if a bound is
+        missing or not an integer, or if the counter would leave its
+        type's range (Java would wrap it)."""
+        lo, hi = (env.get(v) if isinstance(v, str) else v
+                  for v in (self.init, self.bound))
+        if not all(isinstance(v, (int, np.integer)) for v in (lo, hi)):
+            return 0
+        lo, hi = int(lo), int(hi)
+        t = max(0, -((lo - hi - _END[self.op]) // self.step))
+        last, rng = lo + t * self.step, np.iinfo(
+            java_ops.NP_TYPE[self.counter.type])
+        return t if rng.min <= min(lo, last) <= max(lo, last) <= rng.max \
+            else 0
+
+
+def collapse(fn: IRFunction):
+    """The :class:`Collapse` of ``fn`` if its lane body can run one lane
+    per iteration of an inner loop, else ``None``.
+
+    The body must be a straight-line prologue without memory access,
+    then one counted loop, then RET.  The loop compares its counter with
+    a bound that is a constant or a scalar parameter; only its init and
+    its one latch's constant step write the counter, and only its header
+    leaves the loop.  Its iterations must not carry a register: each one
+    the body reads (the counter aside) is never written in the loop, or
+    written earlier in the same iteration on every path.  Every load or
+    store of an array the loop stores must use the index registers of
+    that array's stores, the counter among them; iterations that still
+    touch one another's cells are a run-time
+    :class:`repro.ir.vectorizer.LaneConflict`."""
+    try:
+        cfg = _Cfg(fn)
+    except JaponicaError:
+        return None
+    blocks, succ = fn.blocks, cfg.succ
+    h = succ[0][0] if len(succ[0]) == 1 else 0
+    x = cfg.exit.get(h)
+    loop = [b for b in reversed(cfg.post) if h and cfg.in_loop(b, h)]
+    latches = [b for b in loop if h in succ[b]]
+    head = blocks[h].instrs
+    if (x is None or succ[h][1:] != (x,) or len(loop) + 2 != len(blocks)
+            or [i.op for i in blocks[x].instrs] != [Opcode.RET]
+            or len(head) != 2 or head[0].binop not in _FLIP
+            or head[1].a.id != head[0].dst.id or len(latches) != 1
+            or blocks[latches[0]].instrs[-1].op is not Opcode.BR
+            or any(i.op in (Opcode.LOAD, Opcode.STORE)
+                   for i in blocks[0].instrs)
+            or any(not cfg.in_loop(v, h) for b in loop[1:] for v in succ[b])):
+        return None
+    writes: dict[int, list] = {}
+    for b, blk in enumerate(blocks):
+        for i in blk.instrs:
+            if i.dst is not None:
+                writes.setdefault(i.dst.id, []).append((b, i))
+    defs = {b: {i.dst.id for i in blocks[b].instrs if i.dst} for b in loop}
+    looped = set().union(*defs.values())
+    cmp = head[0]
+    j, bound, op = (cmp.a, cmp.b, cmp.binop) if cmp.a.id in looped else (
+        cmp.b, cmp.a, _FLIP[cmp.binop])
+    scalars = {fn.scalar_regs[p.name].id: p.name for p in fn.scalars}
+
+    def single(r, block=None):
+        """The one instruction writing ``r`` (in ``block``), or None."""
+        ws = writes.get(r.id, [])
+        ok = len(ws) == 1 and block in (None, ws[0][0])
+        return ws[0][1] if ok else None
+
+    def uniform(r):
+        """The scalar's name or the prologue constant ``r`` holds."""
+        if r.id not in writes:
+            return scalars.get(r.id)
+        i = single(r, 0)
+        return i.value if i and i.op is Opcode.CONST else None
+
+    ws = sorted(writes.get(j.id, []), key=lambda w: w[0] != 0)
+    if (j.type not in (JType.INT, JType.LONG) or bound.type is not j.type
+            or [w[0] for w in ws] != [0, latches[0]]):
+        return None
+    (_, init), (_, step) = ws
+    init = init.value if init.op is Opcode.CONST else (
+        uniform(init.a) if init.op is Opcode.MOV else None)
+    if step.op is Opcode.MOV:
+        step = single(step.a)
+    c = (step and step.op is Opcode.BIN and step.a.id == j.id
+         and step.binop in ("+", "-") and single(step.b))
+    step = c and c.op is Opcode.CONST and c.value * (
+        1 if step.binop == "+" else -1)
+    if (init is None or uniform(bound) is None or not step
+            or (step > 0) != (op[0] == "<")):
+        return None
+    # must-defs at each block's entry, from the header's (none) on
+    have = {b: set(looped) for b in loop}
+    have[h] = set()
+    while True:
+        new = {b: set.intersection(*(have[p] | defs[p] for p in loop
+                                     if b in succ[p])) for b in loop[1:]}
+        if all(new[b] == have[b] for b in new):
+            break
+        have.update(new)
+    carried, cells = looped - {j.id}, {}
+    for b in loop:
+        live = set(have[b])
+        for i in blocks[b].instrs:
+            if any(r is not None and r.id in carried and r.id not in live
+                   for r in (i.a, i.b, *i.idx, *i.args)):
+                return None
+            if i.dst is not None:
+                live.add(i.dst.id)
+            if i.op in (Opcode.LOAD, Opcode.STORE):
+                cells.setdefault(i.array, set()).add(
+                    tuple(r.id for r in i.idx))
+    stored = {i.array for b in loop for i in blocks[b].instrs
+              if i.op is Opcode.STORE}
+    if any(len(cells[a]) != 1 or j.id not in next(iter(cells[a]))
+           for a in stored):
+        return None
+    return Collapse(h, succ[h][0], x, j, op, init, uniform(bound), step)
+
+
+def _fold(blk) -> list[int]:
+    """A block's static work per counter."""
+    fold = [0] * N_COUNTERS
+    for instr in blk.instrs:
+        cat = category(instr)
+        if cat is not None:
+            fold[cat] += 1
+    fold[C_TOTAL] = len(blk.instrs)
+    return fold
+
+
 class _Lowering:
     """Emits the structured lane body of one kernel/flavor pair, one
     lane at a time (the ``direct`` and ``tracing`` flavors).
@@ -406,9 +561,10 @@ class _Lowering:
         self.done = [False] * len(fn.blocks)
         #: per emitted block, its static work per counter
         self.folds: list = [None] * len(fn.blocks)
-        msg = f"kernel {fn.name!r} exceeded {fuel} instructions at index "
+        self.fuel = fuel
+        self.msg = f"kernel {fn.name!r} exceeded {fuel} instructions at index "
         self.fuel_check = (
-            f"if _t > {fuel}:", f"raise _Fuel({msg!r} + str(_i))"
+            f"if _t > {fuel}:", f"raise _Fuel({self.msg!r} + str(_i))"
         )
 
     def region(self, b, follow, loop: int, ind: int, arm=False) -> None:
@@ -438,12 +594,7 @@ class _Lowering:
         if self.done[b]:
             raise _unstructured(fn, f"block {blk.name!r} is reached twice")
         self.done[b] = True
-        fold = self.folds[b] = [0] * N_COUNTERS
-        for instr in blk.instrs:
-            cat = category(instr)
-            if cat is not None:
-                fold[cat] += 1
-            fold[C_TOTAL] += 1
+        fold = self.folds[b] = _fold(blk)
         self.body(b, blk.instrs[:-1], ind)
         self.fold(b, fold, ind)
         term = blk.instrs[-1]
@@ -478,12 +629,11 @@ class _Lowering:
             _emit_instr(self.e, ind, instr, self.plan, self.flavor)
 
     def fold(self, b, fold, ind) -> None:
-        # fold the block's statically-known work, then check fuel: the
-        # interpreter checks after *every* terminator, RET included
+        # count the visit (the launch adds visits times the static fold
+        # to _raw once), then check fuel: the interpreter checks after
+        # *every* terminator, RET included
         e = self.e
-        for cat in range(N_COUNTERS - 1):
-            if fold[cat]:
-                e.emit(ind, f"_c{cat} += {fold[cat]}")
+        e.emit(ind, f"_v{b} += 1")
         e.emit(ind, f"_t += {fold[C_TOTAL]}")
         e.emit(ind, self.fuel_check[0])
         e.emit(ind + 1, self.fuel_check[1])
@@ -559,11 +709,14 @@ class _Lockstep(_Lowering):
         self.g, self.fns, self.fresh = g, {}, itertools.count()
         #: per loop header: jumps out of a pass of its body emitted
         self.leaves: Counter = Counter()
-        msg = f"kernel {fn.name!r} exceeded {fuel} instructions at index "
-        self.fuel_check = (
-            f"if _tmax > {fuel} and _cnt(_t > {fuel}): raise _Fuel("
-            f"{msg!r} + str(_idx[(_t > {fuel}).argmax()]))"
-        )
+        self.fuel_check = f"if _tmax > {fuel} and " + self.over("_t", "_idx")
+
+    def over(self, t: str, idx: str) -> str:
+        """The test that some lane's total in ``t`` exceeds the fuel,
+        raising the interpreter's message at that lane's index."""
+        fuel = self.fuel
+        return (f"_cnt({t} > {fuel}): raise _Fuel("
+                f"{self.msg!r} + str({idx}[({t} > {fuel}).argmax()]))")
 
     def fn_var(self, fn) -> str:
         """A global bound to ``fn``, an array form of the table."""
@@ -696,13 +849,16 @@ def generate(
     fn: IRFunction, flavor: str = "direct", fuel: int = DEFAULT_FUEL
 ) -> tuple[str, dict]:
     """Generate (source, globals) for one kernel/flavor pair."""
-    if flavor not in FLAVORS:
+    if flavor not in FLAVORS + ("collapsed",):
         raise JaponicaError(f"unknown native kernel flavor {flavor!r}")
     plan = _KernelPlan(fn)
     e = _Emitter()
     g = dict(_BASE_GLOBALS)
-    if flavor == "lockstep":
-        _generate_lockstep(fn, plan, e, g, fuel)
+    if flavor in ("lockstep", "collapsed"):
+        c = collapse(fn) if flavor == "collapsed" else None
+        if flavor == "collapsed" and c is None:
+            raise JaponicaError(f"kernel {fn.name!r} does not collapse")
+        _generate_lockstep(fn, plan, e, g, fuel, c)
         return e.source(), g
     for k, value in enumerate(plan.consts):
         g[f"_K{k}"] = value
@@ -747,7 +903,7 @@ def generate(
     # are bound explicitly, so they stay out of the None chain)
     scalar_ids = set(plan.scalar_reg.values())
     init_ids = sorted(plan.reads - scalar_ids - {fn.index.id})
-    e.emit(1, "_c0 = _c1 = _c2 = _c3 = _c4 = _c5 = _c6 = _c7 = 0")
+    e.emit(1, " = ".join(f"_v{b}" for b in range(len(fn.blocks))) + " = 0")
     e.emit(1, "_t = 0")
     if tracing:
         e.emit(1, "_traces = {}")
@@ -764,17 +920,15 @@ def generate(
         e.emit(3, "_op = 0")
     e.emit(3, "_t = 0")
     # -- the lane body, structured --------------------------------------
-    _Lowering(fn, plan, flavor, e, fuel).region(0, None, -1, 3)
+    low = _Lowering(fn, plan, flavor, e, fuel)
+    low.region(0, None, -1, 3)
     # -- index epilogue -------------------------------------------------
-    e.emit(3, "_c7 += _t")
     e.emit(3, "_per_lane.append(_t)")
     e.emit(3, "_t = 0")
     if tracing:
         e.emit(3, "_traces[_i] = _tr")
     e.emit(1, "finally:")
-    for k in range(N_COUNTERS - 1):
-        e.emit(2, f"_raw[{k}] += _c{k}")
-    e.emit(2, "_raw[7] += _c7 + _t")
+    _emit_work(e, 2, low.folds, "_v{}")
     e.emit(1, "return _traces" if tracing else "return None")
     return e.source(), g
 
@@ -791,11 +945,27 @@ def _emit_scalar_binds(e: _Emitter, fn: IRFunction, plan) -> None:
         e.emit(2, f"raise _JErr({msg!r}) from None")
 
 
-def _generate_lockstep(fn, plan, e, g, fuel) -> None:
+def _emit_work(e: _Emitter, ind: int, folds, visits: str) -> None:
+    """Add each counter's work to ``_raw``: every emitted block's visits
+    (``visits`` formatted with its index) times its static fold."""
+    for cat in range(N_COUNTERS):
+        terms = [f"{visits.format(b)} * {fold[cat]}"
+                 for b, fold in enumerate(folds) if fold and fold[cat]]
+        if terms:
+            e.emit(ind, f"_raw[{cat}] += " + " + ".join(terms))
+
+
+def _generate_lockstep(fn, plan, e, g, fuel, c=None) -> None:
     """``_kernel(_idx, _env, _mem, _raw, _per_lane)``: run the lanes of
     ``_idx`` (int64) in lock-step over the lane memory ``_mem``; only on
     success add the work to ``_raw``, extend ``_per_lane`` (unless
-    ``None``) and return ``_mem.finish(_op)``."""
+    ``None``) and return ``_mem.finish(_op)``.
+
+    Collapsed over ``c`` (a :class:`Collapse`), ``_mem`` holds ``trip``
+    lanes per index: the index repeats and the counter tiles across
+    them, and each lane runs the loop body once.  The prologue, the
+    header (``trip + 1`` visits per index) and the RET count from their
+    static folds, and an index's total is the sum of its lanes'."""
     low = _Lockstep(fn, plan, e, fuel, g)
     written = {}
     for instr in (i for blk in fn.blocks for i in blk.instrs):
@@ -804,6 +974,9 @@ def _generate_lockstep(fn, plan, e, g, fuel) -> None:
         if instr.op is Opcode.CONST:
             g[plan.const_var[id(instr)]] = written[instr.dst.id](instr.value)
     e.emit(0, "def _kernel(_idx, _env, _mem, _raw, _per_lane):")
+    if c is not None:
+        e.emit(1, "_no = len(_idx); _trip = _mem.n // _no")
+        e.emit(1, "_oi, _idx = _idx, _idx.repeat(_trip)")
     e.emit(1, f"_n, _lg, _tmax, _v = len(_idx), _mem.logs, 0, "
               f"[0] * {len(fn.blocks)}")
     e.emit(1, "_m, _all = _ones(_n, bool), True")
@@ -821,15 +994,25 @@ def _generate_lockstep(fn, plan, e, g, fuel) -> None:
     for rid in sorted(low.merged & written.keys() - bound):
         g[f"_Z{rid}"] = written[rid](0)  # what masked-off lanes keep
         e.emit(1, f"r{rid} = _Z{rid}")
-    low.region(0, None, -1, 1)
-    e.emit(1, low.fuel_check)
+    if c is None:
+        low.region(0, None, -1, 1)
+        e.emit(1, low.fuel_check)
+    else:
+        for b in (0, c.header, c.exit):
+            low.done[b], low.folds[b] = True, _fold(fn.blocks[b])
+        low.body(0, fn.blocks[0].instrs[:-1], 1)  # the prologue, per lane
+        j = f"r{c.counter.id}"
+        e.emit(1, f"{j} = ({j} + {c.step} * (_ar(_n) % _trip))"
+                  f".astype(_T_{c.counter.type.value})")
+        low.region(c.body, None, c.header, 1)
+        f0, fh, fx = (low.folds[b][C_TOTAL] for b in (0, c.header, c.exit))
+        e.emit(1, f"_t = _t.reshape(_no, _trip).sum(1) + "
+                  f"({f0 + fh + fx} + {fh} * _trip)")
+        e.emit(1, "if " + low.over("_t", "_oi"))
+        e.emit(1, f"_v[0] = _v[{c.exit}] = _no; "
+                  f"_v[{c.header}] = _no * (_trip + 1)")
     e.emit(1, "_out = _mem.finish(_op)")
-    # the work: per-block visits times the block's static fold
-    for cat in range(N_COUNTERS):
-        terms = [f"_v[{b}] * {fold[cat]}"
-                 for b, fold in enumerate(low.folds) if fold and fold[cat]]
-        if terms:
-            e.emit(1, f"_raw[{cat}] += " + " + ".join(terms))
+    _emit_work(e, 1, low.folds, "_v[{}]")
     e.emit(1, "if _per_lane is not None:")
     e.emit(2, f"_per_lane.extend(_rep({low.folds[0][C_TOTAL]}, _n))"
               if fn.is_straightline else "_per_lane += _t.tolist()")
@@ -931,8 +1114,9 @@ class NativeKernel:
     structure: ``None`` (direct), traces dict (tracing).  The
     ``lockstep`` flavor's ``run`` takes lane indices as an int64 array
     and a lane memory in place of the storage (see
-    :func:`_generate_lockstep`); the lock-step kernels of
-    :mod:`repro.ir.vectorizer` and :mod:`repro.ir.specvec` drive it.
+    :func:`_generate_lockstep`), and so does ``collapsed``'s; the
+    lock-step kernels of :mod:`repro.ir.vectorizer` and
+    :mod:`repro.ir.specvec` drive them.
     """
 
     __slots__ = ("fn", "flavor", "fuel", "source", "_run")

@@ -12,9 +12,12 @@ per thread.  A launch runs on one tier:
     every lane at once under an active-lane mask
     (:mod:`repro.ir.vectorizer`): every buffered launch, and every
     lane-parallel direct launch that is straight-line or at least
-    :data:`LOCKSTEP_MIN_LANES` wide.  One whose lanes touch one
-    another's cells, or that faults, is undone and rerun lane by lane:
-    the sequential result, or the interpreter's exact error;
+    :data:`LOCKSTEP_MIN_LANES` wide.  A narrower one whose lane body is
+    one independent counted loop (:func:`.codegen.collapse`) runs
+    collapsed, one lane per (index, iteration), if those lanes are that
+    many.  One whose lanes touch one another's cells, or that faults, is
+    undone and rerun lane by lane: the sequential result, or the
+    interpreter's exact error;
 ``src``
     one lane after another in generated Python: lane-sequential work
     (DOACROSS, ``CpuExecutor.run_serial``), narrow control flow;
@@ -108,7 +111,8 @@ class KernelCache:
 
     def lockstep(self, fn: IRFunction, flavor: str):
         """The lock-step kernel of ``fn`` for ``direct`` or ``buffered``
-        launches, or ``None`` if it fails to compile."""
+        launches, or ``collapsed`` direct ones, or ``None`` if it fails
+        to compile (a kernel that does not collapse)."""
         return self._compile(TIER_LOCKSTEP, fn, flavor)
 
     def _compile(self, tier: str, fn: IRFunction, flavor: str):
@@ -128,7 +132,9 @@ class KernelCache:
                     elif flavor == "buffered":
                         kern = VectorizedSpecKernel(fn, self.fuel)
                     else:
-                        kern = VectorizedKernel(fn, self.fuel)
+                        kern = VectorizedKernel(
+                            fn, self.fuel, flavor == "collapsed"
+                        )
                 except Exception:  # noqa: BLE001 - the interpreter runs it
                     self._failed.add(key)
                     return None
@@ -250,9 +256,9 @@ class KernelDispatcher:
         """
         return self._run(fn, "tracing", indices, scalar_env, storage, False)
 
-    def _kernel(self, fn, flavor, n, parallel):
-        """The compiled kernel a launch runs on; ``None``: the
-        interpreter."""
+    def _kernel(self, fn, flavor, n, scalar_env, parallel):
+        """The compiled kernel a launch of ``n`` indices runs on;
+        ``None``: the interpreter."""
         if parallel and (
             fn.is_straightline
             or (self.native
@@ -261,12 +267,18 @@ class KernelDispatcher:
             kern = self.cache.lockstep(fn, flavor)
             if kern is not None:
                 return kern
-        if self.native and flavor != "buffered":
-            return self.cache.src(fn, flavor)
-        return None
+        if not self.native or flavor == "buffered":
+            return None
+        if parallel and flavor == "direct" and n < LOCKSTEP_MIN_LANES:
+            kern = self.cache.lockstep(fn, "collapsed")
+            if kern is not None and (
+                kern.lanes(n, scalar_env) >= LOCKSTEP_MIN_LANES
+            ):
+                return kern
+        return self.cache.src(fn, flavor)
 
     def _run(self, fn, flavor, indices, scalar_env, storage, parallel):
-        kern = self._kernel(fn, flavor, len(indices), parallel)
+        kern = self._kernel(fn, flavor, len(indices), scalar_env, parallel)
         if kern is None:
             if self.native:
                 self.obs.metrics.counter(

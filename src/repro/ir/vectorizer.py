@@ -15,7 +15,9 @@ A direct launch's precondition is checked, not trusted: a cell one lane
 wrote that another lane read or wrote (:class:`LaneConflict`; arrays
 sharing memory count too), or a fault of an active lane, undoes the
 launch.  The caller reruns it lane by lane, which gives the sequential
-result or the interpreter's exact error.
+result or the interpreter's exact error.  A collapsed kernel runs one
+lane per iteration of its inner loop, so the same check covers the
+iterations of one index too.
 """
 
 from __future__ import annotations
@@ -167,38 +169,60 @@ class _DirectLanes(LaneMemory):
         return None
 
 
-def lockstep_code(fn: IRFunction, fuel: int):
-    """The ``lockstep`` flavor of ``fn`` compiled, its array names and
-    the codes of the arrays it stores."""
+def lockstep_code(fn: IRFunction, fuel: int, flavor: str = "lockstep"):
+    """The ``lockstep`` (or ``collapsed``) flavor of ``fn`` compiled,
+    its array names and the codes of the arrays it stores."""
     # imported on use: repro.ir.native imports this module
     from .native.codegen import NativeKernel, _KernelPlan
 
     plan = _KernelPlan(fn)
     stored = [plan.array_code[a] for a in plan.arrays_stored]
-    return NativeKernel(fn, "lockstep", fuel), plan.arrays, stored
+    return NativeKernel(fn, flavor, fuel), plan.arrays, stored
 
 
 class VectorizedKernel:
     """A lane-parallel direct launch in lock-step (the ``lockstep``
-    tier's direct engine), checked for cross-lane conflicts."""
+    tier's direct engine), checked for cross-lane conflicts.
+
+    ``collapsed``: ``fn``'s lane body is one independent counted loop
+    (:func:`repro.ir.native.codegen.collapse`; else this raises), and an
+    index runs one lane per iteration."""
 
     tier = "lockstep"
 
-    def __init__(self, fn: IRFunction, fuel: int = DEFAULT_FUEL):
+    def __init__(self, fn: IRFunction, fuel: int = DEFAULT_FUEL,
+                 collapsed: bool = False):
+        from .native.codegen import collapse
+
         self.fn = fn
-        self.code, self.names, self.stored = lockstep_code(fn, fuel)
+        self.collapse = collapse(fn) if collapsed else None
+        self.code, self.names, self.stored = lockstep_code(
+            fn, fuel, "collapsed" if collapsed else "lockstep"
+        )
+
+    def lanes(self, n: int, scalar_env) -> int:
+        """How many lanes a launch of ``n`` indices runs: ``n``, or
+        collapsed, ``n`` times the loop's trip count."""
+        return n if self.collapse is None else n * self.collapse.trip(
+            scalar_env
+        )
 
     def run_range(self, storage: ArrayStorage, scalar_env, indices,
                   per_lane: list | None = None) -> Counts:
         """Execute every index in ``indices`` at once; return the work
-        and append each lane's instruction total to ``per_lane``.  A
+        and append each index's instruction total to ``per_lane``.  A
         conflict between lanes raises :class:`LaneConflict`; it and any
-        fault leave the arrays as they were."""
+        fault leave the arrays as they were.  A collapsed launch whose
+        loop runs no iteration raises too: its prologue would run in no
+        lane."""
         indices = lane_vector(indices)
         raw = [0] * N_COUNTERS
         if len(indices) == 0:
             return Counts()
-        memory = _DirectLanes(storage, self.names, self.stored, len(indices))
+        n = self.lanes(len(indices), scalar_env)
+        if n == 0:
+            raise JaponicaError(f"kernel {self.fn.name!r}: no iteration")
+        memory = _DirectLanes(storage, self.names, self.stored, n)
         try:
             with np.errstate(all="ignore"):
                 self.code.run(indices, scalar_env, memory, raw, per_lane)

@@ -13,14 +13,13 @@ For every annotated loop the translator produces:
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
 from ..analysis.classify import LoopAnalysis, LoopStatus, analyze_loop
 from ..analysis.symbols import MethodScope, outer_scopes
-from ..errors import LoweringError
+from ..errors import LoweringError, nesting_guard
 from ..ir.instructions import IRFunction
 from ..ir.lower import lower_loop_body
 from ..lang import ast_nodes as A
@@ -54,7 +53,7 @@ class TranslatedLoop:
     @cached_property
     def cuda_source(self) -> str:
         """The CUDA kernel and host stub, generated on first read."""
-        with _nesting_guard(self.id):
+        with nesting_guard(self.id):
             return generate_cuda_kernel(
                 self.id.replace("#", "_kernel"), self.analysis, self.data_plan
             )
@@ -62,7 +61,7 @@ class TranslatedLoop:
     @cached_property
     def java_source(self) -> str:
         """The multithreaded Java text, generated on first read."""
-        with _nesting_guard(self.id):
+        with nesting_guard(self.id):
             return generate_java_threads(
                 self.id, self.analysis, self.cpu_threads
             )
@@ -78,18 +77,6 @@ class TranslatedLoop:
     @property
     def cpu_only(self) -> bool:
         return self.fn is None
-
-
-@contextmanager
-def _nesting_guard(loop_id: str):
-    """Report a recursion overflow in a loop's front end as a
-    :class:`LoweringError` naming the loop."""
-    try:
-        yield
-    except RecursionError:
-        raise LoweringError(
-            f"loop {loop_id}: source nested too deeply to translate"
-        ) from None
 
 
 @dataclass
@@ -166,7 +153,7 @@ class Translator:
         scope: MethodScope,
     ) -> TranslatedLoop:
         loop_id = f"{method.name}#{ordinal}"
-        with _nesting_guard(loop_id), self.obs.tracer.span(
+        with nesting_guard(loop_id), self.obs.tracer.span(
             f"analyze:{loop_id}", PHASE_ANALYZE, loop=loop_id
         ) as sp:
             analysis = analyze_loop(method, loop, scope)
@@ -174,7 +161,7 @@ class Translator:
                 status=analysis.status.name,
                 accesses=len(analysis.accesses),
             )
-        with _nesting_guard(loop_id), self.obs.tracer.span(
+        with nesting_guard(loop_id), self.obs.tracer.span(
             f"translate:{loop_id}", PHASE_TRANSLATE, loop=loop_id
         ) as tr_span:
             return self._lower_and_generate(

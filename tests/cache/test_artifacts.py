@@ -188,6 +188,23 @@ class TestEndToEnd:
         assert (cache.misses, cache.quarantined) == (1, 0)
         assert old.read_bytes() == b"a unit pickled by an earlier version"
 
+    def test_deeply_nested_unit_compiles_without_its_disk_entry(
+        self, tmp_path
+    ):
+        # pickling a 450-term sum's AST overflows the recursion limit;
+        # the disk layer is best-effort, so the compile still succeeds
+        terms = " + ".join(["a[i]"] * 450)
+        src = SRC.replace("b[i] * 2.0", terms)
+        d = tmp_path / "cache"
+        d.mkdir()
+        cache = ArtifactCache(cache_dir=str(d))
+        program = Japonica(cache=cache).compile(src)
+        assert cache.stats()["memory_entries"] == 1
+        assert list(d.iterdir()) == []  # nothing published, no stray tmp
+        out = program.run("f", strategy="serial", a=np.ones(8), b=np.ones(8),
+                          n=8)
+        assert out.arrays["a"].tolist() == [450.0] * 8
+
     def test_source_edit_invalidates(self):
         cache = ArtifactCache()
         Japonica(cache=cache).compile(SRC)

@@ -58,6 +58,23 @@ def test_translate_exits_frontend(tmp_path, capsys, src, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("terms,message", [
+    (500, "class Deep: source nested too deeply to print"),
+    (1000, "loop run#0: source nested too deeply to translate"),
+])
+def test_infer_of_the_bare_twin_exits_frontend(tmp_path, capsys, terms,
+                                               message):
+    # 500 terms pass inference and overflow printing the class; 1000
+    # overflow the analysis.  Either is an error line, as translate's
+    bare = "\n".join(line for line in sum_of(terms).splitlines()
+                     if "acc parallel" not in line)
+    path = tmp_path / "Deep.java"
+    path.write_text(bare)
+    assert main(["infer", str(path)]) == EXIT_FRONTEND
+    out, err = capsys.readouterr()
+    assert err == f"error: {message}\n" and out == ""
+
+
 @pytest.mark.parametrize("src,message", DEEP)
 def test_serve_worker_fails_the_job_with_a_typed_error(src, message):
     result = WorkerRuntime().execute(

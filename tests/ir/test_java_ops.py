@@ -261,6 +261,29 @@ class TestTable:
             jtype,
         )
 
+    @pytest.mark.parametrize("name", ["Math.exp", "Math.log"])
+    def test_mapped_intrinsics_match_lane_by_lane(self, name):
+        """exp and log map their C function over lanes that are all in
+        its domain; a vector with a lane outside it (a zero, an
+        infinity, a NaN, an overflow) must still equal the scalar form
+        lane by lane, bitwise."""
+        scalar, array, _convert = J.call_rule(name, JType.DOUBLE)
+        inside = [0.5, 2.5, 7.0, 1e-300, 300.0, 5e-324]
+        outside = [0.0, -0.0, float("inf"), float("-inf"), float("nan"),
+                   -float("nan"), 710.0, 1e308, -1.0, -745.5]
+        vectors = [inside, outside, [-0.5, -3.0]]
+        vectors += [inside[:k] + [e] + inside[k:]
+                    for k, e in enumerate(outside)]
+        for values in vectors:
+            want = np.array([scalar(v) for v in values]).tobytes()
+            with np.errstate(all="ignore"):
+                got = array(np.array(values, dtype=np.float64))
+            assert got.tobytes() == want, values
+        for v in inside + outside:  # a uniform lane value, 0-d
+            got = array(np.float64(v))
+            assert got.shape == () and got.tobytes() == _bits(scalar(v),
+                                                               JType.DOUBLE)
+
 
 # -- the wrap's in-range fast path at the edges of the range ----------------
 #

@@ -103,6 +103,23 @@ class T { static void f(double[] t, double[] o, int[] k, int n) {
 } }
 """
 
+#: a narrow launch's lanes run one inner iteration each; ``rows`` may
+#: send two lanes to one row of ``c``
+COLLAPSIBLE = """
+class T { static void f(double[][] a, double[][] b, double[][] c,
+                        int[] rows, int m) {
+  /* acc parallel */
+  for (int i = 0; i < 4; i++) {
+    for (int j = 0; j < m; j++) {
+      double acc = 0.0;
+      for (int k = 0; k < m; k++) { acc += a[i][k] * b[k][j]; }
+      int r = rows[i];
+      c[r][j] = acc - 0.25 * c[r][j];
+    }
+  }
+} }
+"""
+
 WIDE = dispatch.LOCKSTEP_MIN_LANES + 8
 
 
@@ -427,3 +444,70 @@ class TestWidthRule:
         assert tiers(branchy, 3, flavor="buffered") == {
             "lockstep" if native else "interp"
         }
+
+
+class TestCollapse:
+    """Narrow launches of a kernel whose lane body is one independent
+    counted loop run one lane per (index, iteration)."""
+
+    def test_collapse_test_on_the_workloads(self):
+        from repro.api import Japonica
+        from repro.ir.native.codegen import collapse
+        from repro.workloads import BY_NAME
+
+        def verdicts(name):
+            unit = Japonica().compile(BY_NAME[name].source).unit
+            return [collapse(tl.fn) is not None
+                    for mt in unit.methods.values() for tl in mt.loops]
+
+        assert verdicts("GEMM") == [True]
+        assert verdicts("2MM") == [True, True]
+        # both reduce into x[i] along j: acc is carried across j
+        assert not any(verdicts("MVT")) and not any(verdicts("BICG"))
+
+    @staticmethod
+    def _arrays(m, rows):
+        rng = np.random.default_rng(11)
+        return {"a": rng.standard_normal((4, m)),
+                "b": rng.standard_normal((m, m)),
+                "c": rng.standard_normal((4, m)),
+                "rows": np.array(rows, dtype=np.int32)}
+
+    @pytest.mark.parametrize("rows,fallbacks", [
+        ([0, 1, 2, 3], 0), ([0, 1, 1, 3], 1),
+    ], ids=["own-rows", "shared-row"])
+    def test_a_conflict_reruns_lane_by_lane(self, rows, fallbacks):
+        _, fn = lowered(COLLAPSIBLE)
+        m = dispatch.LOCKSTEP_MIN_LANES // 4
+        arrays, env = self._arrays(m, rows), {"m": m}
+        s1, s2, s3 = _copy(arrays), _copy(arrays), _copy(arrays)
+        pl1, c1, _, e1 = _interp(fn, "direct", range(4), env, s1)
+        d, obs = _dispatcher()
+        pl2 = d.run_direct(fn, list(range(4)), env, s2, parallel=True)
+        src, _obs = _dispatcher()
+        src.run_direct(fn, list(range(4)), env, s3)  # not parallel: src
+        assert e1 is None and pl1 == pl2 and d.take_counts(fn) == c1
+        _same(s1, s2)
+        _same(s2, s3)
+        counters = _counters(obs)
+        assert counters["kernel.tier.lockstep"] == 1
+        assert counters.get("kernel.tier.lockstep.fallbacks", 0) == fallbacks
+
+    @pytest.mark.parametrize("native", [True, False])
+    def test_width_is_the_collapsed_lane_count(self, native):
+        _, fn = lowered(COLLAPSIBLE)
+        lanes = dispatch.LOCKSTEP_MIN_LANES
+
+        def tier(m):
+            d, obs = _dispatcher()
+            d.native = native
+            s = _copy(self._arrays(max(m, 1), [0, 1, 2, 3]))
+            d.run_direct(fn, list(range(4)), {"m": m}, s, parallel=True)
+            return {k.split(".")[-1] for k in _counters(obs)
+                    if k.startswith("kernel.tier.")
+                    and not k.endswith("iterations")}
+
+        seq = "src" if native else "interp"
+        assert tier(lanes // 4) == {"lockstep" if native else "interp"}
+        assert tier(lanes // 4 - 1) == {seq}  # 4 x 31 lanes: too few
+        assert tier(0) == {seq}  # a zero trip does not collapse

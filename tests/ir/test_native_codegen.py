@@ -260,12 +260,18 @@ class TestSource:
             generate_source(fn, "warp")
 
     def test_counter_folds_are_static(self):
-        # every block folds its work counters as literals, no per-instr
-        # increments in the emitted source
+        # every block counts one visit and its total as literals, no
+        # per-instr or per-category increments in the emitted source; the
+        # launch adds visits times each block's static fold to _raw once
         _, fn = lowered(BRANCHY)
         src = generate_source(fn)
-        assert "_c7" in src
-        assert "_raw[7] += _c7 + _t" in src
+        visits = [line.strip() for line in src.splitlines()
+                  if line.strip().startswith("_v") and "+= 1" in line]
+        assert sorted(visits) == sorted(
+            f"_v{b} += 1" for b in range(len(fn.blocks))
+        )
+        assert "_c7" not in src and "_c0" not in src
+        assert "_raw[7] += _v0 * " in src
 
 
 # one instance of every opcode, every java_ops helper (``_rf``, ``_divi``

@@ -13,6 +13,14 @@ speculative lane state equal, and exceptions of the same type (the
 interpreter and the src tier also agree on the message and the point of
 fuel exhaustion).
 
+A third family holds the collapse of a narrow launch to the
+interpreter: two-deep nests whose inner ``j`` loop runs an in-order
+``k`` reduction, in variants the collapse must take (independent
+iterations, and rows that may collide at run time) and must refuse (a
+register carried across ``j``, cells that do not follow ``j``, ``j + 1``
+reads, a ``break``, bounds that depend on ``i``), over zero trips,
+out-of-bounds cells and fuel exhaustion.
+
 A second generator builds random *structured* CFGs — nested loops,
 loops that exit from a ``&&``/``||``/``?:`` join block, if without
 else, diamonds inside a loop body and as its last statement (joining
@@ -32,9 +40,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.ir import ArrayStorage, IRBuilder, JType
+from repro.ir import ArrayStorage, FuelExhausted, IRBuilder, JType
+from repro.ir.interpreter import DEFAULT_FUEL
+from repro.ir.native import KernelCache, KernelDispatcher, dispatch
+from repro.ir.native.codegen import collapse
 from repro.ir.specvec import VectorizedSpecKernel
 from repro.ir.vectorizer import VectorizedKernel
+from repro.obs import Instrumentation
 
 from ..oracles import as_states
 from .test_native_codegen import _interp, _native, assert_same_log
@@ -761,3 +773,141 @@ class TestLockstepWidths:
             fn, {"n": WIDE, "s": 1.5}, _AI, _AD, width=WIDE,
             launches=("buffered", "lockstep"),
         )
+
+
+# ---------------------------------------------------------------------------
+# Collapsed narrow launches: one lane per (i, j)
+# ---------------------------------------------------------------------------
+
+#: nest variants, by whether the collapse test takes them
+COLLAPSIBLE = ("independent", "rows")
+REFUSED = ("carried", "cells", "next", "break", "i_bound")
+
+
+def build_nest(variant):
+    """Lane ``i`` runs ``for (j = 0; j < m; j++) { acc = 0.0; for (k = 0;
+    k < kn; k++) acc += a[i][k] * b[k][j]; o[row][j] = acc + 0.5 *
+    o[row][j]; }`` with ``row`` = ``i`` (``rows``: ``rows[i]``, loaded in
+    the body), changed as the variant says."""
+    b = IRBuilder("nest")
+    i = b.declare_index("i")
+    m = b.declare_scalar("m", JType.INT)
+    kn = b.declare_scalar("kn", JType.INT)
+    for name in ("a", "b", "o"):
+        b.declare_array(name, JType.DOUBLE, 2)
+    b.declare_array("rows", JType.INT, 1)
+    b.set_insert(b.new_block("entry"))
+    acc = b.new_reg(JType.DOUBLE, "acc")
+    b.mov(acc, b.const(0.0, JType.DOUBLE))
+    j = b.new_reg(JType.INT, "j")
+    b.mov(j, b.const(0, JType.INT))
+    one = b.const(1, JType.INT)
+    head, body, done = (b.new_block(h) for h in ("head", "body", "done"))
+    b.br(head)
+    b.set_insert(head)
+    bound = i if variant == "i_bound" else m
+    b.cbr(b.bin("<", j, bound, JType.BOOL), body, done)
+    b.set_insert(body)
+    if variant != "carried":  # else acc runs on across j
+        b.mov(acc, b.const(0.0, JType.DOUBLE))
+    k = b.new_reg(JType.INT, "k")
+    b.mov(k, b.const(0, JType.INT))
+    khead, kbody, kdone = (b.new_block(h) for h in ("kh", "kb", "kd"))
+    b.br(khead)
+    b.set_insert(khead)
+    b.cbr(b.bin("<", k, kn, JType.BOOL), kbody, kdone)
+    b.set_insert(kbody)
+    prod = b.bin("*", b.load("a", (i, k), JType.DOUBLE),
+                 b.load("b", (k, j), JType.DOUBLE), JType.DOUBLE)
+    b.mov(acc, b.bin("+", acc, prod, JType.DOUBLE))
+    b.mov(k, b.bin("+", k, one, JType.INT))
+    b.br(khead)
+    b.set_insert(kdone)
+    row = b.load("rows", (i,), JType.INT) if variant == "rows" else i
+    col = j
+    if variant == "cells":  # column (3j) % m
+        col = b.bin("%", b.bin("*", j, b.const(3, JType.INT), JType.INT),
+                    m, JType.INT)
+    old = b.load("o", (row, col), JType.DOUBLE)
+    if variant == "next":  # the cell iteration j + 1 stores
+        old = b.load("o", (row, b.bin("+", j, one, JType.INT)), JType.DOUBLE)
+    value = b.bin("+", acc, b.bin("*", old, b.const(0.5, JType.DOUBLE),
+                                  JType.DOUBLE), JType.DOUBLE)
+    b.store("o", (row, col), value)
+    if variant == "break":  # leave j at the first negative cell
+        cont = b.new_block("cont")
+        b.cbr(b.bin("<", value, b.const(0.0, JType.DOUBLE), JType.BOOL),
+              done, cont)
+        b.set_insert(cont)
+    b.mov(j, b.bin("+", j, one, JType.INT))
+    b.br(head)
+    b.set_insert(done)
+    b.ret()
+    return b.finish()
+
+
+def _nest_storage(rng, lanes, m, kn, cols, rows):
+    return ArrayStorage({
+        "a": rng.standard_normal((lanes, kn)),
+        "b": rng.standard_normal((kn, m)),
+        "o": rng.standard_normal((lanes, cols)),
+        "rows": np.array(rows, dtype=np.int32),
+    })
+
+
+def assert_collapse_matches(fn, env, make, lanes, fuel=None):
+    """A narrow launch through the dispatcher (collapsed when it may)
+    against the interpreter: arrays, Counts, per-lane totals and the
+    exception, bitwise.  Returns the dispatcher's counters."""
+    s1, s2 = make(), make()
+    pl1, c1, _, e1 = _interp(fn, "direct", range(lanes), env, s1, fuel)
+    obs = Instrumentation.recording()
+    d = KernelDispatcher(cache=KernelCache(fuel=fuel or DEFAULT_FUEL),
+                         obs=obs)
+    pl2, e2 = _attempt(d.run_direct, fn, list(range(lanes)), env, s2, True)
+    assert type(e1) is type(e2) and str(e1) == str(e2)
+    _same_arrays(s1, s2)
+    if e1 is None:
+        assert pl1 == pl2
+    if e1 is None or isinstance(e1, FuelExhausted):
+        assert c1 == d.take_counts(fn)
+    return obs.metrics.to_dict()["counters"]
+
+
+class TestCollapsedNests:
+    def test_the_collapse_test_sorts_the_variants(self):
+        for variant in COLLAPSIBLE:
+            assert collapse(build_nest(variant)) is not None, variant
+        for variant in REFUSED:
+            assert collapse(build_nest(variant)) is None, variant
+
+    @given(
+        variant=st.sampled_from(COLLAPSIBLE + REFUSED),
+        lanes=st.integers(1, 6),
+        m=st.sampled_from([0, 1]) | st.integers(22, 40),
+        kn=st.integers(0, 3),
+        cells=st.sampled_from(["in", "out"]),
+        collide=st.booleans(),
+        fuel=st.none() | st.integers(20, 600),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=50, **COMMON)
+    def test_nests_match_interpreter(self, variant, lanes, m, kn, cells,
+                                     collide, fuel, seed):
+        fn = build_nest(variant)
+        # "out": rows past the last lane, or columns short of the trip
+        cols = m + 1 if cells == "in" else m // 2
+        rows = [(k // 2 if collide else k) + (cells == "out")
+                for k in range(lanes)]
+
+        def make():
+            return _nest_storage(np.random.default_rng(seed), lanes + 1, m,
+                                 kn, cols, rows)
+
+        counters = assert_collapse_matches(
+            fn, {"m": m, "kn": kn}, make, lanes, fuel
+        )
+        collapsed = (variant in COLLAPSIBLE
+                     and lanes * m >= dispatch.LOCKSTEP_MIN_LANES)
+        assert counters.get("kernel.tier.lockstep", 0) == int(collapsed)
+        assert counters.get("kernel.tier.src", 0) == int(not collapsed)
