@@ -14,8 +14,8 @@ interpreter and the src tier also agree on the message and the point of
 fuel exhaustion).
 
 A third family holds the collapse of a narrow launch to the
-interpreter: two-deep nests whose inner ``j`` loop runs an in-order
-``k`` reduction, in variants the collapse must take (independent
+interpreter, under a 16-lane width rule so that most launches collapse:
+two-deep nests whose inner ``j`` loop runs an in-order ``k`` reduction, in variants the collapse must take (independent
 iterations, and rows that may collide at run time) and must refuse (a
 register carried across ``j``, cells that do not follow ``j``, ``j + 1``
 reads, a ``break``, bounds that depend on ``i``), over zero trips,
@@ -34,6 +34,7 @@ lanes dict, column for column.
 """
 
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -855,16 +856,25 @@ def _nest_storage(rng, lanes, m, kn, cols, rows):
     })
 
 
+#: the width rule the nests run under: small, so that most of them
+#: collapse (the dispatcher's own is pinned in tests/ir/test_lockstep.py)
+NEST_WIDTH = 16
+
+
 def assert_collapse_matches(fn, env, make, lanes, fuel=None):
-    """A narrow launch through the dispatcher (collapsed when it may)
-    against the interpreter: arrays, Counts, per-lane totals and the
-    exception, bitwise.  Returns the dispatcher's counters."""
+    """A narrow launch through the dispatcher (collapsed when it may,
+    under :data:`NEST_WIDTH`) against the interpreter: arrays, Counts,
+    per-lane totals and the exception, bitwise.  Returns the
+    dispatcher's counters."""
     s1, s2 = make(), make()
     pl1, c1, _, e1 = _interp(fn, "direct", range(lanes), env, s1, fuel)
     obs = Instrumentation.recording()
     d = KernelDispatcher(cache=KernelCache(fuel=fuel or DEFAULT_FUEL),
                          obs=obs)
-    pl2, e2 = _attempt(d.run_direct, fn, list(range(lanes)), env, s2, True)
+    with mock.patch.object(dispatch, "LOCKSTEP_MIN_LANES", NEST_WIDTH):
+        pl2, e2 = _attempt(
+            d.run_direct, fn, list(range(lanes)), env, s2, True
+        )
     assert type(e1) is type(e2) and str(e1) == str(e2)
     _same_arrays(s1, s2)
     if e1 is None:
@@ -882,22 +892,22 @@ class TestCollapsedNests:
             assert collapse(build_nest(variant)) is None, variant
 
     @given(
-        variant=st.sampled_from(COLLAPSIBLE + REFUSED),
-        lanes=st.integers(1, 6),
-        m=st.sampled_from([0, 1]) | st.integers(22, 40),
+        variant=st.sampled_from(COLLAPSIBLE) | st.sampled_from(REFUSED),
+        lanes=st.integers(1, NEST_WIDTH - 1),
+        m=st.integers(0, 24),
         kn=st.integers(0, 3),
-        cells=st.sampled_from(["in", "out"]),
-        collide=st.booleans(),
-        fuel=st.none() | st.integers(20, 600),
+        fault=st.sampled_from([None, None, "cells", "rows", "fuel"]),
+        fuel=st.integers(20, 600),
         seed=st.integers(0, 2**16),
     )
-    @settings(max_examples=50, **COMMON)
-    def test_nests_match_interpreter(self, variant, lanes, m, kn, cells,
-                                     collide, fuel, seed):
+    @settings(max_examples=60, **COMMON)
+    def test_nests_match_interpreter(self, variant, lanes, m, kn, fault,
+                                     fuel, seed):
         fn = build_nest(variant)
-        # "out": rows past the last lane, or columns short of the trip
-        cols = m + 1 if cells == "in" else m // 2
-        rows = [(k // 2 if collide else k) + (cells == "out")
+        # "cells": rows past the last lane and columns short of the trip;
+        # "rows": lanes 2k and 2k + 1 share a row of o
+        cols = m // 2 if fault == "cells" else m + 1
+        rows = [(k // 2 if fault == "rows" else k) + (fault == "cells")
                 for k in range(lanes)]
 
         def make():
@@ -905,9 +915,9 @@ class TestCollapsedNests:
                                  kn, cols, rows)
 
         counters = assert_collapse_matches(
-            fn, {"m": m, "kn": kn}, make, lanes, fuel
+            fn, {"m": m, "kn": kn}, make, lanes,
+            fuel if fault == "fuel" else None,
         )
-        collapsed = (variant in COLLAPSIBLE
-                     and lanes * m >= dispatch.LOCKSTEP_MIN_LANES)
+        collapsed = variant in COLLAPSIBLE and lanes * m >= NEST_WIDTH
         assert counters.get("kernel.tier.lockstep", 0) == int(collapsed)
         assert counters.get("kernel.tier.src", 0) == int(not collapsed)
