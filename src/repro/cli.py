@@ -5,8 +5,9 @@ Commands
 ``list``
     show the Table-II workloads and their calibration;
 ``run WORKLOAD``
-    execute one workload under one or more strategies and print the
-    simulated times and execution modes;
+    execute one workload under one or more strategies, print the
+    simulated times and execution modes, and check each strategy's
+    arrays against the sequential reference (exit 1 on a mismatch);
 ``table2`` / ``fig3`` / ``fig4`` / ``fig5a`` / ``fig5b`` / ``headline``
     regenerate a table/figure of the paper (paper-vs-ours columns);
 ``report [WORKLOAD ...]``
@@ -38,7 +39,7 @@ from .errors import (
 
 #: Process exit codes.  Argparse's own usage errors exit with 2.
 EXIT_OK = 0
-EXIT_ERROR = 1          # any other Japonica error
+EXIT_ERROR = 1          # any other Japonica error, or a wrong answer
 EXIT_USAGE = 2          # bad command-line arguments
 EXIT_FRONTEND = 3       # source could not be parsed/analyzed/lowered
 EXIT_RUNTIME_FAULT = 4  # an (injected) runtime fault was not recovered
@@ -141,6 +142,7 @@ def _run_jit_file(args) -> int:
 def _cmd_run(args) -> int:
     if args.jit:
         return _run_jit_file(args)
+    from .runtime.result import verify_same_results
     from .workloads import get
 
     try:
@@ -194,6 +196,7 @@ def _cmd_run(args) -> int:
 
     print(f"== {workload.name} ({workload.description}) ==")
     times = {}
+    mismatched = False
     for strategy in strategies:
         if strategy not in STRATEGIES:
             print(f"unknown strategy {strategy!r}; choose from {STRATEGIES}",
@@ -238,10 +241,11 @@ def _cmd_run(args) -> int:
         status = ""
         if reference is not None:
             try:
-                workload.verify(result, binds)
+                verify_same_results(result.arrays, reference)
                 status = "verified"
             except AssertionError as exc:
                 status = f"MISMATCH: {exc}"
+                mismatched = True
         print(f"{strategy:10s} {result.sim_time_ms:12.3f} ms  "
               f"mode={modes:10s} {status}")
         if result.resilience is not None:
@@ -299,7 +303,7 @@ def _cmd_run(args) -> int:
         s = cache.stats()
         print(f"cache: {s['hits']} hits, {s['misses']} misses "
               f"({args.cache_dir})")
-    return 0
+    return EXIT_ERROR if mismatched else EXIT_OK
 
 
 def _cmd_report(args) -> int:

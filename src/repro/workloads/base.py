@@ -3,9 +3,9 @@
 Each workload carries its annotated mini-Java source, an input generator
 (scaled down from the paper's problem sizes so the functional simulators
 stay tractable — the paper's sizes are recorded for reference), and a
-NumPy reference implementation used to verify every execution strategy
-bit-for-bit (or to float tolerance where the reference computes in a
-different association order).
+whole-array NumPy reference that does each output cell's floating-point
+operations in the kernel's order, so every execution strategy is
+verified bit for bit.
 """
 
 from __future__ import annotations
@@ -37,9 +37,6 @@ class Workload:
     make_inputs: Callable[..., dict] = None  # type: ignore[assignment]
     #: reference(bindings) -> expected arrays after the run
     reference: Callable[[dict], dict[str, np.ndarray]] = None  # type: ignore
-    #: comparison tolerance (0 = bitwise)
-    rtol: float = 0.0
-    atol: float = 0.0
     #: paper-scale projection factors: how much more work / bytes /
     #: iterations the paper's problem size has vs. our simulated default
     work_scale: float = 1.0
@@ -160,8 +157,6 @@ class Workload:
         """Check a result against the reference; raises AssertionError."""
         if self.reference is None:
             raise WorkloadError(f"{self.name}: no reference implementation")
-        expected = self.reference(bindings)
         from ..runtime.result import verify_same_results
 
-        got = {k: v for k, v in result.arrays.items() if k in expected}
-        verify_same_results(got, expected, rtol=self.rtol, atol=self.atol)
+        verify_same_results(result.arrays, self.reference(bindings))

@@ -81,15 +81,15 @@ def reference(bindings: dict) -> dict[str, np.ndarray]:
     adj = np.asarray(bindings["adjList"], dtype=np.int64)
     dist = np.asarray(bindings["dist"], dtype=np.int32).copy()
     n = bindings["n"]
+    # one segment of edges per row that has any, in row order (CSR rows
+    # are contiguous).  reduceat would return an empty segment's first
+    # element, not an identity, so rows without an edge are left out.
+    rows = np.flatnonzero(row_start[1 : n + 1] > row_start[:n])
+    nbs = adj[row_start[0] : row_start[n]]
+    offsets = row_start[rows] - row_start[0]
     for _level in range(bindings["maxDepth"]):
-        new = dist.copy()
-        for i in range(n):
-            nbs = adj[row_start[i] : row_start[i + 1]]
-            if len(nbs):
-                cand = dist[nbs].min() + 1
-                if cand < new[i]:
-                    new[i] = cand
-        dist = new
+        cand = np.minimum.reduceat(dist[nbs], offsets) + 1
+        dist[rows] = np.minimum(dist[rows], cand)
     return {"dist": dist, "distNew": dist.copy()}
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import Workload
+from .ordered import matvec
 
 SOURCE = """
 class Bicg {
@@ -88,19 +89,8 @@ def reference(bindings: dict) -> dict[str, np.ndarray]:
     A = np.asarray(bindings["A"], dtype=np.float64)
     p = np.asarray(bindings["p"], dtype=np.float64)
     r = np.asarray(bindings["r"], dtype=np.float64)
-    n = bindings["n"]
-    q = np.zeros(n)
-    s = np.zeros(n)
-    for i in range(n):
-        acc = 0.0
-        for j in range(n):
-            acc += A[i, j] * p[j]
-        q[i] = acc
-    for i in range(n):
-        acc = 0.0
-        for j in range(n):
-            acc += A[j, i] * r[j]
-        s[i] = acc
+    q = matvec(A, p)
+    s = matvec(A.T, r)
     return {"q": q, "s": s}
 
 

@@ -42,12 +42,20 @@ def make_inputs(n: int = 1, seed: int = 0, size: int = 64, sweeps: int = 2) -> d
 def reference(bindings: dict) -> dict[str, np.ndarray]:
     A = np.asarray(bindings["A"], dtype=np.float64).copy()
     n = bindings["n"]
+    # The row-major sweep, one anti-diagonal i + j = d at a time: a cell's
+    # up and left neighbours lie on diagonal d - 1 and are already new,
+    # its down and right ones on d + 1 and still old, and no two cells of
+    # one diagonal are neighbours.
+    flat = A.reshape(-1)
+    diagonals = []
+    for d in range(2, 2 * n - 3):
+        i = np.arange(max(1, d - n + 2), min(n - 2, d - 1) + 1)
+        diagonals.append(i * n + (d - i))
     for _t in range(bindings["sweeps"]):
-        for i in range(1, n - 1):
-            for j in range(1, n - 1):
-                A[i, j] = 0.2 * (
-                    A[i, j] + A[i - 1, j] + A[i + 1, j] + A[i, j - 1] + A[i, j + 1]
-                )
+        for c in diagonals:
+            flat[c] = 0.2 * (
+                flat[c] + flat[c - n] + flat[c + n] + flat[c - 1] + flat[c + 1]
+            )
     return {"A": A}
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import Workload
+from .ordered import matvec
 
 SOURCE = """
 class Mvt {
@@ -56,17 +57,8 @@ def reference(bindings: dict) -> dict[str, np.ndarray]:
     x2 = np.asarray(bindings["x2"], dtype=np.float64).copy()
     y1 = np.asarray(bindings["y1"], dtype=np.float64)
     y2 = np.asarray(bindings["y2"], dtype=np.float64)
-    n = bindings["n"]
-    for i in range(n):
-        acc = 0.0
-        for j in range(n):
-            acc += A[i, j] * y1[j]
-        x1[i] += acc
-    for i in range(n):
-        acc = 0.0
-        for j in range(n):
-            acc += A[j, i] * y2[j]
-        x2[i] += acc
+    x1 += matvec(A, y1)
+    x2 += matvec(A.T, y2)
     return {"x1": x1, "x2": x2}
 
 

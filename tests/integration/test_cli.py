@@ -66,6 +66,58 @@ class TestCli:
             main([])
 
 
+class _ReferenceSpy:
+    """A workload reference that counts its calls and, with ``sabotage``
+    set, returns a wrong ``x1[0]``."""
+
+    def __init__(self, real):
+        self.real, self.calls, self.sabotage = real, 0, False
+
+    def __call__(self, bindings):
+        self.calls += 1
+        out = self.real(bindings)
+        if self.sabotage:
+            out["x1"][0] += 1.0
+        return out
+
+
+class TestRunVerdict:
+    """``repro run`` checks every strategy against one reference and
+    fails when any strategy's arrays differ from it."""
+
+    STRATEGIES = "japonica,serial,cpu,gpu,coop50"
+
+    @pytest.fixture
+    def mvt_reference(self, monkeypatch):
+        from repro.workloads import BY_NAME
+
+        workload = BY_NAME["MVT"]
+        spy = _ReferenceSpy(workload.reference)
+        monkeypatch.setattr(workload, "reference", spy)
+        return spy
+
+    def test_one_reference_for_five_strategies(self, mvt_reference, capsys):
+        assert main(["run", "MVT", "--strategies", self.STRATEGIES]) == 0
+        assert mvt_reference.calls == 1
+        assert capsys.readouterr().out.count("verified") == 5
+
+    def test_wrong_answer_exits_1(self, mvt_reference, capsys):
+        mvt_reference.sabotage = True
+        assert main(["run", "MVT", "--strategies", self.STRATEGIES]) == 1
+        out = capsys.readouterr().out
+        assert out.count("MISMATCH: array 'x1' differs") == 5
+        assert "first difference at (0,)" in out
+        assert "verified" not in out
+        # every line is still printed
+        assert "speedup japonica over serial" in out
+        assert mvt_reference.calls == 1
+
+    def test_no_verify_never_fails(self, mvt_reference):
+        mvt_reference.sabotage = True
+        assert main(["run", "MVT", "--no-verify"]) == 0
+        assert mvt_reference.calls == 0
+
+
 class TestInferCommand:
     def test_workload_prints_reparseable_source(self, capsys):
         assert main(["infer", "GEMM"]) == 0

@@ -1,7 +1,8 @@
 """Scalar oracles of the SE-log analyses, the commit, the DC volume and
 the log's array-id numbering (:func:`first_seen_codes`), the hand-written
-lexer (:func:`tokenize_oracle`) and the recursive AST walk
-(:func:`walk_recursive`).
+lexer (:func:`tokenize_oracle`), the recursive AST walk
+(:func:`walk_recursive`) and the workloads' per-element reference loops
+(:data:`LOOP_REFERENCES`).
 
 Production reads one speculative-log format, :class:`repro.ir.columnar.
 ColumnarLanes`.  These are the original per-record implementations over
@@ -18,9 +19,11 @@ from .density import analyze_lanes_scalar
 from .depcheck import check_subloop_scalar
 from .lanes import as_states, first_seen_codes, interpreter_lanes
 from .lexer import tokenize_oracle
+from .references import LOOP_REFERENCES
 from .walk import walk_recursive
 
 __all__ = [
+    "LOOP_REFERENCES",
     "analyze_lanes_scalar",
     "as_states",
     "check_subloop_scalar",

@@ -35,6 +35,28 @@ class TestVerify:
             verify_same_results(got, want)  # bitwise fails
         verify_same_results(got, want, rtol=1e-12)  # tolerant passes
 
+    def test_nan_in_the_same_cell_passes(self):
+        a = np.array([np.nan, 1.0])
+        verify_same_results({"x": a.copy()}, {"x": a.copy()})
+
+    def test_nan_against_a_number_fails(self):
+        got = {"x": np.array([1.0, np.nan])}
+        want = {"x": np.array([1.0, 2.0])}
+        with pytest.raises(AssertionError, match=r"at \(1,\)"):
+            verify_same_results(got, want)
+
+    def test_negative_zero_equals_zero(self):
+        verify_same_results({"x": np.array([-0.0])}, {"x": np.array([0.0])})
+
+    def test_message_prints_plain_ints(self):
+        got = {"x": np.array([[5.0, 1.0]])}
+        want = {"x": np.array([[4.0, 1.0]])}
+        with pytest.raises(AssertionError) as info:
+            verify_same_results(got, want)
+        assert str(info.value).endswith("(first difference at (0, 0))")
+        with pytest.raises(AssertionError, match=r"at \(0,\)\)$"):
+            verify_same_results({"x": np.zeros(2)}, {"x": np.ones(2)})
+
     def test_extra_arrays_in_got_ignored(self):
         verify_same_results(
             {"x": np.zeros(1), "extra": np.ones(1)}, {"x": np.zeros(1)}

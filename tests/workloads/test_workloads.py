@@ -112,7 +112,7 @@ class TestBlackScholesLookback:
 
 
 class TestReferences:
-    @pytest.mark.parametrize("name", ["VectorAdd", "MVT", "CFD", "Sepia"])
+    @pytest.mark.parametrize("name", [w.name for w in ALL_WORKLOADS])
     def test_reference_is_pure(self, name):
         w = BY_NAME[name]
         binds = w.bindings()
