@@ -85,16 +85,15 @@ def reference(bindings: dict) -> dict[str, np.ndarray]:
     scratch = np.zeros(3)
     for _t in range(bindings["sweeps"]):
         # every cell sums its flux in the kernel's order: the three
-        # scratch products, then its neighbours' contributions in k order
+        # scratch products, then its neighbours' contributions in k order.
+        # Cell j contributes the same term to every cell that lists it.
         s0 = density * momx
         s1 = density * momy
         s2 = energy * 0.4
-        acc = s0 + s1 + s2
+        term = density * 0.5 + energy * 0.25 - momx * momy * 0.125
+        flux = s0 + s1 + s2
         for k in range(nnb):
-            j = nb[:, k]
-            contrib = density[j] * 0.5 + energy[j] * 0.25
-            acc = acc + (contrib - momx[j] * momy[j] * 0.125)
-        flux = acc
+            flux = flux + term[nb[:, k]]
         density = density * 0.995 + flux * 0.005
         energy = energy * 0.999 + flux * 0.001
         if n:  # the scratch cells keep the last cell's values
